@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .epistemic import (
     EpistemicModel,
+    optimality_event,
     rationality_event,
     restriction_of,
     standard_model,
@@ -115,23 +116,6 @@ def is_proper(model, events):
         if e != cylinder:
             return False
     return True
-
-
-def optimality_event(model, prop, restriction=None):
-    """States whose owner's strategy satisfies the property in the restriction
-    (default: the restriction induced by the whole model)."""
-    if restriction is None:
-        restriction = restriction_of(model, model.all_event())
-    i = prop.player
-    cache = {}
-    out = []
-    for w in model.states():
-        s = model.strategy_of(i, w)
-        if s not in cache:
-            cache[s] = prop.holds(s, restriction)
-        if cache[s]:
-            out.append(w)
-    return frozenset(out)
 
 
 # ---------- iterated announcements ----------

@@ -53,6 +53,10 @@ class CheckResult:
 _LETTERS = "abcdefghij"
 
 
+def _strategy_name(k):
+    return _LETTERS[k] if k < len(_LETTERS) else f"s{k + 1}"
+
+
 def random_game(rng, cfg, n=None, lp_heavy=False):
     """A random game within the size bounds; lp_heavy shrinks the strategy
     sets so that checks running many small linear programs stay fast."""
@@ -66,7 +70,7 @@ def random_game(rng, cfg, n=None, lp_heavy=False):
             break
     else:
         raise games.BudgetExceededError("no game size fits the strategy budget")
-    names = tuple(tuple(_LETTERS[k] for k in range(size)) for size in sizes)
+    names = tuple(tuple(_strategy_name(k) for k in range(size)) for size in sizes)
     table = {}
     for profile in itertools.product(*(range(size) for size in sizes)):
         table[profile] = tuple(
@@ -94,6 +98,14 @@ def _profile(game, names, belief_class=None):
 def _pick_names(rng, cfg, pool, n):
     pool = cfg.properties or pool
     return [rng.choice(pool) for _ in range(n)]
+
+
+def _random_profile(rng, cfg, pool):
+    """A random game and one property per player, names drawn from the pool."""
+    n = rng.randint(cfg.min_players, cfg.max_players)
+    names = _pick_names(rng, cfg, pool, n)
+    game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
+    return game, names, _profile(game, names)
 
 
 def random_event(rng, model):
@@ -205,7 +217,7 @@ def _belief_inclusion_holds(model, rat_profile, outcome_profile, mode):
         event &= rat
     lhs = epistemic.restriction_of(model, event)
     outcome = operators.iterate_to_outcome(outcome_profile).outcome
-    return all(a <= b for a, b in zip(lhs.sets, outcome.sets))
+    return games.restriction_leq(lhs, outcome)
 
 
 def _witness_equality_holds(profile):
@@ -249,11 +261,8 @@ def check_epist1_belief(cfg):
     """Common true belief of rationality only keeps surviving strategies."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, MONOTONE_BUILTINS, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
+        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
         model = epistemic.random_belief_model(rng, game, cfg.max_states)
-        profile = _profile(game, names)
         if _belief_inclusion_holds(model, profile, profile, "belief"):
             return None
         return _inclusion_payload(game, model, names, names, "belief")
@@ -265,11 +274,8 @@ def check_epist1_knowledge(cfg):
     """Common knowledge of rationality only keeps surviving strategies."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, MONOTONE_BUILTINS, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
+        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
         model = epistemic.random_knowledge_model(rng, game, cfg.max_states)
-        profile = _profile(game, names)
         if _belief_inclusion_holds(model, profile, profile, "knowledge"):
             return None
         return _inclusion_payload(game, model, names, names, "knowledge")
@@ -281,10 +287,7 @@ def check_epist1_witness(cfg):
     """Some knowledge model attains the outcome exactly."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, MONOTONE_BUILTINS, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-        profile = _profile(game, names)
+        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
         if _witness_equality_holds(profile):
             return None
         return {
@@ -300,10 +303,7 @@ def check_epist2_identity(cfg):
     """With singleton truth, common knowledge of rationality excludes nothing."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, LOCAL_BUILTINS, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-        profile = _profile(game, names)
+        game, names, profile = _random_profile(rng, cfg, LOCAL_BUILTINS)
         report = epistemic.check_theorem_epist2(profile)
         if report.ok and report.hypothesis_ok:
             return None
@@ -344,7 +344,7 @@ def check_just_chain(cfg):
                         }
         big = operators.iterate_to_outcome(sdl).outcome
         small = operators.iterate_to_outcome(brg).outcome
-        if all(x <= y for x, y in zip(small.sets, big.sets)):
+        if games.restriction_leq(small, big):
             return None
         return {
             "game": games.game_to_text(game),
@@ -483,17 +483,14 @@ def check_survival_formula(cfg):
     elimination; on the canonical model the two coincide."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, MONOTONE_BUILTINS, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-        profile = _profile(game, names)
+        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
         formula = logic.Nu(logic.Opt(None, logic.Var()))
         outcome = operators.iterate_to_outcome(profile).outcome
 
         model = random_bare_model(rng, game, cfg.max_states)
         event = logic.eval_lnu(model, formula, profile)
         induced = epistemic.restriction_of(model, event)
-        if not all(a <= b for a, b in zip(induced.sets, outcome.sets)):
+        if not games.restriction_leq(induced, outcome):
             return {
                 "game": games.game_to_text(game),
                 "model": _model_payload(model),
@@ -520,11 +517,8 @@ def check_formula3_valid(cfg):
     formula = logic.parse_lnu("rat & CB(rat) -> nu x. O x")
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, MONOTONE_BUILTINS, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
+        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
         model = epistemic.random_belief_model(rng, game, cfg.max_states)
-        profile = _profile(game, names)
         if logic.eval_lnu(model, formula, profile) == model.all_event():
             return None
         return {
@@ -736,23 +730,22 @@ def check_operator_laws(cfg):
     profiles the iteration outcome is the largest postfixpoint."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, PURE_BUILTINS + ("msd_l", "msd_g"), n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-        profile = _profile(game, names)
+        game, names, profile = _random_profile(
+            rng, cfg, PURE_BUILTINS + ("msd_l", "msd_g")
+        )
         G = rng.choice(list(games.all_restrictions(game, budget=cfg.budget)))
         image = operators.apply_T(profile, G)
-        if not all(a <= b for a, b in zip(image.sets, G.sets)):
+        if not games.restriction_leq(image, G):
             return {"game": games.game_to_text(game), "reason": "not deflationary"}
         trace = operators.iterate_to_outcome(profile)
         for earlier, later in zip(trace.stages, trace.stages[1:]):
-            if not all(a <= b for a, b in zip(later.sets, earlier.sets)):
+            if not games.restriction_leq(later, earlier):
                 return {"game": games.game_to_text(game), "reason": "stage grew"}
         outcome = trace.outcome
         if operators.apply_T(profile, outcome) != outcome:
             return {"game": games.game_to_text(game), "reason": "outcome not fixed"}
         mono_names = [nm for nm in names if nm in MONOTONE_BUILTINS]
-        if len(mono_names) == n:
+        if len(mono_names) == game.n:
             largest = operators.largest_fixpoint_via_postfixpoints(profile)
             if largest != outcome:
                 return {
@@ -813,17 +806,14 @@ def check_note_7_2_operator(cfg):
     application of the elimination operator."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, BUILTIN_NAMES, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-        profile = _profile(game, names)
+        game, names, profile = _random_profile(rng, cfg, BUILTIN_NAMES)
         for G in games.all_restrictions(game, budget=cfg.budget):
             if any(not part for part in G.sets):
                 continue
             model = epistemic.standard_model(G)
             events = tuple(
                 announcements.optimality_event(model, profile[i], G)
-                for i in range(n)
+                for i in range(game.n)
             )
             announced = announcements.announced_restriction(model, events)
             if announced != operators.apply_T(profile, G):
@@ -930,10 +920,7 @@ def check_announce_optimality(cfg):
     the elimination outcome, for any of the builtin properties."""
 
     def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, BUILTIN_NAMES, n)
-        game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-        profile = _profile(game, names)
+        game, names, profile = _random_profile(rng, cfg, BUILTIN_NAMES)
         trace = announcements.iterate_optimality_announcements(profile)
         outcome = operators.iterate_to_outcome(profile).outcome
         target = epistemic.standard_model(outcome)

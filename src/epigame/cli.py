@@ -111,10 +111,6 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _profile_for(game, names, belief_class=None, grid_denominator=None):
-    return optimality.profile_named(game, names, belief_class, grid_denominator)
-
-
 def _portable_game_path(game_path, base_dir, out_path):
     """A game reference that resolves from the emitted model's directory."""
     resolved = game_path
@@ -128,7 +124,9 @@ def _portable_game_path(game_path, base_dir, out_path):
 
 def _cmd_solve(args):
     game = games.load_game_file(args.game)
-    profile = _profile_for(game, args.property, args.belief_class, args.grid_denominator)
+    profile = optimality.profile_named(
+        game, args.property, args.belief_class, args.grid_denominator
+    )
     trace = operators.iterate_to_outcome(profile)
     payload = {
         "property": [p.name for p in profile],
@@ -168,7 +166,7 @@ def _announce_game(args):
     game = games.load_game_file(args.path)
     if args.events is not None:
         raise ValueError("--events applies to model files; game files iterate")
-    profile = _profile_for(game, args.property or "sd_l")
+    profile = optimality.profile_named(game, args.property or "sd_l")
     if args.rationality:
         trace = announcements.iterate_rationality_announcements(profile)
         level = "knowledge"
@@ -202,7 +200,7 @@ def _announce_model(args):
     if args.events is None:
         if args.property is None:
             raise ValueError("model announcements need --events or --property")
-        profile = _profile_for(model.game, args.property)
+        profile = optimality.profile_named(model.game, args.property)
         if args.rationality:
             trace = announcements.iterate_rationality_announcements(profile, start=model)
         else:
@@ -255,24 +253,14 @@ def _cmd_announce(args):
     raise ValueError("announce expects a .game or .emodel path")
 
 
-def _mentions(formula, kinds):
-    if isinstance(formula, kinds):
-        return True
-    for attr in ("sub", "left", "right", "body"):
-        child = getattr(formula, attr, None)
-        if child is not None and _mentions(child, kinds):
-            return True
-    return False
-
-
 def _cmd_eval(args):
     loaded = epistemic.load_model_file(args.model)
     model = loaded.model
     formula = logic.parse_lnu(args.formula)
     profile = None
     if args.property is not None:
-        profile = _profile_for(model.game, args.property, args.belief_class)
-    elif _mentions(formula, (logic.Rat, logic.Opt)):
+        profile = optimality.profile_named(model.game, args.property, args.belief_class)
+    elif any(isinstance(node, (logic.Rat, logic.Opt)) for node in logic.walk(formula)):
         raise ValueError("the formula mentions rat or O: supply --property")
     event = logic.eval_lnu(model, formula, profile)
     valid = event == model.all_event()
@@ -398,6 +386,9 @@ def main(argv=None):
         KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -82,7 +82,8 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     if not isinstance(res, Optimal) or res.value <= 0:
         return None
     witness = MixedStrategy(game, i, {s: w for s, w in zip(support, res.point) if w})
-    assert strictly_dominates(game, context, i, witness, dominated)
+    if not strictly_dominates(game, context, i, witness, dominated):
+        raise AssertionError("LP mixture does not strictly dominate")
     return witness
 
 
@@ -110,7 +111,8 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     if not isinstance(res, Optimal) or res.value <= 0:
         return None
     witness = MixedStrategy(game, i, {s: w for s, w in zip(support, res.point) if w})
-    assert weakly_dominates(game, context, i, witness, dominated)
+    if not weakly_dominates(game, context, i, witness, dominated):
+        raise AssertionError("LP mixture does not weakly dominate")
     return witness
 
 
@@ -189,7 +191,8 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
                 game, i, {ctx: w for ctx, w in zip(contexts, res.point) if w}
             )
             mine = expected_payoff(game, i, s_i, belief)
-            assert all(mine >= expected_payoff(game, i, s, belief) for s in rivals)
+            if any(mine < expected_payoff(game, i, s, belief) for s in rivals):
+                raise AssertionError("LP belief does not support the strategy")
             return True
         return False
     raise BeliefClassError(f"unknown belief class {belief_class!r}")

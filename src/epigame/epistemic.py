@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .games import BudgetExceededError, Restriction, load_game_file, subsets_of
+from .games import BudgetExceededError, Restriction, load_game_file, restriction_leq, subsets_of
 from .operators import iterate_to_outcome
 from .optimality import require_monotone, satisfies_singleton_truth
 
@@ -106,18 +106,35 @@ def box(model, event, player=None):
     )
 
 
+class NotShrinkingError(ValueError):
+    """A step of a greatest-fixpoint iteration did not shrink its argument."""
+
+
+def greatest_fixpoint(model, step):
+    """The greatest fixpoint of a monotone map on events, by downward
+    iteration from the set of all states.
+
+    A step that leaves the current event without staying inside it shows the
+    map is not monotone; that raises instead of returning a wrong answer.
+    """
+    current = model.all_event()
+    while True:
+        nxt = step(current)
+        if nxt == current:
+            return current
+        if not nxt <= current:
+            raise NotShrinkingError("fixpoint iteration is not shrinking")
+        current = nxt
+
+
 def common_box(model, event):
-    """Common belief of an event: intersect the box-powers for |states| rounds."""
-    acc = model.all_event()
-    power = frozenset(event)
-    seen = set()
-    for _ in range(model.num_states):
-        power = box(model, power)
-        acc &= power
-        if power in seen:
-            break
-        seen.add(power)
-    return acc
+    """Common belief of an event: the greatest fixpoint of F -> box(F & E).
+
+    Box distributes over intersections, so this is the intersection of the
+    box-powers box^k(E) for k >= 1.
+    """
+    event = frozenset(event)
+    return greatest_fixpoint(model, lambda F: box(model, F & event))
 
 
 def is_evident(model, event):
@@ -226,7 +243,10 @@ def standard_model(restriction, correspondences=False):
                 frozenset([profiles[w][i]]) if j == i else restriction.sets[j]
                 for j in range(game.n)
             )
-            assert pinned.sets == expected
+            if pinned.sets != expected:
+                raise AssertionError(
+                    f"P_{i + 1} of the standard model does not pin its own strategy"
+                )
     return model
 
 
@@ -250,6 +270,23 @@ def rationality_event(model, prop):
             G = restriction_of(model, block)
             cache[key] = prop.holds(model.strategy_of(i, w), G)
         if cache[key]:
+            out.append(w)
+    return frozenset(out)
+
+
+def optimality_event(model, prop, restriction=None):
+    """States whose owner's strategy satisfies the property in the restriction
+    (default: the restriction induced by the whole model)."""
+    if restriction is None:
+        restriction = restriction_of(model, model.all_event())
+    i = prop.player
+    cache = {}
+    out = []
+    for w in model.states():
+        s = model.strategy_of(i, w)
+        if s not in cache:
+            cache[s] = prop.holds(s, restriction)
+        if cache[s]:
             out.append(w)
     return frozenset(out)
 
@@ -294,7 +331,7 @@ def check_theorem_epist1(model, profile, mode="auto", budget=10):
         event = rat & common_box(model, rat)
     lhs = restriction_of(model, event)
     outcome = iterate_to_outcome(profile).outcome
-    ok = all(a <= b for a, b in zip(lhs.sets, outcome.sets))
+    ok = restriction_leq(lhs, outcome)
     return InclusionReport(ok, mode, event, lhs, outcome)
 
 
@@ -312,7 +349,8 @@ def construct_witness(profile):
     per_state = tuple((F if w in F else rest) for w in model.states())
     corr = tuple(per_state for _ in range(game.n))
     witness = EpistemicModel(game, model.state_names, model.assignment, corr)
-    assert not validate(witness, "knowledge")
+    if validate(witness, "knowledge"):
+        raise AssertionError("the witness model does not validate at knowledge level")
     return witness
 
 
@@ -381,7 +419,8 @@ def random_knowledge_model(rng, game, max_states=8):
         random_assignment(rng, game, k),
         tuple(corr),
     )
-    assert not validate(model, "knowledge")
+    if validate(model, "knowledge"):
+        raise AssertionError("random knowledge model does not validate")
     return model
 
 
@@ -408,7 +447,8 @@ def random_belief_model(rng, game, max_states=8):
         random_assignment(rng, game, k),
         tuple(corr),
     )
-    assert not validate(model, "belief")
+    if validate(model, "belief"):
+        raise AssertionError("random belief model does not validate")
     return model
 
 

@@ -10,10 +10,17 @@ of syntax trees is equality of primitive forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .epistemic import box, rationality_event, restriction_of
+from .epistemic import (
+    NotShrinkingError,
+    box,
+    greatest_fixpoint,
+    optimality_event,
+    rationality_event,
+    restriction_of,
+)
 from .games import BudgetExceededError, full_profile, subsets_of
 
 
@@ -27,7 +34,7 @@ class LogicEvalError(ValueError):
     pass
 
 
-# ---------- modal fixpoint language ----------
+# ---------- modal fixpoint language: syntax ----------
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,72 @@ class Nu:
     body: object
 
 
+# ---------- first-order optimality language: syntax ----------
+
+
+@dataclass(frozen=True)
+class Member:
+    var: str
+
+
+@dataclass(frozen=True)
+class Cmp:
+    player: int
+    left: str
+    ctx: str
+    right: str
+
+
+@dataclass(frozen=True)
+class NotO:
+    sub: object
+
+
+@dataclass(frozen=True)
+class AndO:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class ExistsO:
+    var: str
+    body: object
+
+
+# ---------- syntax trees of both languages ----------
+
+# The formula-valued fields of each connective, in printing order; atoms
+# (Rat, Var, Member, Cmp) have none.
+_CHILD_FIELDS = {
+    NotF: ("sub",),
+    AndF: ("left", "right"),
+    Box: ("sub",),
+    Opt: ("sub",),
+    Nu: ("body",),
+    NotO: ("sub",),
+    AndO: ("left", "right"),
+    ExistsO: ("body",),
+}
+
+
+def children(f):
+    """The immediate subformulas of a node of either language."""
+    return tuple(getattr(f, name) for name in _CHILD_FIELDS.get(type(f), ()))
+
+
+def walk(f):
+    """Every node of a formula, parents before their subformulas."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+# ---------- modal fixpoint language ----------
+
+
 def impl(a, b):
     return NotF(AndF(a, NotF(b)))
 
@@ -78,57 +151,39 @@ def common_belief(f):
 
 
 def contains_nu(f):
-    if isinstance(f, Nu):
-        return True
-    if isinstance(f, NotF):
-        return contains_nu(f.sub)
-    if isinstance(f, AndF):
-        return contains_nu(f.left) or contains_nu(f.right)
-    if isinstance(f, (Box, Opt)):
-        return contains_nu(f.sub)
-    return False
+    return any(isinstance(node, Nu) for node in walk(f))
 
 
 def has_free_var(f):
     if isinstance(f, Var):
         return True
-    if isinstance(f, Nu):
-        return False  # its variable is bound
-    if isinstance(f, NotF):
-        return has_free_var(f.sub)
-    if isinstance(f, AndF):
-        return has_free_var(f.left) or has_free_var(f.right)
-    if isinstance(f, (Box, Opt)):
-        return has_free_var(f.sub)
-    return False
+    # a fixpoint binds its variable
+    return not isinstance(f, Nu) and any(has_free_var(c) for c in children(f))
 
 
 def var_positive(f, parity=0):
     """Every free fixpoint-variable occurrence under an even number of '!'."""
     if isinstance(f, Var):
         return parity % 2 == 0
-    if isinstance(f, NotF):
-        return var_positive(f.sub, parity + 1)
-    if isinstance(f, AndF):
-        return var_positive(f.left, parity) and var_positive(f.right, parity)
-    if isinstance(f, (Box, Opt)):
-        return var_positive(f.sub, parity)
-    return True  # Rat, Nu (whose variable is its own)
+    if isinstance(f, Nu):
+        return True  # its variable is its own
+    parity += isinstance(f, NotF)
+    return all(var_positive(c, parity) for c in children(f))
 
 
 def subst(f, replacement):
     """Replace free occurrences of the fixpoint variable."""
     if isinstance(f, Var):
         return replacement
-    if isinstance(f, NotF):
-        return NotF(subst(f.sub, replacement))
-    if isinstance(f, AndF):
-        return AndF(subst(f.left, replacement), subst(f.right, replacement))
-    if isinstance(f, Box):
-        return Box(f.player, subst(f.sub, replacement))
-    if isinstance(f, Opt):
-        return Opt(f.player, subst(f.sub, replacement))
-    return f  # Rat and Nu (bound variable)
+    if isinstance(f, Nu):
+        return f  # bound variable
+    return replace(
+        f,
+        **{
+            name: subst(getattr(f, name), replacement)
+            for name in _CHILD_FIELDS.get(type(f), ())
+        },
+    )
 
 
 def pretty(f):
@@ -319,26 +374,20 @@ def eval_lnu(model, formula, profile=None, x_event=None):
         if isinstance(f, Opt):
             if profile is None:
                 raise LogicEvalError("formula mentions O but no profile was supplied")
-            event = ev(f.sub, xval)
-            G = restriction_of(model, event)
+            G = restriction_of(model, ev(f.sub, xval))
             players = everyone if f.player is None else [f.player]
-            return frozenset(
-                w
-                for w in model.states()
-                if all(profile[i].holds(model.strategy_of(i, w), G) for i in players)
-            )
+            event = model.all_event()
+            for i in players:
+                event &= optimality_event(model, profile[i], G)
+            return event
         if isinstance(f, Nu):
-            current = model.all_event()
-            while True:
-                nxt = ev(f.body, current)
-                if nxt == current:
-                    return current
-                if not nxt <= current:
-                    raise LogicEvalError(
-                        "fixpoint iteration is not shrinking; "
-                        "a property under O is not monotone"
-                    )
-                current = nxt
+            try:
+                return greatest_fixpoint(model, lambda x: ev(f.body, x))
+            except NotShrinkingError:
+                raise LogicEvalError(
+                    "fixpoint iteration is not shrinking; "
+                    "a property under O is not monotone"
+                ) from None
         raise TypeError(f"not a formula: {f!r}")
 
     return ev(formula, x_event)
@@ -365,12 +414,7 @@ def check_rat_definability(model, profile, budget_states=12):
         rhs = set(model.states())
         for X in events:
             believes = box(model, X, i)
-            G = restriction_of(model, X)
-            optimal = frozenset(
-                w
-                for w in model.states()
-                if profile[i].holds(model.strategy_of(i, w), G)
-            )
+            optimal = optimality_event(model, profile[i], restriction_of(model, X))
             rhs &= (model.all_event() - believes) | optimal
         if lhs != frozenset(rhs):
             return False
@@ -378,36 +422,6 @@ def check_rat_definability(model, profile, budget_states=12):
 
 
 # ---------- first-order optimality language ----------
-
-
-@dataclass(frozen=True)
-class Member:
-    var: str
-
-
-@dataclass(frozen=True)
-class Cmp:
-    player: int
-    left: str
-    ctx: str
-    right: str
-
-
-@dataclass(frozen=True)
-class NotO:
-    sub: object
-
-
-@dataclass(frozen=True)
-class AndO:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class ExistsO:
-    var: str
-    body: object
 
 
 def o_impl(a, b):
@@ -558,28 +572,16 @@ def lo_free_vars(f):
         return {f.var}
     if isinstance(f, Cmp):
         return {f.left, f.ctx, f.right}
-    if isinstance(f, NotO):
-        return lo_free_vars(f.sub)
-    if isinstance(f, AndO):
-        return lo_free_vars(f.left) | lo_free_vars(f.right)
-    if isinstance(f, ExistsO):
-        return lo_free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    free = set().union(*(lo_free_vars(c) for c in children(f)))
+    return free - {f.var} if isinstance(f, ExistsO) else free
 
 
 def check_positive_lo(f, parity=0):
     """Positive: every set-variable occurrence under an even number of '!'."""
     if isinstance(f, Member):
         return parity % 2 == 0
-    if isinstance(f, Cmp):
-        return True
-    if isinstance(f, NotO):
-        return check_positive_lo(f.sub, parity + 1)
-    if isinstance(f, AndO):
-        return check_positive_lo(f.left, parity) and check_positive_lo(f.right, parity)
-    if isinstance(f, ExistsO):
-        return check_positive_lo(f.body, parity)
-    raise TypeError(f"not a formula: {f!r}")
+    parity += isinstance(f, NotO)
+    return all(check_positive_lo(c, parity) for c in children(f))
 
 
 def eval_lo(model, f, assignment, X):
@@ -645,7 +647,7 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
 
     if isinstance(formula, str):
         formula = parse_lo(formula)
-    for node in _lo_walk(formula):
+    for node in walk(formula):
         if isinstance(node, Cmp) and node.player != i:
             raise ValueError(
                 f"comparison for player {node.player + 1} in a condition for player {i + 1}"
@@ -671,17 +673,6 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
     return OptimalityProperty(name, i, game, evaluator, "compiled")
 
 
-def _lo_walk(f):
-    yield f
-    if isinstance(f, NotO):
-        yield from _lo_walk(f.sub)
-    elif isinstance(f, AndO):
-        yield from _lo_walk(f.left)
-        yield from _lo_walk(f.right)
-    elif isinstance(f, ExistsO):
-        yield from _lo_walk(f.body)
-
-
 def _free_member_or_ctx(f, pivot, bound):
     """Does the pivot occur free in a membership atom or a context slot?
 
@@ -692,15 +683,9 @@ def _free_member_or_ctx(f, pivot, bound):
         return f.var == pivot and pivot not in bound
     if isinstance(f, Cmp):
         return f.ctx == pivot and pivot not in bound
-    if isinstance(f, NotO):
-        return _free_member_or_ctx(f.sub, pivot, bound)
-    if isinstance(f, AndO):
-        return _free_member_or_ctx(f.left, pivot, bound) or _free_member_or_ctx(
-            f.right, pivot, bound
-        )
     if isinstance(f, ExistsO):
-        return _free_member_or_ctx(f.body, pivot, bound | {f.var})
-    raise TypeError(f"not a formula: {f!r}")
+        bound = bound | {f.var}
+    return any(_free_member_or_ctx(c, pivot, bound) for c in children(f))
 
 
 # ---------- derivations ----------
@@ -788,14 +773,11 @@ _ATOM_CAP = 16
 
 
 def _prop_atoms(f, acc):
-    if isinstance(f, NotF):
-        _prop_atoms(f.sub, acc)
-    elif isinstance(f, AndF):
-        _prop_atoms(f.left, acc)
-        _prop_atoms(f.right, acc)
-    else:
-        if f not in acc:
-            acc.append(f)
+    if isinstance(f, (NotF, AndF)):
+        for c in children(f):
+            _prop_atoms(c, acc)
+    elif f not in acc:
+        acc.append(f)
 
 
 def _prop_value(f, values):

@@ -163,3 +163,18 @@ def test_game_text_round_trip_of_random_games():
         again = load_game(game_to_text(game))
         assert again.strategy_names == game.strategy_names
         assert again.table == game.table
+
+
+def test_random_games_name_more_than_ten_strategies():
+    rng = random.Random(5)
+    cfg = CheckConfig(count=0, max_strategies=12, budget=40)
+    widest = 0
+    for _ in range(20):
+        game = random_game(rng, cfg)
+        for names in game.strategy_names:
+            assert len(set(names)) == len(names)
+            assert names[:10] == tuple("abcdefghij")[: len(names)]
+            widest = max(widest, len(names))
+        again = load_game(game_to_text(game))
+        assert again.strategy_names == game.strategy_names
+    assert widest > 10

@@ -171,6 +171,13 @@ def test_eval_parse_error(capsys):
     assert "error:" in err
 
 
+def test_eval_formula_nested_past_the_recursion_limit(capsys):
+    formula = "!" * 3000 + "rat"
+    code, _, err = run(capsys, "eval", FIG2, "--formula", formula, "--property", "sd_l")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_eval_json(capsys):
     # all payoffs tie in fig2, so weak dominance never bites and every state survives
     code, out, _ = run(
@@ -199,6 +206,26 @@ def test_check_single_check(capsys):
     assert "PASS derivation_valid" in out
     assert "1 checks: 1 passed, 0 failed" in out
     assert "elapsed:" in err
+
+
+def test_check_games_wider_than_ten_strategies(capsys):
+    code, out, _ = run(
+        capsys,
+        "check",
+        "epist1_witness",
+        "--random",
+        "30",
+        "--max-strategies",
+        "12",
+        "--budget-restrictions",
+        "24",
+        "--max-players",
+        "2",
+        "--property",
+        "sd_g",
+    )
+    assert code in (0, 1)
+    assert "epist1_witness (" in out
 
 
 def test_check_unknown_suite(capsys):

@@ -39,6 +39,7 @@ from epigame.logic import (
     check_derivation,
     check_positive_lo,
     check_rat_definability,
+    children,
     common_belief,
     compile_lo_to_property,
     contains_nu,
@@ -58,6 +59,7 @@ from epigame.logic import (
     propositional_consequence,
     subst,
     var_positive,
+    walk,
 )
 from epigame.optimality import profile_named
 
@@ -132,6 +134,15 @@ def test_structural_helpers():
     # substitution only touches free occurrences
     g = AndF(Var(), Nu(AndF(Var(), Rat(None))))
     assert subst(g, Rat(0)) == AndF(Rat(0), Nu(AndF(Var(), Rat(None))))
+
+
+def test_walk_covers_both_languages_parents_first():
+    f = parse_lnu("nu x. Box(x & !rat)")
+    kinds = [type(node) for node in walk(f)]
+    assert kinds == [Nu, Box, AndF, Var, NotF, Rat]
+    g = parse_lo("exists z in X x >=^1_z y")
+    assert [type(node) for node in walk(g)] == [ExistsO, AndO, Member, Cmp]
+    assert children(Rat(None)) == () and children(Member("x")) == ()
 
 
 def test_pretty_round_trips():

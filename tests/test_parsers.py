@@ -1,0 +1,150 @@
+"""Malformed input to every parser raises that parser's format error and
+nothing else, so the command line can map it to exit code 2.
+
+Inputs are valid texts with a few random edits (dropped, copied or inserted
+lines, replaced, deleted or spliced tokens), so that most examples get past the first
+keyword check and reach the deeper branches of each parser.
+"""
+
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from epigame.checks import BUNDLED_DERIVATION
+from epigame.epistemic import ModelFormatError, parse_model
+from epigame.games import GameFormatError, load_game
+from epigame.logic import (
+    LO_TEXTS,
+    DerivationFormatError,
+    LogicParseError,
+    parse_derivation,
+    parse_lnu,
+    parse_lo,
+)
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+FUZZ = settings(derandomize=True, max_examples=500, deadline=None)
+
+_NOISE = st.text(alphabet="ab19-/:#.,|&!()_^=> ", min_size=1, max_size=4)
+
+
+_EDITS = ("drop", "copy", "insert", "replace", "delete", "splice")
+
+
+@st.composite
+def _edited(draw, lines, words):
+    """Lines of tokens after up to five random edits."""
+    lines = [line.split() for line in lines]
+    word = st.one_of(st.sampled_from(words), _NOISE)
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(_EDITS))
+        k = draw(st.integers(0, len(lines)))
+        if op == "insert" or k == len(lines):
+            lines.insert(k, draw(st.lists(word, max_size=6)))
+            continue
+        toks = lines[k]
+        if op == "drop":
+            del lines[k]
+        elif op == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), list(toks))
+        elif op == "replace" and toks:
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(word)
+        elif op == "delete" and toks:
+            del toks[draw(st.integers(0, len(toks) - 1))]
+        elif op == "splice" and toks:
+            a = draw(st.integers(0, len(toks) - 1))
+            b = draw(st.integers(a, len(toks)))
+            at = draw(st.integers(0, len(toks)))
+            toks[at:at] = toks[a:b]
+    return "\n".join(" ".join(toks) for toks in lines)
+
+
+def _text(text):
+    return [line for line in text.splitlines() if line.strip()]
+
+
+_GAME = _text((DATA / "threebytwo.game").read_text(encoding="utf-8"))
+_GAME_WORDS = (
+    "players", "strategies", "payoff", "1", "2", "3", "0", "-1", "T", "M",
+    "B", "L", "R", "1/2", "1/0", "#",
+)
+# The game line stays fixed: a missing game file is not a format error.
+_MODEL = _text(
+    """states w_ul w_dr
+assign w_ul 1 U
+assign w_ul 2 L
+assign w_dr 1 D
+assign w_dr 2 R
+P 1 w_ul : w_ul
+P 1 w_dr : w_dr
+P 2 w_ul : w_ul w_dr
+P 2 w_dr : w_ul w_dr
+level belief"""
+)
+_MODEL_WORDS = (
+    "states", "assign", "P", "level", ":", "w_ul", "w_dr", "1", "2", "3", "0",
+    "U", "D", "L", "R", "bare", "belief", "knowledge", "#",
+)
+_DERIVATION = _text(BUNDLED_DERIVATION)
+_DERIVATION_WORDS = (
+    "axiom", "ratDis", "nuDis", "prop", "nuInd", "psi=rat", "psi=O", "from=1",
+    "from=3", "from=1,2", "conclude=rat", "chi=rat", "rat", "x", "&", "->", "(",
+    ")",
+)
+# Formulas as space-separated tokens; further lines are whitespace to them.
+_LNU = ["rat & CB ( rat ) -> nu x . Box_1 ( x & ! rat_2 ) & O x"]
+_LNU_WORDS = (
+    "rat", "rat_1", "rat_3", "Box", "Box_2", "O", "O_1", "CB", "CB_1", "nu",
+    "x", "x_1", ".", "(", ")", "&", "!", "->", "zz",
+)
+_LO = [LO_TEXTS["wd_g"].format(p=1)]
+_LO_WORDS = (
+    "exists", "forall", "in", "X", "x", "y", "z", ">=^1_z", ">^2_y", ">=^0_z",
+    "|", "&", "!", "(", ")", "->",
+)
+
+
+@FUZZ
+@given(_edited(_GAME, _GAME_WORDS))
+def test_load_game_raises_only_its_format_error(text):
+    try:
+        load_game(text)
+    except GameFormatError:
+        pass
+
+
+@FUZZ
+@given(_edited(_MODEL, _MODEL_WORDS))
+def test_parse_model_raises_only_its_format_error(text):
+    try:
+        parse_model("game fig2.game\n" + text, base_dir=str(DATA))
+    except ModelFormatError:
+        pass
+
+
+@FUZZ
+@given(_edited(_DERIVATION, _DERIVATION_WORDS))
+def test_parse_derivation_raises_only_its_format_error(text):
+    try:
+        parse_derivation(text)
+    except DerivationFormatError:
+        pass
+
+
+@FUZZ
+@given(_edited(_LNU, _LNU_WORDS))
+def test_parse_lnu_raises_only_its_format_error(text):
+    try:
+        parse_lnu(text)
+    except LogicParseError:
+        pass
+
+
+@FUZZ
+@given(_edited(_LO, _LO_WORDS))
+def test_parse_lo_raises_only_its_format_error(text):
+    try:
+        parse_lo(text)
+    except LogicParseError:
+        pass
