@@ -164,13 +164,14 @@ def iterate_optimality_announcements(profile, start=None):
     return _run(model, next_events)
 
 
-def iterate_rationality_announcements(profile, start=None, check_condition=True, budget=10):
+def iterate_rationality_announcements(profile, start=None, check_condition=True):
     """Announce rationality (optimality given each player's beliefs) until the
     model stops shrinking. Start defaults to the standard knowledge model.
 
     Properties that depend on the owner's own component of the restriction
-    can make the terminal model diverge from the elimination outcome, so
-    by default each property is screened and a warning issued when it fails.
+    can make the terminal model diverge from the elimination outcome, so by
+    default each property not declared own-independent is screened and a
+    warning issued when it fails.
     """
     game = profile[0].game
     if start is None:
@@ -179,8 +180,10 @@ def iterate_rationality_announcements(profile, start=None, check_condition=True,
         raise ValueError("rationality announcements need possibility correspondences")
     if check_condition:
         for prop in profile:
+            if prop.own_independent:
+                continue
             try:
-                report = satisfies_condition_A(prop, budget=budget)
+                report = satisfies_condition_A(prop)
             except BudgetExceededError:
                 warnings.warn(f"own-component screening skipped for {prop.name}")
                 continue

@@ -38,6 +38,19 @@ class CheckConfig:
     budget: int = 10
     properties: Optional[tuple] = None
 
+    def __post_init__(self):
+        # A negative count would run nothing and pass; smaller sizes leave the
+        # random generators empty ranges to draw from.
+        for option, smallest in (
+            ("count", 0),
+            ("max_players", self.min_players),
+            ("max_strategies", 1),
+            ("max_states", 1),
+        ):
+            value = getattr(self, option)
+            if value < smallest:
+                raise ValueError(f"{option} must be at least {smallest}, got {value}")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -744,8 +757,7 @@ def check_operator_laws(cfg):
         outcome = trace.outcome
         if operators.apply_T(profile, outcome) != outcome:
             return {"game": games.game_to_text(game), "reason": "outcome not fixed"}
-        mono_names = [nm for nm in names if nm in MONOTONE_BUILTINS]
-        if len(mono_names) == game.n:
+        if all(p.monotone for p in profile):
             largest = operators.largest_fixpoint_via_postfixpoints(profile)
             if largest != outcome:
                 return {
@@ -1092,6 +1104,6 @@ def run_suite(suite, cfg, jobs=1):
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             return list(pool.map(run_check, names, [cfg] * len(names)))
     return [run_check(name, cfg) for name in names]

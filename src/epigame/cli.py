@@ -86,12 +86,6 @@ def _build_parser():
     check.add_argument("--max-strategies", type=int, default=4)
     check.add_argument("--max-states", type=int, default=8)
     check.add_argument(
-        "--budget-states",
-        type=int,
-        default=12,
-        help="state cap for event enumeration checks",
-    )
-    check.add_argument(
         "--budget-restrictions",
         type=int,
         default=10,

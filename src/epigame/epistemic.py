@@ -311,14 +311,14 @@ class InclusionReport:
     outcome: Restriction
 
 
-def check_theorem_epist1(model, profile, mode="auto", budget=10):
+def check_theorem_epist1(model, profile, mode="auto"):
     """Common belief of rationality only selects surviving strategies.
 
     For belief models the event is RAT and common belief of RAT; for
     knowledge models common knowledge of RAT alone suffices. Requires a
     monotone profile (guarded).
     """
-    require_monotone(profile, budget=budget)
+    require_monotone(profile)
     if mode == "auto":
         mode = "knowledge" if not validate(model, "knowledge") else "belief"
     bad = validate(model, mode)

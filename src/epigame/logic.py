@@ -670,7 +670,9 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
         X = event_of_restriction(model, G)
         return eval_lo(model, formula, {pivot: state_of[s]}, X)
 
-    return OptimalityProperty(name, i, game, evaluator, "compiled")
+    return OptimalityProperty(
+        name, i, game, evaluator, "compiled", monotone=check_positive_lo(formula)
+    )
 
 
 def _free_member_or_ctx(f, pivot, bound):

@@ -26,6 +26,10 @@ class OptimalityProperty:
     game: object
     evaluator: Callable
     provenance: str = "builtin"
+    # Theorems the constructor vouches for; False means "not proven", and the
+    # guards then enumerate. own_independent is condition A.
+    monotone: bool = False
+    own_independent: bool = False
 
     def holds(self, s_i, restriction):
         if restriction.game is not self.game:
@@ -102,7 +106,8 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
         def evaluator(s, G):
             return dominance.is_best_response(game, G, G, i, s, "correlated")
 
-    return OptimalityProperty(name, i, game, evaluator)
+    return OptimalityProperty(name, i, game, evaluator, monotone=name in MONOTONE_BUILTINS,
+                              own_independent=name.endswith("_g"))
 
 
 def profile_named(game, names, belief_class=None, grid_denominator=None):
@@ -120,7 +125,8 @@ def profile_named(game, names, belief_class=None, grid_denominator=None):
 
 def constant_property(game, i, value=True, name=None):
     return OptimalityProperty(
-        name or f"const_{str(value).lower()}", i, game, lambda s, G: value, "test"
+        name or f"const_{str(value).lower()}", i, game, lambda s, G: value, "test",
+        monotone=True, own_independent=True,
     )
 
 
@@ -140,15 +146,14 @@ class MonotonicityReport:
     counterexample: Optional[tuple] = None  # (s_i, smaller Restriction, larger Restriction)
 
 
-def is_monotonic_on(prop, budget=10, table=None):
+def is_monotonic_on(prop, budget=10):
     """Exhaustively check that growing the restriction never loses the property.
 
     It is enough to check cover pairs (one strategy added), since any
     inclusion is a chain of single additions.
     """
     game = prop.game
-    if table is None:
-        table = value_table(prop, budget=budget)
+    table = value_table(prop, budget=budget)
     for G in all_restrictions(game, budget=budget):
         for j in range(game.n):
             for extra in game.strategies(j):
@@ -168,6 +173,8 @@ def is_monotonic_on(prop, budget=10, table=None):
 def require_monotone(profile, budget=10):
     """Guard used by fixpoint machinery; raises with the counterexample."""
     for prop in profile:
+        if prop.monotone:
+            continue
         report = is_monotonic_on(prop, budget=budget)
         if not report.monotonic:
             s, small, big = report.counterexample
@@ -184,12 +191,11 @@ class ConditionAReport:
     counterexample: Optional[tuple] = None  # (s_i, G, G') differing in own component
 
 
-def satisfies_condition_A(prop, budget=10, table=None):
+def satisfies_condition_A(prop, budget=10):
     """Does the property ignore the owner's own component of the restriction?"""
     game = prop.game
     i = prop.player
-    if table is None:
-        table = value_table(prop, budget=budget)
+    table = value_table(prop, budget=budget)
     others = [list(subsets_of(game.strategies(j))) for j in range(game.n) if j != i]
     own_sets = list(subsets_of(game.strategies(i)))
     for ctx in itertools.product(*others):

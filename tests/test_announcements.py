@@ -1,5 +1,6 @@
 """Public announcements: single effects, properness, and the two iterations."""
 
+import random
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from epigame.announcements import (
     models_equal_via_profiles,
     optimality_event,
 )
+from epigame.checks import CheckConfig, random_game
 from epigame.epistemic import (
     event_of_restriction,
     load_model_file,
@@ -226,3 +228,18 @@ def test_models_equal_via_profiles():
     assert not models_equal_via_profiles(
         a, standard_model(other_game.full_restriction(), correspondences=True)
     )
+
+
+def test_screening_trusts_declared_globals_past_the_budget():
+    """A 6x6 game is past the screening's enumeration budget; the _g
+    variants are own-independent by construction and are not screened."""
+    rng = random.Random(6)
+    cfg = CheckConfig(count=0, min_strategies=6, max_strategies=6, budget=12)
+    game = random_game(rng, cfg, n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = iterate_rationality_announcements(profile_named(game, "sd_g"))
+    outcome = iterate_to_outcome(profile_named(game, "sd_g")).outcome
+    assert restriction_of(trace.terminal, trace.terminal.all_event()) == outcome
+    with pytest.warns(UserWarning, match="screening skipped for sd_l"):
+        iterate_rationality_announcements(profile_named(game, "sd_l"))

@@ -178,3 +178,41 @@ def test_random_games_name_more_than_ten_strategies():
         again = load_game(game_to_text(game))
         assert again.strategy_names == game.strategy_names
     assert widest > 10
+
+
+def test_config_rejects_sizes_the_generators_cannot_draw():
+    CheckConfig(count=0, max_players=2, max_strategies=1, max_states=1)
+    for option, value, smallest in (
+        ("count", -1, 0),
+        ("max_players", 1, 2),
+        ("max_strategies", 0, 1),
+        ("max_states", 0, 1),
+    ):
+        with pytest.raises(ValueError, match=f"{option} must be at least {smallest}"):
+            CheckConfig(**{option: value})
+
+
+def test_worker_pool_is_capped_at_the_number_of_checks(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    cfg = CheckConfig(count=1)
+    assert [r.passed for r in run_suite("epist2_identity", cfg, jobs=64)] == [True]
+    assert len(run_suite("just1", cfg, jobs=64)) == 2
+    assert len(run_suite("just1", cfg, jobs=2)) == 2
+    assert started == [1, 2, 2]

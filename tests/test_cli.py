@@ -243,6 +243,41 @@ def test_check_property_pool_enforced(capsys):
     assert "unknown property" in err
 
 
+def test_check_rejects_a_negative_instance_count(capsys):
+    code, out, err = run(capsys, "check", "epist1_belief", "--random", "-1")
+    assert code == 2
+    assert out == ""
+    assert "count must be at least 0" in err
+
+
+def _check_size_option(capsys, option, value, smallest):
+    code, _, err = run(capsys, "check", "epist1_belief", "--random", "2", option, value)
+    assert code == 2
+    assert f"{option[2:].replace('-', '_')} must be at least {smallest}" in err
+    assert "randrange" not in err
+
+
+def test_check_rejects_max_players_below_two(capsys):
+    _check_size_option(capsys, "--max-players", "1", 2)
+
+
+def test_check_rejects_max_strategies_below_one(capsys):
+    _check_size_option(capsys, "--max-strategies", "0", 1)
+
+
+def test_check_rejects_max_states_below_one(capsys):
+    _check_size_option(capsys, "--max-states", "0", 1)
+
+
+def test_check_runs_at_the_smallest_sizes(capsys):
+    code, out, _ = run(
+        capsys, "check", "all", "--random", "1",
+        "--max-players", "2", "--max-strategies", "1", "--max-states", "1",
+    )
+    assert code == 0
+    assert "25 checks: 25 passed, 0 failed" in out
+
+
 def test_check_json_lines(capsys):
     code, out, _ = run(
         capsys,

@@ -344,3 +344,15 @@ def test_random_generators_validate():
     game = random_game(rng, CheckConfig(count=0), n=2)
     assert validate(random_knowledge_model(rng, game), "knowledge") == []
     assert validate(random_belief_model(rng, game), "belief") == []
+
+
+def test_epist1_on_games_past_the_enumeration_budget():
+    """Declared-monotone profiles need no enumeration, so a 6x6 game runs."""
+    rng = random.Random(66)
+    cfg = CheckConfig(count=0, min_strategies=6, max_strategies=6, budget=12)
+    game = random_game(rng, cfg, n=2)
+    assert [game.strategy_count(i) for i in range(2)] == [6, 6]
+    model = random_knowledge_model(rng, game, 8)
+    for name in ("sd_g", "br_g"):
+        report = check_theorem_epist1(model, profile_named(game, name), mode="knowledge")
+        assert report.ok, name

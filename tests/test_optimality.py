@@ -1,14 +1,24 @@
 """Builtin optimality properties and their structural checks."""
 
+import random
 from pathlib import Path
 
 import pytest
 
+from epigame.checks import CheckConfig, random_game
 from epigame.games import load_game_file
+from epigame.logic import (
+    LO_TEXTS,
+    check_positive_lo,
+    compile_lo_to_property,
+    lo_text,
+    parse_lo,
+)
 from epigame.optimality import (
     BUILTIN_NAMES,
     MONOTONE_BUILTINS,
     NonMonotonicPropertyError,
+    OptimalityProperty,
     builtin,
     constant_property,
     is_monotonic_on,
@@ -23,6 +33,7 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 PD = load_game_file(DATA / "pd.game")
 WDW = load_game_file(DATA / "wd_witness.game")
+TBT = load_game_file(DATA / "threebytwo.game")
 
 C, D = 0, 1
 
@@ -160,3 +171,57 @@ def test_constant_property():
     prop = constant_property(PD, 0, value=False)
     assert not prop.holds(C, PD.full_restriction())
     assert prop.provenance == "test"
+
+
+# ---------- declared facts against the exhaustive oracle ----------
+
+
+def _oracle_games(lp_heavy):
+    rng = random.Random(44)
+    cfg = CheckConfig(count=0)
+    return [PD, TBT, WDW] + [random_game(rng, cfg, lp_heavy=lp_heavy) for _ in range(10)]
+
+
+def test_declared_facts_hold_on_the_oracle():
+    """The mixed-dominance properties run on the smaller games the checks
+    draw for linear programs; the others on games of up to 10 strategies."""
+    for lp_heavy in (False, True):
+        names = [nm for nm in BUILTIN_NAMES if nm.startswith("m") == lp_heavy]
+        for game in _oracle_games(lp_heavy):
+            assert sum(game.strategy_count(i) for i in range(game.n)) <= 10
+            for name in names:
+                for i in range(game.n):
+                    prop = builtin(game, name, i)
+                    if prop.monotone:
+                        assert is_monotonic_on(prop).monotonic, (name, i)
+                    if prop.own_independent:
+                        assert satisfies_condition_A(prop).independent, (name, i)
+
+
+def test_declared_sets_of_builtins():
+    monotone = {nm for nm in BUILTIN_NAMES if builtin(PD, nm, 0).monotone}
+    independent = {nm for nm in BUILTIN_NAMES if builtin(PD, nm, 0).own_independent}
+    assert monotone == {"sd_g", "msd_g", "br_g"} == set(MONOTONE_BUILTINS)
+    assert independent == {"sd_g", "msd_g", "wd_g", "mwd_g", "br_g"}
+    prop = constant_property(PD, 0)
+    assert prop.monotone and prop.own_independent
+
+
+def test_compiled_monotone_is_syntactic_positivity():
+    seen = set()
+    for name in LO_TEXTS:
+        formula = parse_lo(lo_text(name, 0))
+        prop = compile_lo_to_property(formula, PD, 0, name)
+        assert prop.monotone == check_positive_lo(formula), name
+        assert not prop.own_independent
+        seen.add(prop.monotone)
+    assert seen == {True, False}
+
+
+def test_require_monotone_trusts_the_declaration():
+    """A declared fact is not re-proven; undeclared ones still are."""
+    sd_l = builtin(PD, "sd_l", 0)
+    declared = OptimalityProperty("sd_l", 0, PD, sd_l.evaluator, monotone=True)
+    require_monotone((declared,))
+    with pytest.raises(NonMonotonicPropertyError):
+        require_monotone((sd_l,))
