@@ -1,0 +1,8 @@
+"""Run the epigame command line as ``python -m epigame``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,11 +58,23 @@ def weakly_dominates(game, context, i, dominator, dominated):
     return strict
 
 
+def _pure_best_response(game, i, s_i, rivals, contexts, strict=False):
+    """Is s_i at least as good as (strict: better than) every rival in some context?"""
+    for ctx in contexts:
+        mine = game.payoff(i, full_profile(i, s_i, ctx))
+        theirs = (game.payoff(i, full_profile(i, s, ctx)) for s in rivals)
+        if all(mine > p for p in theirs) if strict else all(mine >= p for p in theirs):
+            return True
+    return False
+
+
 def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     """Search for a mixed strategy over support strictly dominating dominated.
 
-    Returns the witness MixedStrategy or None. LP: maximize the margin eps
-    subject to the mixture beating dominated by eps in every context.
+    Returns the witness MixedStrategy or None. A pure best response within
+    support is undominated and a pure strict dominator is its own witness;
+    otherwise an LP maximizes the margin eps subject to the mixture beating
+    dominated by eps in every context.
     """
     support = sorted(support)
     if not support:
@@ -70,6 +82,12 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     contexts = list(context.opponent_profiles(i))
     if not contexts:
         return point_mass(game, i, support[0])
+    # No mixture over support beats dominated where it is a pure best response.
+    if _pure_best_response(game, i, dominated, support, contexts):
+        return None
+    for d in support:
+        if strictly_dominates(game, context, i, d, dominated):
+            return point_mass(game, i, d)
     k = len(support)
     lp = LinearProgram(k + 1, [Fraction(0)] * k + [Fraction(1)])
     lp.set_bounds(k, None, None)  # eps is free
@@ -90,8 +108,10 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
 def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     """Search for a weakly dominating mixture over support; None if there is none.
 
-    LP over mixture weights plus one slack gap per context: feasibility gives
-    'at least as good everywhere', a positive total gap gives 'better somewhere'.
+    A strict, unique best response within support is undominated and a pure
+    weak dominator is its own witness. Otherwise an LP over mixture weights
+    plus one slack gap per context decides: feasibility gives 'at least as
+    good everywhere', a positive total gap gives 'better somewhere'.
     """
     support = sorted(support)
     if not support:
@@ -99,6 +119,14 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     contexts = list(context.opponent_profiles(i))
     if not contexts:
         return None
+    # Where dominated is the unique best response within support, a mixture
+    # at least as good must be dominated itself, which is better nowhere.
+    if _pure_best_response(game, i, dominated, [s for s in support if s != dominated],
+                           contexts, strict=True):
+        return None
+    for d in support:
+        if weakly_dominates(game, context, i, d, dominated):
+            return point_mass(game, i, d)
     k = len(support)
     m = len(contexts)
     lp = LinearProgram(k + m, [Fraction(0)] * k + [Fraction(1)] * m)
@@ -140,21 +168,13 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
     belief_class: 'pure' (joint opponent strategies), 'correlated'
     (distributions over joint opponent strategies), or 'mixed' (independent
     per-opponent mixtures; exact for two players via the correlated reduction,
-    otherwise needs grid_denominator and is approximate).
+    otherwise needs grid_denominator and is approximate). The class is
+    checked before the beliefs, so an empty belief set does not hide a bad one.
+
+    Every class holds the point masses on joint opponent strategies, so a pure
+    best response answers yes and a rival that strictly dominates s_i on the
+    beliefs answers no; only the cases in between search the class.
     """
-    rivals = [s for s in comparison.strategies(i)]
-    contexts = list(beliefs_in.opponent_profiles(i))
-    if not contexts:
-        return False
-    if belief_class == "pure":
-        return any(
-            all(
-                game.payoff(i, full_profile(i, s_i, ctx))
-                >= game.payoff(i, full_profile(i, s, ctx))
-                for s in rivals
-            )
-            for ctx in contexts
-        )
     if belief_class == "mixed":
         if game.n == 2:
             belief_class = "correlated"
@@ -163,36 +183,46 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
                 "independent mixed beliefs with more than two players: "
                 "supply grid_denominator for an approximate grid search"
             )
-        else:
-            opponents = [j for j in range(game.n) if j != i]
-            grids = [
-                list(_grid_mixtures(game, j, beliefs_in.strategies(j), grid_denominator))
-                for j in opponents
-            ]
-            for belief in itertools.product(*grids):
-                mine = expected_payoff(game, i, s_i, belief)
-                if all(mine >= expected_payoff(game, i, s, belief) for s in rivals):
-                    return True
-            return False
-    if belief_class == "correlated":
-        m = len(contexts)
-        lp = LinearProgram(m, [Fraction(0)] * m)
-        for s in rivals:
-            coeffs = [
-                game.payoff(i, full_profile(i, s_i, ctx))
-                - game.payoff(i, full_profile(i, s, ctx))
-                for ctx in contexts
-            ]
-            lp.add(coeffs, ">=", Fraction(0))
-        lp.add([Fraction(1)] * m, "=", Fraction(1))
-        res = solve(lp)
-        if isinstance(res, Optimal):
-            belief = CorrelatedBelief(
-                game, i, {ctx: w for ctx, w in zip(contexts, res.point) if w}
-            )
-            mine = expected_payoff(game, i, s_i, belief)
-            if any(mine < expected_payoff(game, i, s, belief) for s in rivals):
-                raise AssertionError("LP belief does not support the strategy")
-            return True
+    elif belief_class not in ("pure", "correlated"):
+        raise BeliefClassError(f"unknown belief class {belief_class!r}")
+    rivals = list(comparison.strategies(i))
+    contexts = list(beliefs_in.opponent_profiles(i))
+    if not contexts:
         return False
-    raise BeliefClassError(f"unknown belief class {belief_class!r}")
+    if _pure_best_response(game, i, s_i, rivals, contexts):
+        return True
+    if belief_class == "pure" or any(
+        strictly_dominates(game, beliefs_in, i, s, s_i) for s in rivals
+    ):
+        return False
+    if belief_class == "mixed":
+        opponents = [j for j in range(game.n) if j != i]
+        grids = [
+            list(_grid_mixtures(game, j, beliefs_in.strategies(j), grid_denominator))
+            for j in opponents
+        ]
+        for belief in itertools.product(*grids):
+            mine = expected_payoff(game, i, s_i, belief)
+            if all(mine >= expected_payoff(game, i, s, belief) for s in rivals):
+                return True
+        return False
+    m = len(contexts)
+    lp = LinearProgram(m, [Fraction(0)] * m)
+    for s in rivals:
+        coeffs = [
+            game.payoff(i, full_profile(i, s_i, ctx))
+            - game.payoff(i, full_profile(i, s, ctx))
+            for ctx in contexts
+        ]
+        lp.add(coeffs, ">=", Fraction(0))
+    lp.add([Fraction(1)] * m, "=", Fraction(1))
+    res = solve(lp)
+    if not isinstance(res, Optimal):
+        return False
+    belief = CorrelatedBelief(
+        game, i, {ctx: w for ctx, w in zip(contexts, res.point) if w}
+    )
+    mine = expected_payoff(game, i, s_i, belief)
+    if any(mine < expected_payoff(game, i, s, belief) for s in rivals):
+        raise AssertionError("LP belief does not support the strategy")
+    return True

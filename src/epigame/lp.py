@@ -1,13 +1,27 @@
-"""Exact rational linear programming via two-phase primal simplex.
+"""Exact rational linear programming via a two-phase primal simplex on integer rows.
 
-Small dense tableau, Bland's rule for cycle-free pivoting, every optimum
-re-verified by substitution before it is returned.
+`solve` first builds the standard form: bounded and free variables become
+nonnegative columns, `>=` rows are negated and finite upper bounds become
+`<=` rows. The tableau keeps every row, the reduced-cost row included, as
+Python ints: a positive multiple of the exact rational row, divided by the
+gcd of its entries after each pivot. Ratios are compared by
+cross-multiplication, and rationals appear only where the basic values and
+the dual vector are read out of the final tableau. Bland's rule (the lowest
+entering column, and the lowest basic index among tied ratios) keeps the
+pivoting finite on degenerate programs.
+
+Every optimum is certified before it is returned, without trusting the
+pivots: the point is substituted into the original bounds, rows and
+objective (primal feasibility), and the dual vector is checked on the
+standard form: nonnegative on `<=` rows, u^T A >= c on every column, and
+u^T b equal to the claimed value (optimality, by weak duality).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -62,9 +76,31 @@ class LinearProgram:
         self.upper[j] = None if upper is None else Fraction(upper)
 
 
-def solve(lp):
-    """Solve an LP exactly. Returns Optimal(value, point), INFEASIBLE or UNBOUNDED."""
-    # Substitute bounded variables by nonnegative columns.
+@dataclass(frozen=True)
+class StandardForm:
+    """maximize objective . y + const over y >= 0 subject to rows.
+
+    Each row is (dense coefficients, '<=' or '=', rhs). Original variable j
+    is shift[j] + sum(sign * y[column] for column, sign in col_of[j]).
+    """
+
+    rows: tuple
+    objective: tuple
+    const: Fraction
+    col_of: tuple
+    shift: tuple
+
+    def original_point(self, y):
+        point = []
+        for x, cols in zip(self.shift, self.col_of):
+            for col, sign in cols:
+                x += sign * y[col]
+            point.append(x)
+        return point
+
+
+def standard_form(lp):
+    """The standard form of lp, or None when some upper bound is below its lower bound."""
     col_of = []  # per original var: list of (column, sign)
     shift = []  # per original var: additive constant
     ncols = 0
@@ -72,7 +108,7 @@ def solve(lp):
     for j in range(lp.num_vars):
         lo, up = lp.lower[j], lp.upper[j]
         if lo is not None and up is not None and up < lo:
-            return INFEASIBLE
+            return None
         if lo is not None:
             col_of.append([(ncols, ONE)])
             shift.append(lo)
@@ -113,134 +149,157 @@ def solve(lp):
         col = col_of[j][0][0]
         dense[col] = ONE
         rows.append((dense, "<=", cap))
+    objective, const = substitute(lp.objective)
+    return StandardForm(tuple(rows), tuple(objective), const, tuple(col_of), tuple(shift))
 
-    obj_dense, obj_const = substitute(lp.objective)
 
-    # Assemble tableau columns: structural | slacks | artificials.
-    nslack = sum(1 for _, rel, _ in rows if rel == "<=")
+def _coprime(row):
+    g = gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
+
+
+def _integer_row(values):
+    """The positive integer multiple of a row of rationals whose entries are coprime."""
+    scale = lcm(*(v.denominator for v in values))
+    return _coprime([v.numerator * (scale // v.denominator) for v in values])
+
+
+def _eliminate(row, prow, j):
+    """A positive multiple of row minus the multiple of prow that clears column j.
+
+    prow[j] must be positive. Entries of row past the end of prow (the scale
+    that closes the reduced-cost row) are only multiplied.
+    """
+    piv, f = prow[j], row[j]
+    new = [piv * a - f * b for a, b in zip(row, prow)]
+    new.extend(piv * a for a in row[len(prow):])
+    return _coprime(new)
+
+
+def solve(lp):
+    """Solve an LP exactly. Returns Optimal(value, point), INFEASIBLE or UNBOUNDED."""
+    form = standard_form(lp)
+    if form is None:
+        return INFEASIBLE
+    outcome = _simplex(form)
+    if not isinstance(outcome, tuple):
+        return outcome
+    y, dual = outcome
+    point = form.original_point(y)
+    value = sum(c * x for c, x in zip(lp.objective, point))
+    _certify(lp, form, point, value, dual)
+    return Optimal(value, tuple(point))
+
+
+def _simplex(form):
+    """Two-phase simplex on form: (y, dual), INFEASIBLE or UNBOUNDED."""
+    ncols = len(form.objective)
+    nslack = sum(1 for _, rel, _ in form.rows if rel == "<=")
+    nart = sum(1 for _, rel, rhs in form.rows if rel == "=" or rhs < 0)
+    # Columns: structural | slacks | artificials | rhs. A '<=' row with a
+    # nonnegative rhs starts with its slack basic; every other row gets an
+    # artificial. dual_col[r] = (column, sign) such that the dual value of
+    # row r is -sign * (reduced cost of column).
+    real = ncols + nslack
+    width = real + nart
     tableau = []
     basis = []
-    slack_base = ncols
-    art_cols = []
-    si = 0
-    width = ncols + nslack
-    for dense, rel, rhs in rows:
-        row = dense + [ZERO] * nslack
+    dual_col = []
+    slack = ncols
+    art = real
+    for dense, rel, rhs in form.rows:
+        row = list(dense) + [ZERO] * (nslack + nart) + [rhs]
+        sign = -1 if rhs < 0 else 1
         if rel == "<=":
-            row[slack_base + si] = ONE
-            si += 1
-        if rhs < 0:
+            row[slack] = ONE
+            dual_col.append((slack, 1))
+            slack += 1
+        if sign < 0:
             row = [-c for c in row]
-            rhs = -rhs
-        row.append(rhs)
-        tableau.append(row)
-        basis.append(None)
-    for r, row in enumerate(tableau):
-        rel = rows[r][1]
-        if rel == "<=":
-            scol = next(
-                (j for j in range(slack_base, width) if row[j] == 1), None
-            )
-            if scol is not None and all(
-                tableau[r2][scol] == 0 for r2 in range(len(tableau)) if r2 != r
-            ):
-                basis[r] = scol
-    for r in range(len(tableau)):
-        if basis[r] is None:
-            for row in tableau:
-                row.insert(-1, ZERO)
-            acol = width
-            width += 1
-            tableau[r][acol] = ONE
-            basis[r] = acol
-            art_cols.append(acol)
+        if rel == "<=" and sign > 0:
+            basis.append(slack - 1)
+        else:
+            row[art] = ONE
+            basis.append(art)
+            if rel == "=":
+                dual_col.append((art, sign))
+            art += 1
+        tableau.append(_integer_row(row))
 
-    art_set = set(art_cols)
-
-    def pivot(r, j):
-        piv = tableau[r][j]
-        tableau[r] = [c / piv for c in tableau[r]]
-        for r2 in range(len(tableau)):
-            if r2 != r and tableau[r2][j] != 0:
-                f = tableau[r2][j]
-                tableau[r2] = [a - f * b for a, b in zip(tableau[r2], tableau[r])]
+    def pivot(r, j, z=None):
+        prow = tableau[r]
+        if prow[j] < 0:
+            prow = tableau[r] = [-a for a in prow]
+        for r2, row in enumerate(tableau):
+            if r2 != r and row[j]:
+                tableau[r2] = _eliminate(row, prow, j)
         basis[r] = j
+        return _eliminate(z, prow, j) if z is not None and z[j] else z
 
-    def run_simplex(costs, banned):
-        """Maximize costs . columns with Bland's rule; returns 'optimal' or 'unbounded'."""
+    def objective_row(costs):
+        """Reduced costs, then -value, then the positive scale of both."""
+        z = _integer_row(list(costs) + [ZERO, ONE])
+        for row, b in zip(tableau, basis):
+            if z[b]:
+                z = _eliminate(z, row, b)
+        return z
+
+    def run_simplex(z, candidates):
+        """Bland's rule over the first candidates columns; None when unbounded."""
         while True:
-            duals = [costs[b] for b in basis]
-            enter = None
-            for j in range(width):
-                if j in banned or j in basis:
-                    continue
-                rc = costs[j] - sum(
-                    d * tableau[r][j] for r, d in enumerate(duals) if d != 0
-                )
-                if rc > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(candidates) if z[j] > 0), None)
             if enter is None:
-                return "optimal"
+                return z
             leave = None
-            best = None
-            for r in range(len(tableau)):
-                a = tableau[r][enter]
+            for r, row in enumerate(tableau):
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[r][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best = ratio
-                        leave = r
+                    if leave is None:
+                        leave, lead = r, row
+                        continue
+                    mine, best = row[-1] * lead[enter], lead[-1] * a
+                    if mine < best or (mine == best and basis[r] < basis[leave]):
+                        leave, lead = r, row
             if leave is None:
-                return "unbounded"
-            pivot(leave, enter)
+                return None
+            z = pivot(leave, enter, z)
 
-    if art_cols:
-        costs1 = [ZERO] * width
-        for j in art_cols:
-            costs1[j] = -ONE
-        run_simplex(costs1, banned=set())
-        value1 = sum(costs1[b] * tableau[r][-1] for r, b in enumerate(basis))
-        if value1 != 0:
+    if nart:
+        z = run_simplex(objective_row([ZERO] * real + [-ONE] * nart), width)
+        if z[-2]:
             return INFEASIBLE
         # Drive remaining artificials out of the basis or drop redundant rows.
         drop = []
         for r in range(len(tableau)):
-            if basis[r] in art_set:
-                j = next(
-                    (j for j in range(width) if j not in art_set and tableau[r][j] != 0),
-                    None,
-                )
+            if basis[r] >= real:
+                j = next((j for j in range(real) if tableau[r][j]), None)
                 if j is None:
                     drop.append(r)
                 else:
                     pivot(r, j)
-        for r in sorted(drop, reverse=True):
+        for r in reversed(drop):
             del tableau[r]
             del basis[r]
 
-    costs2 = [ZERO] * width
-    for j, c in enumerate(obj_dense):
-        costs2[j] = c
-    if run_simplex(costs2, banned=art_set) == "unbounded":
+    z = run_simplex(objective_row(list(form.objective) + [ZERO] * (width - ncols)), real)
+    if z is None:
         return UNBOUNDED
-
     y = [ZERO] * width
-    for r, b in enumerate(basis):
-        y[b] = tableau[r][-1]
-    point = []
-    for j in range(lp.num_vars):
-        x = shift[j]
-        for col, sign in col_of[j]:
-            x += sign * y[col]
-        point.append(x)
-    value = sum(c * x for c, x in zip(lp.objective, point))
-    _certify(lp, point, value)
-    return Optimal(value, tuple(point))
+    for row, b in zip(tableau, basis):
+        y[b] = Fraction(row[-1], row[b])
+    dual = [Fraction(-sign * z[col], z[-1]) for col, sign in dual_col]
+    return y, dual
 
 
-def _certify(lp, point, value):
-    """Exact substitution check of a claimed optimum; guards solver bugs."""
+def _certify(lp, form, point, value, dual):
+    """Exact check of a claimed optimum against lp and the dual on its standard form.
+
+    Raises AssertionError when point breaks a bound or a row of lp, when value
+    is not its objective, or when dual fails to prove that nothing does
+    better: dual must be nonnegative on the '<=' rows of form, cover the
+    objective on every column (u^T A >= c), and have u^T b equal to value
+    less the constant of form.
+    """
     for j, x in enumerate(point):
         if lp.lower[j] is not None and x < lp.lower[j]:
             raise AssertionError("solution violates a lower bound")
@@ -254,3 +313,13 @@ def _certify(lp, point, value):
     check = sum(c * x for c, x in zip(lp.objective, point))
     if check != value:
         raise AssertionError("objective value mismatch")
+    if len(dual) != len(form.rows):
+        raise AssertionError("dual has the wrong length")
+    for u, (_, rel, _) in zip(dual, form.rows):
+        if rel == "<=" and u < 0:
+            raise AssertionError("dual is negative on an inequality row")
+    for col, c in enumerate(form.objective):
+        if sum(u * dense[col] for u, (dense, _, _) in zip(dual, form.rows)) < c:
+            raise AssertionError("dual does not cover the objective on a column")
+    if sum(u * rhs for u, (_, _, rhs) in zip(dual, form.rows)) != value - form.const:
+        raise AssertionError("dual value differs from the primal value")

@@ -375,3 +375,15 @@ def test_console_script_installed(tmp_path):
         assert command in proc.stdout, (
             f"{launcher} --help does not list {command!r}; stderr:\n{proc.stderr}"
         )
+
+
+def test_python_m_epigame_runs_the_command_line():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "epigame", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, f"stderr:\n{proc.stderr}"
+    for command in ("solve", "announce", "eval", "check", "derive"):
+        assert command in proc.stdout

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from epigame import dominance
 from epigame.checks import CheckConfig, random_game
 from epigame.dominance import (
     BeliefClassError,
@@ -15,7 +16,8 @@ from epigame.dominance import (
     strictly_dominates,
     weakly_dominates,
 )
-from epigame.games import load_game_file, point_mass
+from epigame.games import Game, all_restrictions, full_profile, load_game_file, point_mass
+from epigame.lp import LinearProgram, Optimal, solve
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -173,3 +175,114 @@ def test_point_mass_dominator_matches_pure():
     full = PD.full_restriction()
     assert strictly_dominates(PD, full, 0, point_mass(PD, 0, 1), 0)
     assert not strictly_dominates(PD, full, 0, point_mass(PD, 0, 0), 1)
+
+
+def test_belief_class_is_checked_before_the_beliefs():
+    empty = PD.restriction([["C", "D"], []])
+    with pytest.raises(BeliefClassError):
+        is_best_response(PD, empty, empty, 0, 0, "psychic")
+    game = random_game(random.Random(0), CheckConfig(count=0), n=3)
+    no_beliefs = game.restriction([game.strategies(0), game.strategies(1), []])
+    with pytest.raises(BeliefClassError):
+        is_best_response(game, no_beliefs, no_beliefs, 0, 0, "mixed")
+
+
+# ---------- pure prefilters against the LPs they skip ----------
+
+
+def _payoffs(game, i, s, contexts):
+    return [game.payoff(i, full_profile(i, s, ctx)) for ctx in contexts]
+
+
+def _lp_mixed_dominance(game, i, support, s, contexts, strict):
+    """Decide mixed strict or weak dominance of s over support with one LP."""
+    k, m = len(support), len(contexts)
+    columns = [_payoffs(game, i, d, contexts) for d in support]
+    target = _payoffs(game, i, s, contexts)
+    if strict:
+        # maximize eps: sum_d w_d u(d, c) - eps >= u(s, c) for every context c
+        lp = LinearProgram(k + 1, [0] * k + [1])
+        lp.set_bounds(k, None, None)
+        for c in range(m):
+            lp.add([col[c] for col in columns] + [-1], ">=", target[c])
+        lp.add([1] * k + [0], "=", 1)
+    else:
+        # maximize the total gap: sum_d w_d u(d, c) - gap_c = u(s, c), gap_c >= 0
+        lp = LinearProgram(k + m, [0] * k + [1] * m)
+        for c in range(m):
+            lp.add([col[c] for col in columns] + [-int(c2 == c) for c2 in range(m)],
+                   "=", target[c])
+        lp.add([1] * k + [0] * m, "=", 1)
+    res = solve(lp)
+    return isinstance(res, Optimal) and res.value > 0
+
+
+def _lp_correlated_best_response(game, i, s, rivals, contexts):
+    """Is there a distribution over contexts against which s is a best response?"""
+    lp = LinearProgram(len(contexts), [0] * len(contexts))
+    mine = _payoffs(game, i, s, contexts)
+    for r in rivals:
+        theirs = _payoffs(game, i, r, contexts)
+        lp.add([a - b for a, b in zip(mine, theirs)], ">=", 0)
+    lp.add([1] * len(contexts), "=", 1)
+    return isinstance(solve(lp), Optimal)
+
+
+def test_weakly_dominated_strategy_can_be_a_correlated_best_response():
+    """s ties r1 on L and C, so r1 weakly dominates it; r2 and r3 beat s on L
+    and C in turn, so it is no pure best response; the even belief on L and C
+    supports it all the same. No pure prefilter decides it: the LP must."""
+    rows = {"s": (0, 0, 0), "r1": (0, 0, 1), "r2": (1, -1, 0), "r3": (-1, 1, 0)}
+    table = {
+        (a, b): (Fraction(rows[name][b]), Fraction(0))
+        for a, name in enumerate(rows) for b in range(3)
+    }
+    game = Game((tuple(rows), ("L", "C", "R")), table)
+    full = game.full_restriction()
+    assert weakly_dominates(game, full, 0, 1, 0)
+    assert is_best_response(game, full, full, 0, 0, "correlated")
+    assert not is_best_response(game, full, full, 0, 0, "pure")
+    assert mixed_strictly_dominates_exists(game, full, 0, full.sets[0], 0) is None
+
+
+def test_prefilters_agree_with_the_dominance_and_belief_lps(monkeypatch):
+    fallbacks = []
+
+    def counted(lp):
+        fallbacks.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(dominance, "solve", counted)
+    rng = random.Random(2024)
+    # (players, strategies at most, payoff bound): small bounds make the ties
+    # that separate weak from strict comparisons common
+    draws = [(2, 4, 9), (2, 4, 9), (2, 4, 2), (2, 4, 1), (3, 3, 9)]
+    decisions = 0
+    for n, cap, bound in draws:
+        cfg = CheckConfig(count=0, max_players=n, max_strategies=cap, payoff_bound=bound)
+        game = random_game(rng, cfg, n=n)
+        full = game.full_restriction()
+        for G in all_restrictions(game):
+            if G.is_empty():
+                continue
+            for i in range(n):
+                contexts = list(G.opponent_profiles(i))
+                for s in game.strategies(i):
+                    for support in (G.strategies(i), full.strategies(i)):
+                        found = mixed_strictly_dominates_exists(game, G, i, support, s)
+                        assert (found is not None) == _lp_mixed_dominance(
+                            game, i, support, s, contexts, strict=True)
+                        if found is not None:
+                            assert strictly_dominates(game, G, i, found, s)
+                        found = mixed_weakly_dominates_exists(game, G, i, support, s)
+                        assert (found is not None) == _lp_mixed_dominance(
+                            game, i, support, s, contexts, strict=False)
+                        if found is not None:
+                            assert weakly_dominates(game, G, i, found, s)
+                    for comparison in (G, full):
+                        assert is_best_response(
+                            game, comparison, G, i, s, "correlated"
+                        ) == _lp_correlated_best_response(
+                            game, i, s, comparison.strategies(i), contexts)
+                    decisions += 6
+    assert 0 < len(fallbacks) < decisions / 2

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.lp import INFEASIBLE, UNBOUNDED, Infeasible, LinearProgram, Optimal, solve
+from epigame.lp import (
+    INFEASIBLE,
+    UNBOUNDED,
+    Infeasible,
+    LinearProgram,
+    Optimal,
+    _certify,
+    solve,
+    standard_form,
+)
 
 
 def test_known_optimum():
@@ -161,3 +170,83 @@ def test_simplex_matches_vertex_enumeration(lp):
     else:
         assert isinstance(res, Optimal)
         assert res.value == best
+
+
+# ---------- degenerate pivoting and the optimality certificate ----------
+
+
+def test_bland_rule_terminates_on_beales_cycling_example():
+    lp = LinearProgram(4, [Fraction(3, 4), -150, Fraction(1, 50), -6])
+    lp.add([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0)
+    lp.add([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0)
+    lp.add([0, 0, 1, 0], "<=", 1)
+    res = solve(lp)
+    assert res == Optimal(Fraction(1, 20), (Fraction(1, 25), 0, 1, 0))
+
+
+def test_tied_ratios_leave_the_lowest_basic_variable():
+    # x enters first and ties on the last two rows; Bland's rule pivots out
+    # the lower slack, which fixes which of the optimal vertices is returned
+    lp = LinearProgram(3, [2, 2, 2])
+    lp.add([2, 0, 0], "<=", 2)
+    lp.add([2, 0, 2], "<=", 1)
+    lp.add([2, 1, 1], "<=", 1)
+    assert solve(lp) == Optimal(Fraction(2), (0, Fraction(1, 2), Fraction(1, 2)))
+
+
+def _two_row_lp():
+    # maximize x + y s.t. x + 2y <= 4, 3x + y <= 6: optimum 14/5 at (8/5, 6/5),
+    # proved by the dual (2/5, 1/5)
+    lp = LinearProgram(2, [1, 1])
+    lp.add([1, 2], "<=", 4)
+    lp.add([3, 1], "<=", 6)
+    return lp
+
+
+def test_certificate_accepts_the_optimum_with_its_dual():
+    lp = _two_row_lp()
+    point = (Fraction(8, 5), Fraction(6, 5))
+    _certify(lp, standard_form(lp), point, Fraction(14, 5), [Fraction(2, 5), Fraction(1, 5)])
+    # the same optimum with a dual that proves a looser bound is refused
+    with pytest.raises(AssertionError):
+        _certify(lp, standard_form(lp), point, Fraction(14, 5), [Fraction(1), Fraction(0)])
+
+
+def test_certificate_rejects_a_feasible_suboptimal_point_with_any_dual():
+    lp = _two_row_lp()
+    form = standard_form(lp)
+    point = (Fraction(1), Fraction(1))  # feasible, objective 2 < 14/5
+    grid = [Fraction(k, 5) for k in range(-5, 11)]
+    duals = [[Fraction(2, 5), Fraction(1, 5)]] + [list(u) for u in itertools.product(grid, repeat=2)]
+    for dual in duals:
+        with pytest.raises(AssertionError):
+            _certify(lp, form, point, Fraction(2), dual)
+
+
+def test_certificate_checks_the_dual_on_the_substituted_form():
+    # x free and y <= 3 become three nonnegative columns x+, x- and 3 - y, so
+    # the objective -x + y gains the constant 3 and the dual is read on them
+    lp = LinearProgram(2, [-1, 1])
+    lp.set_bounds(0, None, None)
+    lp.set_bounds(1, None, 3)
+    lp.add([1, 0], ">=", -5)
+    lp.add([0, 1], ">=", 0)
+    res = solve(lp)
+    assert res == Optimal(Fraction(8), (Fraction(-5), Fraction(3)))
+    form = standard_form(lp)
+    assert len(form.objective) == 3 and form.const == 3
+    _certify(lp, form, res.point, res.value, [Fraction(1), Fraction(0)])
+    for dual in ([Fraction(0), Fraction(0)], [Fraction(1), Fraction(-1)]):
+        with pytest.raises(AssertionError):
+            _certify(lp, form, res.point, res.value, dual)
+
+
+def test_certificate_needs_a_nonnegative_dual_on_inequality_rows():
+    # maximize -x s.t. x <= 0: u = -1 covers the column and gives u.b = 0,
+    # the optimum, yet proves nothing because it is negative on a '<=' row
+    lp = LinearProgram(1, [-1])
+    lp.add([1], "<=", 0)
+    form = standard_form(lp)
+    _certify(lp, form, (Fraction(0),), Fraction(0), [Fraction(0)])
+    with pytest.raises(AssertionError, match="negative"):
+        _certify(lp, form, (Fraction(0),), Fraction(0), [Fraction(-1)])
