@@ -9,6 +9,7 @@ when a check fails or a derivation is invalid, 2 on usage or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from . import announcements, checks, epistemic, games, logic, operators, optimal
 from .logic import DerivationFormatError, LogicEvalError, LogicParseError
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="epigame",

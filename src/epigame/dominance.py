@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import ge, gt
 
 from .games import (
     CorrelatedBelief,
@@ -24,14 +25,15 @@ class BeliefClassError(ValueError):
     """Raised when a belief class is unsupported for the game at hand."""
 
 
-def _payoff_against(game, i, strategy, ctx):
-    if isinstance(strategy, MixedStrategy):
-        total = Fraction(0)
-        for s, w in strategy.weights.items():
-            if w:
-                total += w * game.payoff(i, full_profile(i, s, ctx))
-        return total
-    return game.payoff(i, full_profile(i, strategy, ctx))
+def _rows(context, i, dominator, dominated):
+    """The kernel rows of dominator and dominated on the context; a mixture's
+    row is the weighted sum of its support's rows."""
+    rows = context.rows(i)
+    if isinstance(dominator, MixedStrategy):
+        parts = [(w, rows[s]) for s, w in dominator.weights.items() if w]
+        mixed = tuple(sum(w * row[x] for w, row in parts) for x in range(len(rows[dominated])))
+        return mixed, rows[dominated]
+    return rows[dominator], rows[dominated]
 
 
 def strictly_dominates(game, context, i, dominator, dominated):
@@ -39,33 +41,23 @@ def strictly_dominates(game, context, i, dominator, dominated):
 
     Vacuously true when the context is empty on the opponents' side.
     """
-    return all(
-        _payoff_against(game, i, dominator, ctx) > game.payoff(i, full_profile(i, dominated, ctx))
-        for ctx in context.opponent_profiles(i)
-    )
+    a, b = _rows(context, i, dominator, dominated)
+    return all(map(gt, a, b))
 
 
 def weakly_dominates(game, context, i, dominator, dominated):
     """At least as good everywhere and strictly better somewhere in the context."""
-    strict = False
-    for ctx in context.opponent_profiles(i):
-        a = _payoff_against(game, i, dominator, ctx)
-        b = game.payoff(i, full_profile(i, dominated, ctx))
-        if a < b:
-            return False
-        if a > b:
-            strict = True
-    return strict
+    a, b = _rows(context, i, dominator, dominated)
+    return a != b and all(map(ge, a, b))
 
 
-def _pure_best_response(game, i, s_i, rivals, contexts, strict=False):
+def _pure_best_response(rows, s_i, rivals, strict=False):
     """Is s_i at least as good as (strict: better than) every rival in some context?"""
-    for ctx in contexts:
-        mine = game.payoff(i, full_profile(i, s_i, ctx))
-        theirs = (game.payoff(i, full_profile(i, s, ctx)) for s in rivals)
-        if all(mine > p for p in theirs) if strict else all(mine >= p for p in theirs):
-            return True
-    return False
+    mine = rows[s_i]
+    if not rivals:
+        return bool(mine)
+    best = rows[rivals[0]] if len(rivals) == 1 else map(max, *(rows[s] for s in rivals))
+    return any(map(gt if strict else ge, mine, best))
 
 
 def mixed_strictly_dominates_exists(game, context, i, support, dominated):
@@ -83,7 +75,7 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     if not contexts:
         return point_mass(game, i, support[0])
     # No mixture over support beats dominated where it is a pure best response.
-    if _pure_best_response(game, i, dominated, support, contexts):
+    if _pure_best_response(context.rows(i), dominated, support):
         return None
     for d in support:
         if strictly_dominates(game, context, i, d, dominated):
@@ -121,8 +113,8 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
         return None
     # Where dominated is the unique best response within support, a mixture
     # at least as good must be dominated itself, which is better nowhere.
-    if _pure_best_response(game, i, dominated, [s for s in support if s != dominated],
-                           contexts, strict=True):
+    if _pure_best_response(context.rows(i), dominated,
+                           [s for s in support if s != dominated], strict=True):
         return None
     for d in support:
         if weakly_dominates(game, context, i, d, dominated):
@@ -185,11 +177,11 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
             )
     elif belief_class not in ("pure", "correlated"):
         raise BeliefClassError(f"unknown belief class {belief_class!r}")
-    rivals = list(comparison.strategies(i))
-    contexts = list(beliefs_in.opponent_profiles(i))
-    if not contexts:
+    rivals = comparison.strategies(i)
+    rows = beliefs_in.rows(i)
+    if not rows[s_i]:  # no opponent profile to hold a belief about
         return False
-    if _pure_best_response(game, i, s_i, rivals, contexts):
+    if _pure_best_response(rows, s_i, rivals):
         return True
     if belief_class == "pure" or any(
         strictly_dominates(game, beliefs_in, i, s, s_i) for s in rivals
@@ -206,6 +198,7 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
             if all(mine >= expected_payoff(game, i, s, belief) for s in rivals):
                 return True
         return False
+    contexts = list(beliefs_in.opponent_profiles(i))
     m = len(contexts)
     lp = LinearProgram(m, [Fraction(0)] * m)
     for s in rivals:

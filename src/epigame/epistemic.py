@@ -466,7 +466,7 @@ def parse_model(text, base_dir="."):
     """Parse the plain-text model format; see the README for the layout."""
     game = None
     game_path = None
-    state_names = None
+    state_names = state_index = None
     assigns = {}  # (state, player) -> strategy
     plines = {}  # (player, state) -> frozenset of states
     level = "bare"
@@ -474,8 +474,8 @@ def parse_model(text, base_dir="."):
 
     def state_idx(name, lineno):
         try:
-            return state_names.index(name)
-        except ValueError:
+            return state_index[name]
+        except KeyError:
             raise ModelFormatError(f"unknown state {name!r}", lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -500,6 +500,7 @@ def parse_model(text, base_dir="."):
             if len(set(toks[1:])) != len(toks) - 1:
                 raise ModelFormatError("duplicate state name", lineno)
             state_names = tuple(toks[1:])
+            state_index = {name: w for w, name in enumerate(state_names)}
         elif head == "assign":
             if state_names is None:
                 raise ModelFormatError("'assign' before 'states'", lineno)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -39,6 +41,13 @@ class Game:
 
     Strategies are interned to dense indices per player; names are kept for
     I/O. Games compare by identity.
+
+    The pure predicates read ``kernel[i][s]``: player i's payoffs for own
+    strategy s against each opponent profile in flat order (opponents
+    ascending, the last fastest), times the lcm of player i's denominators.
+    A positive factor per player keeps every decision of the Fraction table,
+    which serves I/O, expected payoffs and the LPs. It is built on first use,
+    since the lcm is known only once every payoff is read.
     """
 
     strategy_names: tuple[tuple[str, ...], ...]
@@ -57,11 +66,32 @@ class Game:
     def name(self, i, s):
         return self.strategy_names[i][s]
 
+    @functools.cached_property
+    def _indices(self):
+        return tuple({nm: s for s, nm in enumerate(names)} for names in self.strategy_names)
+
     def index(self, i, name):
         try:
-            return self.strategy_names[i].index(name)
-        except ValueError:
+            return self._indices[i][name]
+        except KeyError:
             raise KeyError(f"player {i + 1} has no strategy {name!r}") from None
+
+    @functools.cached_property
+    def kernel(self):
+        counts = list(map(len, self.strategy_names))
+        cells = [self.table[p] for p in itertools.product(*map(range, counts))]
+        kernel = []
+        for i, column in enumerate(zip(*cells)):
+            scale = math.lcm(*{v.denominator for v in column})
+            flat = [v.numerator * (scale // v.denominator) for v in column]
+            k, after = counts[i], math.prod(counts[i + 1 :])
+            # row s: the runs of `after` cells with s in player i's place, one
+            # cell each for the last player
+            kernel.append(tuple(
+                tuple(flat[s::k]) if after == 1 else tuple(itertools.chain.from_iterable(
+                    flat[a : a + after] for a in range(s * after, len(flat), k * after)))
+                for s in range(k)))
+        return tuple(kernel)
 
     def profiles(self):
         return itertools.product(*(self.strategies(i) for i in range(self.n)))
@@ -96,6 +126,7 @@ class Restriction:
 
     game: Game
     sets: tuple[frozenset, ...]
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sets) != self.game.n:
@@ -128,6 +159,16 @@ class Restriction:
         parts = [self.strategies(j) for j in range(self.game.n) if j != i]
         return itertools.product(*parts)
 
+    def rows(self, i):
+        """Player i's kernel rows by own strategy, cut to opponent_profiles(i)."""
+        if i not in self._rows:
+            index, count = [0], self.game.strategy_count
+            for j in range(self.game.n):
+                if j != i:
+                    index = [x * count(j) + s for x in index for s in self.strategies(j)]
+            self._rows[i] = _CutRows(self.game.kernel[i], index)
+        return self._rows[i]
+
     def describe(self):
         g = self.game
         parts = []
@@ -135,6 +176,17 @@ class Restriction:
             names = ",".join(g.name(i, s) for s in sorted(part))
             parts.append("{" + names + "}")
         return " | ".join(parts)
+
+
+class _CutRows(dict):
+    """Kernel rows cut to flat opponent-profile indices, each on first use."""
+
+    def __init__(self, kernel_rows, index):
+        self.kernel_rows, self.index = kernel_rows, index
+
+    def __missing__(self, s):
+        row = self[s] = tuple(map(self.kernel_rows[s].__getitem__, self.index))
+        return row
 
 
 def full_profile(i, s_i, opponents):
@@ -300,9 +352,9 @@ def load_game(text):
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped.split()))
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            lines.append((lineno, toks))
     if not lines:
         raise GameFormatError("empty game file")
 
@@ -339,25 +391,26 @@ def load_game(text):
     index = [{nm: s for s, nm in enumerate(player_names)} for player_names in names]
     table: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     first_seen: dict[tuple[int, ...], int] = {}
+    numbers: dict[str, Fraction] = {}  # each distinct payoff token is parsed once
     for lineno, toks in lines[pos:]:
         if toks[0] != "payoff":
             raise GameFormatError(f"unexpected directive {toks[0]!r}", lineno)
         if len(toks) != 1 + 2 * n:
             raise GameFormatError(f"payoff line needs {n} strategies and {n} values", lineno)
-        profile = []
-        for i, nm in enumerate(toks[1 : 1 + n]):
-            if nm not in index[i]:
-                raise GameFormatError(f"unknown strategy {nm!r} for player {i + 1}", lineno)
-            profile.append(index[i][nm])
-        profile = tuple(profile)
+        profile = tuple(map(dict.get, index, toks[1 : 1 + n]))
+        if None in profile:
+            i = profile.index(None)
+            raise GameFormatError(f"unknown strategy {toks[1 + i]!r} for player {i + 1}", lineno)
         if profile in table:
             raise GameFormatError(
                 f"duplicate payoff for profile {' '.join(toks[1 : 1 + n])}"
                 f" (first given on line {first_seen[profile]})",
                 lineno,
             )
-        values = tuple(parse_rational(tok, lineno) for tok in toks[1 + n :])
-        table[profile] = values
+        for tok in toks[1 + n :]:
+            if tok not in numbers:
+                numbers[tok] = parse_rational(tok, lineno)
+        table[profile] = tuple(map(numbers.__getitem__, toks[1 + n :]))
         first_seen[profile] = lineno
 
     expected = itertools.product(*(range(len(p)) for p in names))

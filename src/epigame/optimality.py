@@ -61,21 +61,12 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
     def own(restriction, local):
         return restriction.strategies(i) if local else range(game.strategy_count(i))
 
-    if name in ("sd_l", "sd_g"):
+    if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
         local = name.endswith("_l")
+        relation = dominance.strictly_dominates if name[0] == "s" else dominance.weakly_dominates
 
         def evaluator(s, G):
-            return not any(
-                dominance.strictly_dominates(game, G, i, d, s) for d in own(G, local)
-            )
-
-    elif name in ("wd_l", "wd_g"):
-        local = name.endswith("_l")
-
-        def evaluator(s, G):
-            return not any(
-                dominance.weakly_dominates(game, G, i, d, s) for d in own(G, local)
-            )
+            return not any(relation(game, G, i, d, s) for d in own(G, local))
 
     elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
         local = name.endswith("_l")

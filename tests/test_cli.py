@@ -57,6 +57,22 @@ def test_solve_per_player_properties(capsys):
     assert "property: sd_l,br_g" in out
 
 
+def test_second_call_reads_only_its_own_options(capsys):
+    """The parser is built once per process; nothing parsed may carry over."""
+    code, first, _ = run(capsys, "--format", "json-lines", "solve", TBT, "--trace")
+    assert code == 0
+    code, second, _ = run(capsys, "solve", TBT)
+    assert code == 0
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "epigame", "solve", TBT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert fresh.returncode == 0, f"stderr:\n{fresh.stderr}"
+    assert second == fresh.stdout != first
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run(capsys, "solve", str(DATA / "ghost.game"))
     assert code == 2

@@ -1,5 +1,7 @@
 """Dominance relations and best responses against the bundled games."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +18,17 @@ from epigame.dominance import (
     strictly_dominates,
     weakly_dominates,
 )
-from epigame.games import Game, all_restrictions, full_profile, load_game_file, point_mass
+from epigame.games import (
+    Game,
+    GameFormatError,
+    MixedStrategy,
+    all_restrictions,
+    full_profile,
+    game_to_text,
+    load_game,
+    load_game_file,
+    point_mass,
+)
 from epigame.lp import LinearProgram, Optimal, solve
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -286,3 +298,108 @@ def test_prefilters_agree_with_the_dominance_and_belief_lps(monkeypatch):
                             game, i, s, comparison.strategies(i), contexts)
                     decisions += 6
     assert 0 < len(fallbacks) < decisions / 2
+
+
+# ---------- the integer kernel against Fraction arithmetic ----------
+
+
+def _ref_payoff(game, i, strategy, ctx):
+    if isinstance(strategy, MixedStrategy):
+        return sum((w * game.payoff(i, full_profile(i, s, ctx))
+                    for s, w in strategy.weights.items()), Fraction(0))
+    return game.payoff(i, full_profile(i, strategy, ctx))
+
+
+def _ref_gaps(game, G, i, dominator, dominated):
+    return [_ref_payoff(game, i, dominator, ctx) - game.payoff(i, full_profile(i, dominated, ctx))
+            for ctx in G.opponent_profiles(i)]
+
+
+def _ref_best_response(game, G, i, s, rivals, strict):
+    mine = [game.payoff(i, full_profile(i, s, ctx)) for ctx in G.opponent_profiles(i)]
+    theirs = [[game.payoff(i, full_profile(i, r, ctx)) for ctx in G.opponent_profiles(i)]
+              for r in rivals]
+    return any(all(u > t[c] if strict else u >= t[c] for t in theirs)
+               for c, u in enumerate(mine))
+
+
+def _fraction_games(rng, counts):
+    """One game as text, mixing integer tokens with p/q tokens of denominators
+    1, 2, 3, 6 and 7 and some negative values, loaded by load_game; and the
+    same payoffs as a Game built from its Fraction table."""
+    lines = [f"players {len(counts)}"]
+    lines += [f"strategies {i + 1} " + " ".join(f"s{x}" for x in range(k))
+              for i, k in enumerate(counts)]
+    table = {}
+    for profile in itertools.product(*map(range, counts)):
+        tokens = []
+        for _ in counts:
+            q = rng.choice((1, 2, 3, 6, 7))
+            p = rng.randint(-2 * q, 2 * q)
+            tokens.append(str(p) if q == 1 and rng.random() < 0.5 else f"{p}/{q}")
+        table[profile] = tuple(Fraction(t) for t in tokens)
+        lines.append("payoff " + " ".join(f"s{x}" for x in profile) + " " + " ".join(tokens))
+    loaded = load_game("\n".join(lines) + "\n")
+    direct = Game(loaded.strategy_names, table)
+    return loaded, direct
+
+
+def test_kernel_decisions_equal_fraction_arithmetic():
+    rng = random.Random(606)
+    games = []
+    for counts in ((3, 3), (4, 3), (2, 2, 3)):
+        loaded, direct = _fraction_games(rng, counts)
+        assert loaded.table == direct.table
+        assert loaded.kernel == direct.kernel
+        games += [loaded, direct]
+    games.append(random_game(rng, CheckConfig(count=0, max_players=3, max_strategies=3), n=3))
+    checked = 0
+    for game in games:
+        scales = [math.lcm(*(v[i].denominator for v in game.table.values())) for i in range(game.n)]
+        for G in all_restrictions(game):
+            for i in range(game.n):
+                for s in game.strategies(i):  # the rows, in opponent_profiles order
+                    assert G.rows(i)[s] == tuple(scales[i] * game.payoff(i, full_profile(i, s, ctx))
+                                                 for ctx in G.opponent_profiles(i))
+                own = G.strategies(i)
+                mixtures = [point_mass(game, i, s) for s in own]
+                if len(own) > 1:
+                    mixtures.append(MixedStrategy(
+                        game, i, {s: Fraction(1, len(own)) for s in own}))
+                    mixtures.append(MixedStrategy(
+                        game, i, {own[0]: Fraction(2, 7), own[-1]: Fraction(5, 7)}))
+                for s in game.strategies(i):
+                    for d in [*game.strategies(i), *mixtures]:
+                        gaps = _ref_gaps(game, G, i, d, s)
+                        assert strictly_dominates(game, G, i, d, s) == all(g > 0 for g in gaps)
+                        assert weakly_dominates(game, G, i, d, s) == (
+                            all(g >= 0 for g in gaps) and any(g > 0 for g in gaps))
+                        checked += 1
+                    for comparison in (G, game.full_restriction()):
+                        rivals = comparison.strategies(i)
+                        assert is_best_response(game, comparison, G, i, s, "pure") == (
+                            _ref_best_response(game, G, i, s, rivals, strict=False))
+                        others = [r for r in rivals if r != s]
+                        assert dominance._pure_best_response(G.rows(i), s, others, strict=True) == (
+                            _ref_best_response(game, G, i, s, others, strict=True))
+    assert checked > 10000
+
+
+def test_kernel_scales_each_player_by_the_lcm_of_their_denominators():
+    text = (
+        "players 2\nstrategies 1 a b\nstrategies 2 x y\n"
+        "payoff a x +3 -0\npayoff a y 007 6/4\npayoff b x -2/6 4/2\npayoff b y 5 -7/7\n"
+    )
+    game = load_game(text)
+    # player 1: denominators 1 and 3; player 2: 1 and 2 (6/4 is 3/2)
+    assert game.kernel == (((9, 21), (-1, 15)), ((0, 4), (3, -2)))
+    assert Game(game.strategy_names, game.table).kernel == game.kernel
+    # the Fraction table and the text it writes are unchanged
+    assert game_to_text(game) == (
+        "players 2\nstrategies 1 a b\nstrategies 2 x y\n"
+        "payoff a x 3 0\npayoff a y 7 3/2\npayoff b x -1/3 2\npayoff b y 5 -1\n"
+    )
+    for bad in ("0.5", "1/0", "1_0"):
+        with pytest.raises(GameFormatError) as info:
+            load_game(text.replace("-7/7", bad))
+        assert str(info.value) == f"line 7: not an integer or p/q rational: {bad!r}"

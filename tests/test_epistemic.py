@@ -300,6 +300,17 @@ def test_model_errors_carry_line_numbers(tmp_path):
     assert "given twice" in str(err) and err.line == 4
 
 
+def test_p_line_errors_carry_line_numbers(tmp_path):
+    head = "game g.game\nstates w\nassign w 1 C\nassign w 2 C\n"
+    for player in ("3", "0"):
+        err = _bad_model(head + f"P {player} w : w\n", tmp_path)
+        assert f"player {player} out of range" in str(err) and err.line == 5
+    err = _bad_model(head + "P 1 v : w\n", tmp_path)
+    assert "unknown state 'v'" in str(err) and err.line == 5
+    err = _bad_model(head + "P 1 w : w v\n", tmp_path)
+    assert "unknown state 'v'" in str(err) and err.line == 5
+
+
 def test_model_errors_structure(tmp_path):
     err = _bad_model("game g.game\nstates w\nassign w 1 C\n", tmp_path)
     assert "no strategy assigned to player 2" in str(err)
