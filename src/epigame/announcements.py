@@ -52,13 +52,15 @@ def effect(model, events):
     )
     corr = None
     if model.correspondences is not None:
-        corr = tuple(
-            tuple(
-                frozenset(index[v] for v in model.P(i, w) if v in index)
-                for w in survivors
-            )
-            for i in range(model.game.n)
-        )
+        corr = []
+        for blocks in model.correspondences:
+            cut, shared = {}, {}  # each distinct block is cut once; equal cuts are one object
+            for w in survivors:
+                if blocks[w] not in cut:
+                    kept = frozenset(index[v] for v in blocks[w] if v in index)
+                    cut[blocks[w]] = shared.setdefault(kept, kept)
+            corr.append(tuple(cut[blocks[w]] for w in survivors))
+        corr = tuple(corr)
     return EpistemicModel(model.game, names, assignment, corr)
 
 

@@ -381,7 +381,9 @@ def main(argv=None):
         ValueError,
         KeyError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)

@@ -8,6 +8,7 @@ rationality to the elimination outcome.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -59,10 +60,14 @@ class EpistemicModel:
             raise ValueError("model has no possibility correspondences")
         return self.correspondences[i][w]
 
+    @functools.cached_property
+    def _state_indices(self):
+        return {name: w for w, name in reversed(tuple(enumerate(self.state_names)))}
+
     def state_index(self, name):
         try:
-            return self.state_names.index(name)
-        except ValueError:
+            return self._state_indices[name]
+        except KeyError:
             raise KeyError(f"no state named {name!r}") from None
 
 
@@ -76,18 +81,22 @@ def validate(model, level):
     if model.correspondences is None:
         return [f"level {level} requires possibility correspondences"]
     for i in range(model.game.n):
+        introspective = set()  # blocks already seen to pass; failing ones are rechecked
         for w in model.states():
             block = model.P(i, w)
             if not block:
                 problems.append(f"P_{i + 1}({model.state_names[w]}) is empty")
                 continue
-            for w2 in block:
-                if model.P(i, w2) != block:
-                    problems.append(
-                        f"P_{i + 1} not introspective at {model.state_names[w]}: "
-                        f"P_{i + 1}({model.state_names[w2]}) differs"
-                    )
-                    break
+            if block not in introspective:
+                for w2 in block:
+                    if model.P(i, w2) != block:
+                        problems.append(
+                            f"P_{i + 1} not introspective at {model.state_names[w]}: "
+                            f"P_{i + 1}({model.state_names[w2]}) differs"
+                        )
+                        break
+                else:
+                    introspective.add(block)
             if level == "knowledge" and w not in block:
                 problems.append(
                     f"P_{i + 1}({model.state_names[w]}) does not contain the state itself"
@@ -189,11 +198,14 @@ def restriction_of(model, events):
     events = list(events)
     if len(events) != model.game.n:
         raise ValueError("need one event per player")
-    sets = tuple(
-        frozenset(model.strategy_of(i, w) for w in events[i])
-        for i in range(model.game.n)
+    return Restriction(model.game, _images(model, events))
+
+
+def _images(model, events):
+    """Per player i, the strategies i plays on events[i]."""
+    return tuple(
+        frozenset(map(model.assignment[i].__getitem__, event)) for i, event in enumerate(events)
     )
-    return Restriction(model.game, sets)
 
 
 def event_of_restriction(model, restriction):
@@ -225,13 +237,12 @@ def standard_model(restriction, correspondences=False):
     corr = None
     if correspondences:
         corr = []
-        for i in range(game.n):
+        for own in assignment:
             blocks = {}
-            for w, profile in enumerate(profiles):
-                blocks.setdefault(profile[i], []).append(w)
-            corr.append(
-                tuple(frozenset(blocks[profiles[w][i]]) for w in range(len(profiles)))
-            )
+            for w, s in enumerate(own):
+                blocks.setdefault(s, []).append(w)
+            blocks = {s: frozenset(states) for s, states in blocks.items()}
+            corr.append(tuple(map(blocks.__getitem__, own)))
         corr = tuple(corr)
     model = EpistemicModel(game, tuple(names), assignment, corr)
     if correspondences and profiles:
@@ -259,17 +270,28 @@ def pinned_restriction(model, i, w):
 
 
 def rationality_event(model, prop):
-    """States where the property holds for the owner's strategy given their beliefs."""
+    """States where the property holds for the owner's strategy given their beliefs.
+
+    G_{P_i(w)} depends only on the block, and blocks with equal strategy images
+    share one restriction (so its cut rows) and one verdict per strategy.
+    """
     i = prop.player
     out = []
-    cache = {}
-    for w in model.states():
+    by_sets = {}  # strategy images -> (restriction, verdict by own strategy)
+    by_block = {}
+    for w, s in enumerate(model.assignment[i]):
         block = model.P(i, w)
-        key = (block, model.strategy_of(i, w))
-        if key not in cache:
-            G = restriction_of(model, block)
-            cache[key] = prop.holds(model.strategy_of(i, w), G)
-        if cache[key]:
+        cell = by_block.get(block)
+        if cell is None:
+            sets = _images(model, [block] * model.game.n)
+            cell = by_sets.get(sets)
+            if cell is None:
+                cell = by_sets[sets] = (Restriction(model.game, sets), {})
+            by_block[block] = cell
+        G, verdicts = cell
+        if s not in verdicts:
+            verdicts[s] = prop.holds(s, G)
+        if verdicts[s]:
             out.append(w)
     return frozenset(out)
 
@@ -469,6 +491,7 @@ def parse_model(text, base_dir="."):
     state_names = state_index = None
     assigns = {}  # (state, player) -> strategy
     plines = {}  # (player, state) -> frozenset of states
+    blocks = {}  # the names after ':' -> their frozenset, one object per distinct text
     level = "bare"
     level_seen = False
 
@@ -540,7 +563,10 @@ def parse_model(text, base_dir="."):
                 raise ModelFormatError(
                     f"P for player {i + 1} at state {toks[2]} given twice", lineno
                 )
-            plines[(i, w)] = frozenset(state_idx(nm, lineno) for nm in toks[4:])
+            listed = tuple(toks[4:])
+            if listed not in blocks:
+                blocks[listed] = frozenset(state_idx(nm, lineno) for nm in listed)
+            plines[(i, w)] = blocks[listed]
         elif head == "level":
             if len(toks) != 2 or toks[1] not in LEVELS:
                 raise ModelFormatError("expected 'level bare|belief|knowledge'", lineno)

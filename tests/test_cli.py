@@ -153,6 +153,11 @@ def test_announce_rejects_other_extensions(capsys):
     assert ".game or .emodel" in err
 
 
+def test_announce_unknown_state_is_named_without_extra_quotes(capsys):
+    code, out, err = run(capsys, "announce", FIG2, "--events", "nope|w_dr")
+    assert (code, out, err) == (2, "", "error: no state named 'nope'\n")
+
+
 def test_announce_events_on_game_rejected(capsys):
     code, _, err = run(capsys, "announce", PD, "--events", "a|b")
     assert code == 2

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from epigame.announcements import effect
 from epigame.checks import CheckConfig, random_game
 from epigame.epistemic import (
     EpistemicModel,
@@ -29,9 +30,14 @@ from epigame.epistemic import (
     standard_model,
     validate,
 )
-from epigame.games import BudgetExceededError, game_to_text, load_game_file
+from epigame.games import BudgetExceededError, Restriction, game_to_text, load_game_file
 from epigame.operators import iterate_to_outcome
-from epigame.optimality import NonMonotonicPropertyError, profile_named
+from epigame.optimality import (
+    NonMonotonicPropertyError,
+    OptimalityProperty,
+    builtin,
+    profile_named,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -367,3 +373,197 @@ def test_epist1_on_games_past_the_enumeration_budget():
     for name in ("sd_g", "br_g"):
         report = check_theorem_epist1(model, profile_named(game, name), mode="knowledge")
         assert report.ok, name
+
+
+# ---------- shared possibility blocks ----------
+
+
+def _reference_rationality_event(model, prop):
+    """One restriction and one holds call per state: no cache, no sharing."""
+    i = prop.player
+    out = set()
+    for w in model.states():
+        block = model.P(i, w)
+        sets = tuple(
+            frozenset(model.strategy_of(j, v) for v in block) for j in range(model.game.n)
+        )
+        if prop.holds(model.strategy_of(i, w), Restriction(model.game, sets)):
+            out.add(w)
+    return frozenset(out)
+
+
+def _reference_validate(model, level):
+    """The per-state validation loop, with no verdict kept between states."""
+    problems = []
+    for i in range(model.game.n):
+        for w in model.states():
+            block = model.P(i, w)
+            if not block:
+                problems.append(f"P_{i + 1}({model.state_names[w]}) is empty")
+                continue
+            for w2 in block:
+                if model.P(i, w2) != block:
+                    problems.append(
+                        f"P_{i + 1} not introspective at {model.state_names[w]}: "
+                        f"P_{i + 1}({model.state_names[w2]}) differs"
+                    )
+                    break
+            if level == "knowledge" and w not in block:
+                problems.append(
+                    f"P_{i + 1}({model.state_names[w]}) does not contain the state itself"
+                )
+    return problems
+
+
+def _unshared(model):
+    """The same model with a fresh, equal block object at every state."""
+    corr = tuple(
+        tuple(frozenset(sorted(block, reverse=True)) for block in blocks)
+        for blocks in model.correspondences
+    )
+    return EpistemicModel(model.game, model.state_names, model.assignment, corr)
+
+
+def _assert_shared(model):
+    """Members of a block point at that very object; one object per value."""
+    for blocks in model.correspondences:
+        for block in blocks:
+            for v in block:
+                assert blocks[v] is block
+        assert len({id(b) for b in blocks}) == len(set(blocks))
+
+
+def _random_models(seed, count, max_strategies=3, max_states=8):
+    rng = random.Random(seed)
+    cfg = CheckConfig(count=0, max_players=3, max_strategies=max_strategies)
+    for k in range(count):
+        game = random_game(rng, cfg)
+        make = random_belief_model if k % 2 else random_knowledge_model
+        yield game, make(rng, game, max_states)
+
+
+def test_rationality_event_equals_the_per_state_reference(tmp_path):
+    for k, (game, model) in enumerate(_random_models(71, 24)):
+        (tmp_path / f"g{k}.game").write_text(game_to_text(game))
+        loaded = parse_model(model_to_text(model, f"g{k}.game"), base_dir=str(tmp_path)).model
+        for name in ("sd_l", "sd_g", "wd_l", "wd_g", "br_l", "br_g"):
+            for i in range(game.n):
+                want = _reference_rationality_event(model, builtin(game, name, i))
+                assert rationality_event(model, builtin(game, name, i)) == want, (k, name)
+                assert rationality_event(_unshared(model), builtin(game, name, i)) == want
+                assert rationality_event(loaded, builtin(loaded.game, name, i)) == want
+
+
+def test_rationality_event_equals_the_reference_for_msd_on_small_games():
+    for game, model in _random_models(72, 10, max_strategies=3, max_states=6):
+        for i in range(game.n):
+            prop = builtin(game, "msd_l", i)
+            want = _reference_rationality_event(model, prop)
+            assert rationality_event(model, prop) == want
+            assert rationality_event(_unshared(model), prop) == want
+
+
+def test_blocks_are_shared_after_parse_standard_model_and_effect(tmp_path):
+    for k, (game, model) in enumerate(_random_models(73, 12, max_states=10)):
+        (tmp_path / f"g{k}.game").write_text(game_to_text(game))
+        loaded = parse_model(model_to_text(model, f"g{k}.game"), base_dir=str(tmp_path)).model
+        _assert_shared(loaded)
+        rng = random.Random(k)
+        events = [frozenset(rng.sample(range(model.num_states), model.num_states // 2 + 1))]
+        for source in (loaded, _unshared(model)):
+            _assert_shared(effect(source, events * game.n))
+        _assert_shared(standard_model(game.full_restriction(), correspondences=True))
+    cfg = CheckConfig(count=0, min_strategies=4, max_strategies=4, budget=12)
+    cube = random_game(random.Random(73), cfg, n=3)
+    model = standard_model(cube.full_restriction(), correspondences=True)
+    _assert_shared(model)
+    assert [len({id(b) for b in blocks}) for blocks in model.correspondences] == [4, 4, 4]
+
+
+def test_rationality_event_shares_one_restriction_per_strategy_image():
+    # two blocks of P_1 with the same strategy images: one restriction for both
+    halves = (frozenset({0, 1}),) * 2 + (frozenset({2, 3}),) * 2
+    twins = EpistemicModel(
+        PD, ("a", "b", "c", "d"), ((C, D, C, D), (C, D, C, D)), (halves, halves)
+    )
+    for game, model in [(PD, twins)] + list(_random_models(75, 12)):
+        for source in (model, _unshared(model)):
+            calls = []
+            inner = builtin(game, "br_g", 0)
+            prop = OptimalityProperty(
+                "logged", 0, game, lambda s, G: calls.append((s, G)) or inner.holds(s, G)
+            )
+            assert rationality_event(source, prop) == _reference_rationality_event(model, inner)
+            keys = [(G.sets, s) for s, G in calls]
+            assert len(keys) == len(set(keys))  # one holds call per (images, strategy)
+            objects = {}
+            for s, G in calls:
+                assert objects.setdefault(G.sets, G) is G  # one restriction per images
+            if model is twins:
+                assert len(calls) == 2 and len(objects) == 1
+
+
+def test_effect_shares_equal_cuts():
+    # P_1 has the core blocks {0} and {1}; states 2 and 3 point at them.
+    # Announcing {2, 3} cuts both blocks to the empty set.
+    one, two = frozenset({0}), frozenset({1})
+    everyone = frozenset(range(4))
+    model = EpistemicModel(
+        PD, ("a", "b", "c", "d"), ((C, C, D, D), (C, D, C, D)),
+        ((one, two, one, two), (everyone,) * 4),
+    )
+    assert validate(model, "belief") == []
+    after = effect(model, [frozenset({2, 3})] * 2)
+    assert after.correspondences[0] == (frozenset(), frozenset())
+    assert after.correspondences[0][0] is after.correspondences[0][1]
+    _assert_shared(after)
+
+
+def test_validate_keeps_the_per_state_problems_list():
+    u, v, w = 0, 1, 2
+    names, assignment = ("u", "v", "w"), ((C, C, C), (C, C, C))
+    good = (frozenset({u}), frozenset({v}), frozenset({w}))
+    shared = frozenset({u, v})
+    cases = {
+        "empty block": (frozenset(), frozenset({v}), frozenset({w})),
+        "shared, not introspective": (shared, frozenset({v}), shared),
+        "unshared, not introspective": (frozenset({u, v}), frozenset({v}), frozenset({v, u})),
+        "misses its own state": (frozenset({v}), frozenset({v}), frozenset({v})),
+    }
+    pinned = {
+        "shared, not introspective": [
+            "P_1 not introspective at u: P_1(v) differs",
+            "P_1 not introspective at w: P_1(v) differs",
+            "P_1(w) does not contain the state itself",
+        ],
+        "misses its own state": [
+            "P_1(u) does not contain the state itself",
+            "P_1(w) does not contain the state itself",
+        ],
+    }
+    for case, blocks in cases.items():
+        model = EpistemicModel(PD, names, assignment, (blocks, good))
+        for level in ("belief", "knowledge"):
+            assert validate(model, level) == _reference_validate(model, level), case
+        if case in pinned:
+            assert validate(model, "knowledge") == pinned[case]
+    # a larger non-introspective block, shared and unshared, on random models
+    for game, model in _random_models(74, 12):
+        crooked = list(model.correspondences[0])
+        crooked[0] = frozenset(model.states())
+        crooked = EpistemicModel(
+            game, model.state_names, model.assignment, (tuple(crooked),) + model.correspondences[1:]
+        )
+        for candidate in (crooked, _unshared(crooked)):
+            for level in ("belief", "knowledge"):
+                assert validate(candidate, level) == _reference_validate(candidate, level)
+
+
+def test_state_index_keeps_its_answers_and_message():
+    names = tuple(f"w{k}" for k in range(300)) + ("w7",)
+    model = EpistemicModel(PD, names, (tuple([C] * 301),) * 2)
+    assert [model.state_index(nm) for nm in names[:300]] == list(range(300))
+    assert model.state_index("w7") == 7  # the first state of that name
+    with pytest.raises(KeyError) as info:
+        model.state_index("nope")
+    assert info.value.args == ("no state named 'nope'",)
