@@ -1101,6 +1101,8 @@ def run_suite(suite, cfg, jobs=1):
         names = (suite,)
     else:
         raise KeyError(f"unknown suite or check {suite!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

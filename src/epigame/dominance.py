@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import ge, gt
+from operator import ge, gt, sub
 
 from .games import (
     CorrelatedBelief,
     MixedStrategy,
     expected_payoff,
-    full_profile,
     point_mass,
 )
 from .lp import LinearProgram, Optimal, solve
@@ -64,34 +63,43 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     """Search for a mixed strategy over support strictly dominating dominated.
 
     Returns the witness MixedStrategy or None. A pure best response within
-    support is undominated and a pure strict dominator is its own witness;
-    otherwise an LP maximizes the margin eps subject to the mixture beating
-    dominated by eps in every context.
+    support is undominated and a pure strict dominator is its own witness.
+    Otherwise one LP asks for a correlated belief p over the contexts against
+    which dominated does at least as well as every strategy in support
+    (Pearce's lemma: there is one exactly when no mixture dominates). Its
+    point is the belief, re-checked by expected payoffs; when there is none,
+    the Farkas ray on the support's rows, normalised, is the dominating
+    mixture, re-checked by strictly_dominates.
     """
     support = sorted(support)
     if not support:
         raise ValueError("empty support")
-    contexts = list(context.opponent_profiles(i))
-    if not contexts:
+    rows = context.rows(i)
+    mine = rows[dominated]
+    if not mine:
         return point_mass(game, i, support[0])
     # No mixture over support beats dominated where it is a pure best response.
-    if _pure_best_response(context.rows(i), dominated, support):
+    if _pure_best_response(rows, dominated, support):
         return None
     for d in support:
         if strictly_dominates(game, context, i, d, dominated):
             return point_mass(game, i, d)
-    k = len(support)
-    lp = LinearProgram(k + 1, [Fraction(0)] * k + [Fraction(1)])
-    lp.set_bounds(k, None, None)  # eps is free
-    for ctx in contexts:
-        coeffs = [game.payoff(i, full_profile(i, s, ctx)) for s in support]
-        coeffs.append(Fraction(-1))
-        lp.add(coeffs, ">=", game.payoff(i, full_profile(i, dominated, ctx)))
-    lp.add([Fraction(1)] * k + [Fraction(0)], "=", Fraction(1))
+    m = len(mine)
+    lp = LinearProgram(m, [0] * m)
+    for r in support:
+        lp.add(list(map(sub, mine, rows[r])), ">=", 0)
+    lp.add([1] * m, "=", 1)
     res = solve(lp)
-    if not isinstance(res, Optimal) or res.value <= 0:
+    if isinstance(res, Optimal):
+        belief = CorrelatedBelief(
+            game, i, {ctx: w for ctx, w in zip(context.opponent_profiles(i), res.point) if w}
+        )
+        value = expected_payoff(game, i, dominated, belief)
+        if any(value < expected_payoff(game, i, r, belief) for r in support):
+            raise AssertionError("LP belief does not support the strategy")
         return None
-    witness = MixedStrategy(game, i, {s: w for s, w in zip(support, res.point) if w})
+    total = sum(res.ray[:len(support)])
+    witness = MixedStrategy(game, i, {s: u / total for s, u in zip(support, res.ray) if u})
     if not strictly_dominates(game, context, i, witness, dominated):
         raise AssertionError("LP mixture does not strictly dominate")
     return witness
@@ -108,25 +116,23 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     support = sorted(support)
     if not support:
         raise ValueError("empty support")
-    contexts = list(context.opponent_profiles(i))
-    if not contexts:
+    rows = context.rows(i)
+    m = len(rows[dominated])
+    if not m:
         return None
     # Where dominated is the unique best response within support, a mixture
     # at least as good must be dominated itself, which is better nowhere.
-    if _pure_best_response(context.rows(i), dominated,
-                           [s for s in support if s != dominated], strict=True):
+    if _pure_best_response(rows, dominated, [s for s in support if s != dominated], strict=True):
         return None
     for d in support:
         if weakly_dominates(game, context, i, d, dominated):
             return point_mass(game, i, d)
     k = len(support)
-    m = len(contexts)
-    lp = LinearProgram(k + m, [Fraction(0)] * k + [Fraction(1)] * m)
-    for c, ctx in enumerate(contexts):
-        coeffs = [game.payoff(i, full_profile(i, s, ctx)) for s in support]
-        coeffs += [Fraction(-1) if c2 == c else Fraction(0) for c2 in range(m)]
-        lp.add(coeffs, "=", game.payoff(i, full_profile(i, dominated, ctx)))
-    lp.add([Fraction(1)] * k + [Fraction(0)] * m, "=", Fraction(1))
+    lp = LinearProgram(k + m, [0] * k + [1] * m)
+    for c in range(m):
+        lp.add([rows[s][c] for s in support] + [-int(c2 == c) for c2 in range(m)],
+               "=", rows[dominated][c])
+    lp.add([1] * k + [0] * m, "=", 1)
     res = solve(lp)
     if not isinstance(res, Optimal) or res.value <= 0:
         return None
@@ -161,12 +167,16 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
     (distributions over joint opponent strategies), or 'mixed' (independent
     per-opponent mixtures; exact for two players via the correlated reduction,
     otherwise needs grid_denominator and is approximate). The class is
-    checked before the beliefs, so an empty belief set does not hide a bad one.
+    checked before the beliefs, so an empty belief set does not hide a bad one;
+    so is grid_denominator, which must be at least 1 when given.
 
     Every class holds the point masses on joint opponent strategies, so a pure
-    best response answers yes and a rival that strictly dominates s_i on the
-    beliefs answers no; only the cases in between search the class.
+    best response answers yes. Every class lies inside the correlated beliefs,
+    which Pearce's LP in mixed_strictly_dominates_exists decides with a
+    checked certificate either way; only the grid searches further.
     """
+    if grid_denominator is not None and grid_denominator < 1:
+        raise BeliefClassError(f"grid denominator must be at least 1, got {grid_denominator}")
     if belief_class == "mixed":
         if game.n == 2:
             belief_class = "correlated"
@@ -183,39 +193,19 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
         return False
     if _pure_best_response(rows, s_i, rivals):
         return True
-    if belief_class == "pure" or any(
-        strictly_dominates(game, beliefs_in, i, s, s_i) for s in rivals
-    ):
+    if belief_class == "pure" or mixed_strictly_dominates_exists(
+        game, beliefs_in, i, rivals, s_i
+    ) is not None:
         return False
-    if belief_class == "mixed":
-        opponents = [j for j in range(game.n) if j != i]
-        grids = [
-            list(_grid_mixtures(game, j, beliefs_in.strategies(j), grid_denominator))
-            for j in opponents
-        ]
-        for belief in itertools.product(*grids):
-            mine = expected_payoff(game, i, s_i, belief)
-            if all(mine >= expected_payoff(game, i, s, belief) for s in rivals):
-                return True
-        return False
-    contexts = list(beliefs_in.opponent_profiles(i))
-    m = len(contexts)
-    lp = LinearProgram(m, [Fraction(0)] * m)
-    for s in rivals:
-        coeffs = [
-            game.payoff(i, full_profile(i, s_i, ctx))
-            - game.payoff(i, full_profile(i, s, ctx))
-            for ctx in contexts
-        ]
-        lp.add(coeffs, ">=", Fraction(0))
-    lp.add([Fraction(1)] * m, "=", Fraction(1))
-    res = solve(lp)
-    if not isinstance(res, Optimal):
-        return False
-    belief = CorrelatedBelief(
-        game, i, {ctx: w for ctx, w in zip(contexts, res.point) if w}
-    )
-    mine = expected_payoff(game, i, s_i, belief)
-    if any(mine < expected_payoff(game, i, s, belief) for s in rivals):
-        raise AssertionError("LP belief does not support the strategy")
-    return True
+    if belief_class == "correlated":
+        return True
+    opponents = [j for j in range(game.n) if j != i]
+    grids = [
+        list(_grid_mixtures(game, j, beliefs_in.strategies(j), grid_denominator))
+        for j in opponents
+    ]
+    for belief in itertools.product(*grids):
+        mine = expected_payoff(game, i, s_i, belief)
+        if all(mine >= expected_payoff(game, i, s, belief) for s in rivals):
+            return True
+    return False

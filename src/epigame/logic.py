@@ -247,9 +247,12 @@ def _lex_lnu(text):
     return tokens
 
 
-class _LnuParser:
-    def __init__(self, text):
-        self.tokens = _lex_lnu(text)
+class _TokenCursor:
+    """A recursive-descent parser's place in its (kind, value, position)
+    tokens, which end with an 'end' token."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self):
@@ -262,6 +265,8 @@ class _LnuParser:
         self.pos += 1
         return tok
 
+
+class _LnuParser(_TokenCursor):
     def formula(self):
         if self.peek()[0] == "nu":
             start = self.eat()
@@ -328,7 +333,7 @@ class _LnuParser:
 
 
 def parse_lnu(text):
-    parser = _LnuParser(text)
+    parser = _LnuParser(_lex_lnu(text))
     node = parser.formula()
     parser.eat("end")
     return node
@@ -470,22 +475,8 @@ def _lex_lo(text):
     return tokens
 
 
-class _LoParser:
+class _LoParser(_TokenCursor):
     """Quantifiers scope as far right as possible; parenthesize to stop them."""
-
-    def __init__(self, text):
-        self.tokens = _lex_lo(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def eat(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise LogicParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        self.pos += 1
-        return tok
 
     def formula(self):
         left = self.disjunction()
@@ -561,7 +552,7 @@ class _LoParser:
 
 
 def parse_lo(text):
-    parser = _LoParser(text)
+    parser = _LoParser(_lex_lo(text))
     node = parser.formula()
     parser.eat("end")
     return node

@@ -15,6 +15,11 @@ pivots: the point is substituted into the original bounds, rows and
 objective (primal feasibility), and the dual vector is checked on the
 standard form: nonnegative on `<=` rows, u^T A >= c on every column, and
 u^T b equal to the claimed value (optimality, by weak duality).
+
+An infeasible program comes with the dual of phase 1 as its certificate, a
+Farkas ray on the rows of the standard form: nonnegative on `<=` rows,
+u^T A >= 0 on every column and u^T b < 0, so no y >= 0 meets the rows.
+Callers that act on the ray re-check what they derive from it.
 """
 
 from __future__ import annotations
@@ -33,9 +38,12 @@ class Optimal:
     point: tuple
 
 
+@dataclass(frozen=True)
 class Infeasible:
-    def __repr__(self):
-        return "Infeasible"
+    """ray: the Farkas certificate on the rows of standard_form(lp), or None
+    when an upper bound lies below its lower bound (INFEASIBLE)."""
+
+    ray: list | None = None
 
 
 class Unbounded:
@@ -177,7 +185,7 @@ def _eliminate(row, prow, j):
 
 
 def solve(lp):
-    """Solve an LP exactly. Returns Optimal(value, point), INFEASIBLE or UNBOUNDED."""
+    """Solve an LP exactly. Returns Optimal(value, point), Infeasible or UNBOUNDED."""
     form = standard_form(lp)
     if form is None:
         return INFEASIBLE
@@ -192,7 +200,7 @@ def solve(lp):
 
 
 def _simplex(form):
-    """Two-phase simplex on form: (y, dual), INFEASIBLE or UNBOUNDED."""
+    """Two-phase simplex on form: (y, dual), Infeasible(ray) or UNBOUNDED."""
     ncols = len(form.objective)
     nslack = sum(1 for _, rel, _ in form.rows if rel == "<=")
     nart = sum(1 for _, rel, rhs in form.rows if rel == "=" or rhs < 0)
@@ -267,7 +275,11 @@ def _simplex(form):
     if nart:
         z = run_simplex(objective_row([ZERO] * real + [-ONE] * nart), width)
         if z[-2]:
-            return INFEASIBLE
+            # The phase-1 dual, where artificials cost -1: a row's ray entry is
+            # read like its dual below, one scale added on an artificial.
+            scale = z[-1]
+            return Infeasible([Fraction(-sign * (z[col] + scale if col >= real else z[col]), scale)
+                               for col, sign in dual_col])
         # Drive remaining artificials out of the basis or drop redundant rows.
         drop = []
         for r in range(len(tableau)):

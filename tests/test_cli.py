@@ -1,6 +1,7 @@
 """End-to-end command line behavior, including exit codes."""
 
 import importlib.metadata
+import itertools
 import json
 import os
 import subprocess
@@ -83,6 +84,38 @@ def test_solve_bad_property(capsys):
     code, _, err = run(capsys, "solve", PD, "--property", "zz")
     assert code == 2
     assert "unknown property" in err
+
+
+def _grid_game(tmp_path):
+    """Player 1's m pays 2 everywhere; a pays 3 when player 2 plays x and b
+    when they play y, so m is a best response only to a belief that puts
+    between 1/3 and 2/3 on x. Players 2 and 3 are indifferent."""
+    payoffs = {"a": (3, 3, 0, 0), "b": (0, 0, 3, 3), "m": (2, 2, 2, 2)}
+    lines = ["players 3", "strategies 1 a b m", "strategies 2 x y", "strategies 3 u v"]
+    for s, row in payoffs.items():
+        for (x, u), value in zip(itertools.product("xy", "uv"), row):
+            lines.append(f"payoff {s} {x} {u} {value} 0 0")
+    path = tmp_path / "grid.game"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_solve_grid_denominator_decides_the_mixed_belief(tmp_path, capsys):
+    game = _grid_game(tmp_path)
+    for denominator, outcome in (("1", ["a", "b"]), ("2", ["a", "b", "m"])):
+        code, out, _ = run(capsys, "--format", "json-lines", "solve", game, "--property", "br_l",
+                           "--belief-class", "mixed", "--grid-denominator", denominator)
+        assert code == 0
+        assert json.loads(out)["outcome"][0] == outcome
+
+
+@pytest.mark.parametrize("denominator", ["0", "-3"])
+def test_solve_rejects_a_grid_denominator_below_one(tmp_path, capsys, denominator):
+    code, out, err = run(capsys, "solve", _grid_game(tmp_path), "--property", "br_l",
+                         "--belief-class", "mixed", "--grid-denominator", denominator)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid denominator must be at least 1, got {denominator}\n"
 
 
 # ---------- announce ----------
@@ -269,6 +302,14 @@ def test_check_rejects_a_negative_instance_count(capsys):
     assert code == 2
     assert out == ""
     assert "count must be at least 0" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_check_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "check", "derivation_valid", "--random", "2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def _check_size_option(capsys, option, value, smallest):

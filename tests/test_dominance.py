@@ -30,6 +30,7 @@ from epigame.games import (
     point_mass,
 )
 from epigame.lp import LinearProgram, Optimal, solve
+from epigame.optimality import builtin
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -146,6 +147,10 @@ def test_mixed_three_players_needs_grid():
     full = game.full_restriction()
     with pytest.raises(BeliefClassError):
         is_best_response(game, full, full, 0, 0, "mixed")
+    # a grid with no denominator holds no belief at all, so it is refused
+    for bad in (0, -3):
+        with pytest.raises(BeliefClassError, match="at least 1"):
+            is_best_response(game, full, full, 0, 0, "mixed", grid_denominator=bad)
 
 
 def test_unknown_belief_class():
@@ -240,7 +245,7 @@ def _lp_correlated_best_response(game, i, s, rivals, contexts):
     return isinstance(solve(lp), Optimal)
 
 
-def test_weakly_dominated_strategy_can_be_a_correlated_best_response():
+def _weakly_dominated_best_response_game():
     """s ties r1 on L and C, so r1 weakly dominates it; r2 and r3 beat s on L
     and C in turn, so it is no pure best response; the even belief on L and C
     supports it all the same. No pure prefilter decides it: the LP must."""
@@ -249,7 +254,11 @@ def test_weakly_dominated_strategy_can_be_a_correlated_best_response():
         (a, b): (Fraction(rows[name][b]), Fraction(0))
         for a, name in enumerate(rows) for b in range(3)
     }
-    game = Game((tuple(rows), ("L", "C", "R")), table)
+    return Game((tuple(rows), ("L", "C", "R")), table)
+
+
+def test_weakly_dominated_strategy_can_be_a_correlated_best_response():
+    game = _weakly_dominated_best_response_game()
     full = game.full_restriction()
     assert weakly_dominates(game, full, 0, 1, 0)
     assert is_best_response(game, full, full, 0, 0, "correlated")
@@ -298,6 +307,30 @@ def test_prefilters_agree_with_the_dominance_and_belief_lps(monkeypatch):
                             game, i, s, comparison.strategies(i), contexts)
                     decisions += 6
     assert 0 < len(fallbacks) < decisions / 2
+
+
+def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
+    """Pearce's lemma as code: brc_l and msd_l at the same (G, i, s) solve one
+    LP each, with equal rows; its point proves survival (s in the weakly
+    dominated best response game) and its ray proves elimination (B in
+    threebytwo)."""
+    submitted = []
+
+    def recorded(lp):
+        submitted.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(dominance, "solve", recorded)
+    survivor = _weakly_dominated_best_response_game()
+    for game, s, survives in ((survivor, 0, True), (TBT, TBT.index(0, "B"), False)):
+        G = game.full_restriction()
+        runs = []
+        for name in ("brc_l", "msd_l"):
+            del submitted[:]
+            runs.append((builtin(game, name, 0).holds(s, G), list(submitted)))
+        (brc_answer, [brc_lp]), (msd_answer, [msd_lp]) = runs
+        assert brc_answer == msd_answer == survives
+        assert brc_lp.rows == msd_lp.rows and brc_lp.objective == msd_lp.objective
 
 
 # ---------- the integer kernel against Fraction arithmetic ----------

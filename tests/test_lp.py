@@ -31,7 +31,16 @@ def test_known_optimum():
 def test_infeasible():
     lp = LinearProgram(1, [1])
     lp.add([1], "<=", -1)
-    assert solve(lp) is INFEASIBLE
+    res = solve(lp)
+    # the ray weighs x <= -1 by 1: x >= 0 makes the left side nonnegative
+    assert isinstance(res, Infeasible)
+    assert res.ray == [1]
+
+
+def test_contradictory_bounds_give_infeasible_without_a_ray():
+    lp = LinearProgram(1, [1])
+    lp.set_bounds(0, 2, 1)
+    assert solve(lp) is INFEASIBLE and INFEASIBLE.ray is None
 
 
 def test_unbounded():
@@ -160,6 +169,37 @@ def _boxed_lps(draw):
     return lp
 
 
+def _assert_farkas_ray(lp, ray):
+    """ray proves lp infeasible on its standard form: u >= 0 on '<=' rows,
+    u^T A >= 0 on every column and u^T b < 0, so no y >= 0 meets the rows."""
+    form = standard_form(lp)
+    assert len(ray) == len(form.rows)
+    for u, (_, rel, _) in zip(ray, form.rows):
+        assert rel == "=" or u >= 0
+    for col in range(len(form.objective)):
+        assert sum(u * dense[col] for u, (dense, _, _) in zip(ray, form.rows)) >= 0
+    assert sum(u * rhs for u, (_, _, rhs) in zip(ray, form.rows)) < 0
+
+
+def test_infeasible_rays_on_equality_and_upper_bound_rows():
+    # -x = 1 needs a negative weight on its '=' row and x = -1, whose row
+    # phase 1 negates, a positive one; x <= 1 with x + y >= 3 and y <= 1
+    # needs the two upper-bound rows that standard_form appends
+    for coeff, rhs, weight in ((-1, 1, -1), (1, -1, 1)):
+        lp = LinearProgram(1, [0])
+        lp.add([coeff], "=", rhs)
+        res = solve(lp)
+        _assert_farkas_ray(lp, res.ray)
+        assert res.ray[0] * weight > 0
+    lp = LinearProgram(2, [0, 0])
+    lp.set_bounds(0, 0, 1)
+    lp.set_bounds(1, 0, 1)
+    lp.add([1, 1], ">=", 3)
+    res = solve(lp)
+    _assert_farkas_ray(lp, res.ray)
+    assert res.ray[1:] == [1, 1]
+
+
 @settings(deadline=None, max_examples=150)
 @given(_boxed_lps())
 def test_simplex_matches_vertex_enumeration(lp):
@@ -167,6 +207,7 @@ def test_simplex_matches_vertex_enumeration(lp):
     best = _vertex_optimum(lp)
     if best is None:
         assert isinstance(res, Infeasible)
+        _assert_farkas_ray(lp, res.ray)
     else:
         assert isinstance(res, Optimal)
         assert res.value == best
