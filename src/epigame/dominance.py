@@ -35,19 +35,27 @@ def _rows(context, i, dominator, dominated):
     return rows[dominator], rows[dominated]
 
 
+def row_strictly_dominates(a, b):
+    """Row a is greater than row b in every context (vacuously when empty)."""
+    return all(map(gt, a, b))
+
+
+def row_weakly_dominates(a, b):
+    """Row a is at least row b in every context and greater in some."""
+    return a != b and all(map(ge, a, b))
+
+
 def strictly_dominates(game, context, i, dominator, dominated):
     """dominator beats dominated in every joint opponent strategy of the context.
 
     Vacuously true when the context is empty on the opponents' side.
     """
-    a, b = _rows(context, i, dominator, dominated)
-    return all(map(gt, a, b))
+    return row_strictly_dominates(*_rows(context, i, dominator, dominated))
 
 
 def weakly_dominates(game, context, i, dominator, dominated):
     """At least as good everywhere and strictly better somewhere in the context."""
-    a, b = _rows(context, i, dominator, dominated)
-    return a != b and all(map(ge, a, b))
+    return row_weakly_dominates(*_rows(context, i, dominator, dominated))
 
 
 def _pure_best_response(rows, s_i, rivals, strict=False):
@@ -63,26 +71,37 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     """Search for a mixed strategy over support strictly dominating dominated.
 
     Returns the witness MixedStrategy or None. A pure best response within
-    support is undominated and a pure strict dominator is its own witness.
-    Otherwise one LP asks for a correlated belief p over the contexts against
-    which dominated does at least as well as every strategy in support
-    (Pearce's lemma: there is one exactly when no mixture dominates). Its
-    point is the belief, re-checked by expected payoffs; when there is none,
-    the Farkas ray on the support's rows, normalised, is the dominating
-    mixture, re-checked by strictly_dominates.
+    support is undominated; otherwise _pearce decides.
     """
     support = sorted(support)
     if not support:
         raise ValueError("empty support")
     rows = context.rows(i)
-    mine = rows[dominated]
-    if not mine:
+    if not rows[dominated]:
         return point_mass(game, i, support[0])
     # No mixture over support beats dominated where it is a pure best response.
     if _pure_best_response(rows, dominated, support):
         return None
+    return _pearce(game, context, i, support, dominated)
+
+
+def _pearce(game, context, i, support, dominated):
+    """A mixture over the sorted support strictly dominating dominated, or
+    None. The caller has checked that dominated has a non-empty row and is
+    no pure best response within support.
+
+    A pure strict dominator is its own witness. Otherwise one LP asks for a
+    correlated belief p over the contexts against which dominated does at
+    least as well as every strategy in support (Pearce's lemma: there is one
+    exactly when no mixture dominates). Its point is the belief, re-checked
+    by expected payoffs; when there is none, the Farkas ray on the support's
+    rows, normalised, is the dominating mixture, re-checked by
+    strictly_dominates.
+    """
+    rows = context.rows(i)
+    mine = rows[dominated]
     for d in support:
-        if strictly_dominates(game, context, i, d, dominated):
+        if row_strictly_dominates(rows[d], mine):
             return point_mass(game, i, d)
     m = len(mine)
     lp = LinearProgram(m, [0] * m)
@@ -125,7 +144,7 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     if _pure_best_response(rows, dominated, [s for s in support if s != dominated], strict=True):
         return None
     for d in support:
-        if weakly_dominates(game, context, i, d, dominated):
+        if row_weakly_dominates(rows[d], rows[dominated]):
             return point_mass(game, i, d)
     k = len(support)
     lp = LinearProgram(k + m, [0] * k + [1] * m)
@@ -172,8 +191,8 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
 
     Every class holds the point masses on joint opponent strategies, so a pure
     best response answers yes. Every class lies inside the correlated beliefs,
-    which Pearce's LP in mixed_strictly_dominates_exists decides with a
-    checked certificate either way; only the grid searches further.
+    which Pearce's LP in _pearce decides with a checked certificate either
+    way; only the grid searches further.
     """
     if grid_denominator is not None and grid_denominator < 1:
         raise BeliefClassError(f"grid denominator must be at least 1, got {grid_denominator}")
@@ -193,9 +212,7 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
         return False
     if _pure_best_response(rows, s_i, rivals):
         return True
-    if belief_class == "pure" or mixed_strictly_dominates_exists(
-        game, beliefs_in, i, rivals, s_i
-    ) is not None:
+    if belief_class == "pure" or _pearce(game, beliefs_in, i, rivals, s_i) is not None:
         return False
     if belief_class == "correlated":
         return True

@@ -79,11 +79,15 @@ class Game:
     @functools.cached_property
     def kernel(self):
         counts = list(map(len, self.strategy_names))
-        cells = [self.table[p] for p in itertools.product(*map(range, counts))]
+        cells = list(map(self.table.__getitem__, itertools.product(*map(range, counts))))
         kernel = []
         for i, column in enumerate(zip(*cells)):
-            scale = math.lcm(*{v.denominator for v in column})
-            flat = [v.numerator * (scale // v.denominator) for v in column]
+            # each distinct value object is scaled once; a parsed game shares
+            # one object per distinct token
+            distinct = dict(zip(map(id, column), column))
+            scale = math.lcm(*{v.denominator for v in distinct.values()})
+            scaled = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
+            flat = list(map(scaled.__getitem__, map(id, column)))
             k, after = counts[i], math.prod(counts[i + 1 :])
             # row s: the runs of `after` cells with s in player i's place, one
             # cell each for the last player
@@ -349,17 +353,18 @@ def load_game(text):
 
     players <n>, then one strategies line per player, then one payoff line
     per joint profile. '#' starts a comment.
-    """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            lines.append((lineno, toks))
-    if not lines:
-        raise GameFormatError("empty game file")
 
-    pos = 0
-    lineno, toks = lines[pos]
+    The payoff block is checked column by column and the table built in one
+    pass; only when a check fails does the line loop run, which names the
+    first faulty line.
+    """
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.partition("#")[0] for line in raw]
+    lines = ((lineno, toks) for lineno, toks in enumerate(map(str.split, raw), start=1) if toks)
+    lineno, toks = next(lines, (None, None))
+    if toks is None:
+        raise GameFormatError("empty game file")
     if toks[0] != "players" or len(toks) != 2:
         raise GameFormatError("expected 'players <n>'", lineno)
     try:
@@ -368,13 +373,12 @@ def load_game(text):
         raise GameFormatError(f"bad player count {toks[1]!r}", lineno) from None
     if n < 2:
         raise GameFormatError("at least two players required", lineno)
-    pos += 1
 
     names: list[tuple[str, ...]] = []
     for i in range(n):
-        if pos >= len(lines):
+        lineno, toks = next(lines, (lineno, None))
+        if toks is None:
             raise GameFormatError(f"missing strategies line for player {i + 1}")
-        lineno, toks = lines[pos]
         if toks[0] != "strategies" or len(toks) < 3:
             raise GameFormatError(f"expected 'strategies {i + 1} <name>...'", lineno)
         if toks[1] != str(i + 1):
@@ -386,13 +390,51 @@ def load_game(text):
                 raise GameFormatError(f"duplicate strategy {nm!r} for player {i + 1}", lineno)
             seen.add(nm)
         names.append(player_names)
-        pos += 1
 
     index = [{nm: s for s, nm in enumerate(player_names)} for player_names in names]
+    table = _payoff_columns(raw[lineno:], names, index)
+    if table is None:
+        table = _payoff_lines(lines, names, index)
+    return Game(tuple(names), table)
+
+
+def _payoff_columns(body, names, index):
+    """The payoff table from the text lines after the header, or None if any
+    check fails: every non-blank line is 'payoff', n known strategies and n
+    rationals; no profile repeats and every profile is given.
+
+    The tokens are read as one flat list, cut into columns by stride. Each
+    line's own token list lives only to be counted, so large files do not
+    fill the collector's young generation.
+    """
+    n, width, count = len(names), 1 + 2 * len(names), math.prod(map(len, names))
+    widths = list(map(len, map(str.split, body)))
+    if widths.count(width) != count or widths.count(0) != len(body) - count:
+        return None
+    tokens = " ".join(body).split()
+    if tokens[::width].count("payoff") != count:
+        return None
+    profile_columns = [list(map(ix.get, tokens[1 + j :: width])) for j, ix in enumerate(index)]
+    if any(None in column for column in profile_columns):
+        return None
+    profiles = list(zip(*profile_columns))
+    if len(set(profiles)) != count:
+        return None
+    value_columns = [tokens[1 + n + j :: width] for j in range(n)]
+    distinct = set().union(*value_columns)
+    if not all(map(_RATIONAL_RE.match, distinct)):
+        return None
+    numbers = dict(zip(distinct, map(Fraction, distinct)))  # one Fraction per distinct token
+    return dict(zip(profiles, zip(*(map(numbers.__getitem__, col) for col in value_columns))))
+
+
+def _payoff_lines(lines, names, index):
+    """The payoff table read line by line; raises at the first faulty line."""
+    n = len(names)
     table: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     first_seen: dict[tuple[int, ...], int] = {}
     numbers: dict[str, Fraction] = {}  # each distinct payoff token is parsed once
-    for lineno, toks in lines[pos:]:
+    for lineno, toks in lines:
         if toks[0] != "payoff":
             raise GameFormatError(f"unexpected directive {toks[0]!r}", lineno)
         if len(toks) != 1 + 2 * n:
@@ -418,7 +460,7 @@ def load_game(text):
         if profile not in table:
             shown = " ".join(names[i][s] for i, s in enumerate(profile))
             raise GameFormatError(f"missing payoff for profile {shown}")
-    return Game(tuple(names), table)
+    return table
 
 
 def load_game_file(path):

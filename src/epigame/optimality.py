@@ -56,17 +56,24 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
         raise ValueError(f"unknown property {name!r}")
     if belief_class is not None and name not in ("br_l", "br_g"):
         raise ValueError(f"{name} does not take a belief class")
+    if grid_denominator is not None and grid_denominator < 1:
+        # refused for every property, not only where a best response reads it
+        raise dominance.BeliefClassError(
+            f"grid denominator must be at least 1, got {grid_denominator}"
+        )
     full = game.full_restriction()
-
-    def own(restriction, local):
-        return restriction.strategies(i) if local else range(game.strategy_count(i))
 
     if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
         local = name.endswith("_l")
-        relation = dominance.strictly_dominates if name[0] == "s" else dominance.weakly_dominates
+        relation = (
+            dominance.row_strictly_dominates if name[0] == "s" else dominance.row_weakly_dominates
+        )
+        everyone = game.strategies(i)
 
         def evaluator(s, G):
-            return not any(relation(game, G, i, d, s) for d in own(G, local))
+            rows = G.rows(i)
+            rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
+            return not any(map(relation, rivals, itertools.repeat(rows[s])))
 
     elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
         local = name.endswith("_l")

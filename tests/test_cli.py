@@ -118,6 +118,14 @@ def test_solve_rejects_a_grid_denominator_below_one(tmp_path, capsys, denominato
     assert err == f"error: grid denominator must be at least 1, got {denominator}\n"
 
 
+@pytest.mark.parametrize("prop", ["sd_l", "wd_g"])
+def test_solve_rejects_a_grid_denominator_below_one_for_every_property(capsys, prop):
+    code, out, err = run(capsys, "solve", PD, "--property", prop, "--grid-denominator", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid denominator must be at least 1, got 0\n"
+
+
 # ---------- announce ----------
 
 

@@ -333,6 +333,39 @@ def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
         assert brc_lp.rows == msd_lp.rows and brc_lp.objective == msd_lp.objective
 
 
+def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
+    """is_best_response and mixed_strictly_dominates_exists each run their own
+    pure best-response prefilter and then share the Pearce step, which does
+    not run it again."""
+    calls = []
+    prefilter = dominance._pure_best_response
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prefilter(*args, **kwargs)
+
+    monkeypatch.setattr(dominance, "_pure_best_response", counted)
+    survivor = _weakly_dominated_best_response_game()
+    # s in the survivor game reaches the LP; B in threebytwo is eliminated by it
+    cases = [(survivor, 0, True), (TBT, TBT.index(0, "B"), False)]
+    rng = random.Random(77)
+    for _ in range(3):
+        game = random_game(rng, CheckConfig(count=0, max_players=2, max_strategies=4,
+                                            payoff_bound=3), n=2)
+        cases += [(game, s, None) for s in game.strategies(0)]
+    for game, s, survives in cases:
+        full = game.full_restriction()
+        del calls[:]
+        answer = is_best_response(game, full, full, 0, s, "correlated")
+        assert len(calls) == 1
+        del calls[:]
+        found = mixed_strictly_dominates_exists(game, full, 0, full.sets[0], s)
+        assert len(calls) == 1
+        assert answer == (found is None)
+        if survives is not None:
+            assert answer == survives
+
+
 # ---------- the integer kernel against Fraction arithmetic ----------
 
 

@@ -1,5 +1,7 @@
 """Game files, the restriction lattice, and expected payoffs."""
 
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from epigame.games import (
     BudgetExceededError,
     CorrelatedBelief,
+    Game,
     GameFormatError,
     MixedStrategy,
     Restriction,
@@ -145,6 +148,136 @@ def test_error_missing_profile():
 def test_error_payoff_arity():
     err = _bad("players 2\nstrategies 1 a\nstrategies 2 c\npayoff a c 0\n")
     assert "2 strategies and 2 values" in str(err)
+
+
+# ---------- payoff-block errors: exact messages and line numbers ----------
+
+_HEAD = ["players 2", "strategies 1 a b", "strategies 2 x y"]
+_BODY = ["payoff a x 1 2", "payoff a y 3 4", "payoff b x 5 6", "payoff b y 7 8"]
+
+
+def _with_line(k, line):
+    """The 2x2 game with payoff line k (0-based; file line 4 + k) replaced."""
+    body = list(_BODY)
+    body[k] = line
+    return "\n".join(_HEAD + body) + "\n"
+
+
+@pytest.mark.parametrize("k, line, line_no, message", [
+    (1, "pay a y 3 4", 5, "unexpected directive 'pay'"),
+    (1, "payoff a y 3", 5, "payoff line needs 2 strategies and 2 values"),
+    (3, "payoff b y 7 8 9", 7, "payoff line needs 2 strategies and 2 values"),
+    (2, "payoff c x 5 6", 6, "unknown strategy 'c' for player 1"),
+    (2, "payoff b z 5 6", 6, "unknown strategy 'z' for player 2"),
+    (3, "payoff a y 7 8", 7, "duplicate payoff for profile a y (first given on line 5)"),
+    (0, "payoff a x 0.5 2", 4, "not an integer or p/q rational: '0.5'"),
+    (0, "payoff a x 1 1/0", 4, "not an integer or p/q rational: '1/0'"),
+    (3, "payoff b y 1_0 8", 7, "not an integer or p/q rational: '1_0'"),
+])
+def test_payoff_block_errors_name_the_faulty_line(k, line, line_no, message):
+    err = _bad(_with_line(k, line))
+    assert str(err) == f"line {line_no}: {message}"
+    assert err.line == line_no
+
+
+def test_missing_profile_is_named_without_a_line():
+    err = _bad("\n".join(_HEAD + _BODY[:2] + _BODY[3:]) + "\n")
+    assert str(err) == "missing payoff for profile b x"
+    assert err.line is None
+
+
+def test_the_earlier_of_two_faulty_lines_is_named():
+    body = ["payoff a x 1 2", "payoff a q 3 4", "payoff b x 0.5 6", "payoff b y 7 8"]
+    err = _bad("\n".join(_HEAD + body) + "\n")
+    assert (str(err), err.line) == ("line 5: unknown strategy 'q' for player 2", 5)
+    body = ["payoff a x 1 2", "payoff a y 3 4", "payoff b x 0.5 6", "oops b y 7 8"]
+    err = _bad("\n".join(_HEAD + body) + "\n")
+    assert (str(err), err.line) == ("line 6: not an integer or p/q rational: '0.5'", 6)
+    # a duplicate before a missing profile: the duplicate is named
+    body = ["payoff a x 1 2", "payoff a x 3 4", "payoff b x 5 6", "payoff b y 7 8"]
+    err = _bad("\n".join(_HEAD + body) + "\n")
+    assert err.line == 5 and "first given on line 4" in str(err)
+
+
+def test_comments_blank_lines_and_crlf_keep_line_numbers():
+    lines = [
+        "# a 2x2 game",                 # 1
+        "",                             # 2
+        "players 2   # two of them",    # 3
+        "strategies 1 a b",             # 4
+        "   ",                          # 5
+        "strategies 2 x y",             # 6
+        "payoff a x 1 2",               # 7
+        "# payoff a y 3 4 is below",    # 8
+        "",                             # 9
+        "payoff a y 3 4 # fine",        # 10
+        "payoff b x 5 six",             # 11
+        "payoff b y 7 8",               # 12
+    ]
+    for end in ("\n", "\r\n"):
+        err = _bad(end.join(lines) + end)
+        assert (str(err), err.line) == ("line 11: not an integer or p/q rational: 'six'", 11)
+        fixed = list(lines)
+        fixed[10] = "payoff b x 5 6"
+        fixed[11] = "payoff b z 7 8 # unknown"
+        err = _bad(end.join(fixed) + end)
+        assert (str(err), err.line) == ("line 12: unknown strategy 'z' for player 2", 12)
+
+
+# ---------- loaded games do not depend on the layout of the text ----------
+
+
+def _game_texts(rng, names):
+    """One game written twice: ordered with plain tokens, and shuffled with
+    comments, tabs, blank lines, CRLF and other spellings of each value."""
+    values = {}
+    for profile in itertools.product(*map(range, map(len, names))):
+        values[profile] = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+                           for _ in names]
+    head = [f"players {len(names)}"] + [
+        f"strategies {i + 1} " + " ".join(part) for i, part in enumerate(names)]
+
+    def cells(profile):
+        return [names[i][s] for i, s in enumerate(profile)]
+
+    ordered = head + [
+        "payoff " + " ".join(cells(p) + [str(v) for v in vals]) for p, vals in values.items()]
+
+    def spelled(v):
+        k = rng.randint(1, 3)
+        sign = "+" if v >= 0 and rng.random() < 0.5 else ""
+        if v.denominator == 1 and rng.random() < 0.5:
+            return f"{sign}{v.numerator}"
+        return f"{sign}{v.numerator * k}/{v.denominator * k}"
+
+    body = ["payoff\t" + "\t ".join(cells(p) + [spelled(v) for v in vals])
+            + (" # a note" if rng.random() < 0.3 else "")
+            for p, vals in values.items()]
+    rng.shuffle(body)
+    for _ in range(4):
+        body.insert(rng.randrange(len(body) + 1), rng.choice(("", "   ", "# a comment")))
+    shuffled = ["# shuffled", *head, "", *body]
+    return "\n".join(ordered) + "\n", "\r\n".join(shuffled) + "\r\n"
+
+
+def test_loaded_game_is_independent_of_the_layout():
+    rng = random.Random(2909)
+    for names in (
+        (("payoff", "b", "c"), ("x", "y")),
+        (("a", "b"), ("payoff", "y", "z", "w")),
+        (("a", "b"), ("x", "payoff"), ("u", "v", "w")),
+    ):
+        ordered, shuffled = _game_texts(rng, names)
+        want, got = load_game(ordered), load_game(shuffled)
+        assert want.strategy_names == got.strategy_names == names
+        assert want.table == got.table
+        assert want.kernel == got.kernel
+        # a game built in code, with one Fraction object per cell, has the
+        # same kernel as the parsed one, which shares one per token
+        fresh = {p: tuple(Fraction(v.numerator, v.denominator) for v in vals)
+                 for p, vals in want.table.items()}
+        assert Game(names, fresh).kernel == want.kernel
+        assert load_game(game_to_text(got)).table == want.table
 
 
 # ---------- restrictions ----------

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from epigame.checks import CheckConfig, random_game
-from epigame.games import load_game_file
+from epigame.dominance import strictly_dominates, weakly_dominates
+from epigame.games import all_restrictions, load_game_file
 from epigame.logic import (
     LO_TEXTS,
     check_positive_lo,
@@ -225,3 +226,25 @@ def test_require_monotone_trusts_the_declaration():
     require_monotone((declared,))
     with pytest.raises(NonMonotonicPropertyError):
         require_monotone((sd_l,))
+
+
+def test_pure_dominance_builtins_equal_the_pairwise_relations():
+    """sd and wd read each strategy's row once and scan the rivals' rows; the
+    answer is the pairwise relation over the same rivals, on every
+    restriction, empty ones included."""
+    rng = random.Random(4242)
+    checked = 0
+    for n, cap, bound in ((2, 4, 1), (2, 4, 3), (2, 3, 9), (3, 3, 1), (3, 2, 2)):
+        game = random_game(rng, CheckConfig(count=0, max_players=n, max_strategies=cap,
+                                            payoff_bound=bound), n=n)
+        for i in range(n):
+            props = {name: builtin(game, name, i) for name in ("sd_l", "sd_g", "wd_l", "wd_g")}
+            for G in all_restrictions(game):
+                for s in game.strategies(i):
+                    for name, prop in props.items():
+                        relation = strictly_dominates if name[0] == "s" else weakly_dominates
+                        rivals = G.strategies(i) if name.endswith("_l") else game.strategies(i)
+                        assert prop.holds(s, G) == (
+                            not any(relation(game, G, i, d, s) for d in rivals))
+                        checked += 1
+    assert checked > 5000
