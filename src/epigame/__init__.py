@@ -27,6 +27,7 @@ from .logic import (
     compile_lo_to_property,
     eval_lnu,
     eval_lo,
+    lnu_denotation,
     parse_derivation,
     parse_lnu,
     parse_lo,
@@ -56,6 +57,7 @@ __all__ = [
     "iterate_optimality_announcements",
     "iterate_rationality_announcements",
     "iterate_to_outcome",
+    "lnu_denotation",
     "load_game",
     "load_game_file",
     "load_model_file",

@@ -209,10 +209,14 @@ def _images(model, events):
 
 
 def event_of_restriction(model, restriction):
-    """States whose joint profile lies inside the restriction."""
-    return frozenset(
-        w for w in model.states() if restriction.contains_profile(model.profile_of(w))
-    )
+    """States whose joint profile lies inside the restriction: per player, the
+    states where their own strategy is allowed, intersected."""
+    event = model.all_event()
+    for own, allowed in zip(model.assignment, restriction.sets):
+        event = event.intersection(
+            itertools.compress(model.states(), map(allowed.__contains__, own))
+        )
+    return event
 
 
 def standard_model(restriction, correspondences=False):

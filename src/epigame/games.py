@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 
 class GameFormatError(ValueError):

@@ -21,7 +21,7 @@ from .epistemic import (
     rationality_event,
     restriction_of,
 )
-from .games import BudgetExceededError, full_profile, subsets_of
+from .games import BudgetExceededError, subsets_of
 
 
 class LogicParseError(ValueError):
@@ -339,63 +339,100 @@ def parse_lnu(text):
     return node
 
 
-def eval_lnu(model, formula, profile=None, x_event=None):
-    """The event where a formula holds. Needs a profile for rat and O; a free
-    fixpoint variable, if any, denotes the event passed as x_event.
+def _check_player(player, game):
+    if player is not None and not 0 <= player < game.n:
+        raise LogicEvalError(f"formula names player {player + 1}; the game has {game.n}")
 
-    Greatest fixpoints are computed by downward iteration; a non-shrinking
-    step means the body is not monotone for the supplied properties (possible
-    despite syntactic positivity when a non-monotone property sits under O)
-    and raises instead of converging to a wrong answer.
+
+def lnu_denotation(model, formula, profile=None):
+    """The formula's meaning on the model: a map from the event a free
+    fixpoint variable denotes (None if it has none) to the event where the
+    formula holds. Needs a profile for rat and O.
+
+    The formula is compiled once, and each player's rationality event is
+    computed at most once over all calls of the map. Greatest fixpoints are
+    computed by downward iteration; a non-shrinking step means the body is not
+    monotone for the supplied properties (possible despite syntactic
+    positivity when a non-monotone property sits under O) and raises instead
+    of converging to a wrong answer.
     """
     rat_cache = {}
 
     def rat_of(i):
-        if profile is None:
-            raise LogicEvalError("formula mentions rat but no profile was supplied")
         if i not in rat_cache:
+            if profile is None:
+                raise LogicEvalError("formula mentions rat but no profile was supplied")
             rat_cache[i] = rationality_event(model, profile[i])
         return rat_cache[i]
 
-    everyone = range(model.game.n)
+    everything = model.all_event()
 
-    def ev(f, xval):
+    def compile_node(f):
+        if isinstance(f, (Rat, Box, Opt)):
+            _check_player(f.player, model.game)
         if isinstance(f, Rat):
-            players = everyone if f.player is None else [f.player]
-            event = model.all_event()
-            for i in players:
-                event &= rat_of(i)
-            return event
+            players = range(model.game.n) if f.player is None else (f.player,)
+
+            def rat(xval):
+                event = everything
+                for i in players:
+                    event &= rat_of(i)
+                return event
+
+            return rat
         if isinstance(f, Var):
-            if xval is None:
-                raise LogicEvalError("free fixpoint variable outside nu")
-            return xval
+
+            def var(xval):
+                if xval is None:
+                    raise LogicEvalError("free fixpoint variable outside nu")
+                return xval
+
+            return var
         if isinstance(f, NotF):
-            return model.all_event() - ev(f.sub, xval)
+            sub = compile_node(f.sub)
+            return lambda xval: everything - sub(xval)
         if isinstance(f, AndF):
-            return ev(f.left, xval) & ev(f.right, xval)
+            left, right = compile_node(f.left), compile_node(f.right)
+            return lambda xval: left(xval) & right(xval)
         if isinstance(f, Box):
-            return box(model, ev(f.sub, xval), f.player)
+            sub, player = compile_node(f.sub), f.player
+            return lambda xval: box(model, sub(xval), player)
         if isinstance(f, Opt):
-            if profile is None:
-                raise LogicEvalError("formula mentions O but no profile was supplied")
-            G = restriction_of(model, ev(f.sub, xval))
-            players = everyone if f.player is None else [f.player]
-            event = model.all_event()
-            for i in players:
-                event &= optimality_event(model, profile[i], G)
-            return event
+            sub = compile_node(f.sub)
+            players = range(model.game.n) if f.player is None else (f.player,)
+
+            def opt(xval):
+                if profile is None:
+                    raise LogicEvalError("formula mentions O but no profile was supplied")
+                G = restriction_of(model, sub(xval))
+                event = everything
+                for i in players:
+                    event &= optimality_event(model, profile[i], G)
+                return event
+
+            return opt
         if isinstance(f, Nu):
-            try:
-                return greatest_fixpoint(model, lambda x: ev(f.body, x))
-            except NotShrinkingError:
-                raise LogicEvalError(
-                    "fixpoint iteration is not shrinking; "
-                    "a property under O is not monotone"
-                ) from None
+            body = compile_node(f.body)
+
+            def nu(xval):
+                try:
+                    return greatest_fixpoint(model, body)
+                except NotShrinkingError:
+                    raise LogicEvalError(
+                        "fixpoint iteration is not shrinking; "
+                        "a property under O is not monotone"
+                    ) from None
+
+            return nu
         raise TypeError(f"not a formula: {f!r}")
 
-    return ev(formula, x_event)
+    return compile_node(formula)
+
+
+def eval_lnu(model, formula, profile=None, x_event=None):
+    """The event where a formula holds; a free fixpoint variable, if any,
+    denotes x_event. See lnu_denotation."""
+    return lnu_denotation(model, formula, profile)(x_event)
 
 
 def find_validity_counterexample(formula, instances):
@@ -414,14 +451,19 @@ def check_rat_definability(model, profile, budget_states=12):
             f"{model.num_states} states exceed the event enumeration budget"
         )
     events = [frozenset(ev) for ev in subsets_of(model.states())]
+    # many events share a strategy image, hence a restriction and its
+    # optimality event
+    restrictions = [(X, restriction_of(model, X)) for X in events]
+    everything = model.all_event()
     for i in range(model.game.n):
         lhs = rationality_event(model, profile[i])
-        rhs = set(model.states())
-        for X in events:
-            believes = box(model, X, i)
-            optimal = optimality_event(model, profile[i], restriction_of(model, X))
-            rhs &= (model.all_event() - believes) | optimal
-        if lhs != frozenset(rhs):
+        optimal_in = {}
+        rhs = everything
+        for X, G in restrictions:
+            if G not in optimal_in:
+                optimal_in[G] = optimality_event(model, profile[i], G)
+            rhs &= (everything - box(model, X, i)) | optimal_in[G]
+        if lhs != rhs:
             return False
     return True
 
@@ -575,41 +617,89 @@ def check_positive_lo(f, parity=0):
     return all(check_positive_lo(c, parity) for c in children(f))
 
 
-def eval_lo(model, f, assignment, X):
-    """Satisfaction at an assignment of states to variables and an event to X."""
+_UNBOUND = object()
 
-    def ev(f, asg):
+
+def _compile_lo(model, formula):
+    """Compile a condition for one model into a test run(env, X) of an
+    assignment of states to variables (a dict, restored after the run) and an
+    event X.
+
+    One closure per node. A comparison x >=^i_z y reads player i's kernel rows
+    of the strategies i plays at x and y at the flat index of the opponents'
+    profile at z; the kernel scales each player's payoffs by a positive
+    factor, so the comparison is exact. Unbound variables raise where the
+    evaluation reaches them.
+    """
+    game = model.game
+    states = model.states()
+
+    def contexts(i):
+        # per state, the flat index of the opponents' profile in i's kernel rows
+        flat = [0] * model.num_states
+        for j in range(game.n):
+            if j != i:
+                k = game.strategy_count(j)
+                flat = [c * k + s for c, s in zip(flat, model.assignment[j])]
+        return flat
+
+    def compile_node(f):
         if isinstance(f, Member):
-            if f.var not in asg:
-                raise LogicEvalError(f"unbound variable {f.var!r}")
-            return asg[f.var] in X
+            var = f.var
+
+            def member(env, X):
+                try:
+                    return env[var] in X
+                except KeyError:
+                    raise LogicEvalError(f"unbound variable {var!r}") from None
+
+            return member
         if isinstance(f, Cmp):
-            for v in (f.left, f.ctx, f.right):
-                if v not in asg:
-                    raise LogicEvalError(f"unbound variable {v!r}")
-            game = model.game
-            i = f.player
-            wz = asg[f.ctx]
-            ctx = tuple(
-                model.strategy_of(j, wz) for j in range(game.n) if j != i
-            )
-            a = game.payoff(i, full_profile(i, model.strategy_of(i, asg[f.left]), ctx))
-            b = game.payoff(i, full_profile(i, model.strategy_of(i, asg[f.right]), ctx))
-            return a >= b
+            _check_player(f.player, game)
+            rows, own, ctx = game.kernel[f.player], model.assignment[f.player], contexts(f.player)
+            left, mid, right = f.left, f.ctx, f.right
+
+            def cmp(env, X):
+                try:
+                    c = ctx[env[mid]]
+                    return rows[own[env[left]]][c] >= rows[own[env[right]]][c]
+                except KeyError:
+                    missing = next(v for v in (left, mid, right) if v not in env)
+                    raise LogicEvalError(f"unbound variable {missing!r}") from None
+
+            return cmp
         if isinstance(f, NotO):
-            return not ev(f.sub, asg)
+            sub = compile_node(f.sub)
+            return lambda env, X: not sub(env, X)
         if isinstance(f, AndO):
-            return ev(f.left, asg) and ev(f.right, asg)
+            left, right = compile_node(f.left), compile_node(f.right)
+            return lambda env, X: left(env, X) and right(env, X)
         if isinstance(f, ExistsO):
-            for w in model.states():
-                asg2 = dict(asg)
-                asg2[f.var] = w
-                if ev(f.body, asg2):
-                    return True
-            return False
+            var, body = f.var, compile_node(f.body)
+
+            def exists(env, X):
+                saved = env.get(var, _UNBOUND)
+                found = False
+                for w in states:
+                    env[var] = w
+                    if body(env, X):
+                        found = True
+                        break
+                if saved is _UNBOUND:
+                    env.pop(var, None)
+                else:
+                    env[var] = saved
+                return found
+
+            return exists
         raise TypeError(f"not a formula: {f!r}")
 
-    return ev(f, dict(assignment))
+    return compile_node(formula)
+
+
+def eval_lo(model, f, assignment, X):
+    """Satisfaction at an assignment of states to variables and an event to X."""
+    return _compile_lo(model, f)(dict(assignment), X)
 
 
 LO_TEXTS = {
@@ -653,13 +743,13 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
         )
 
     model = standard_model(game.full_restriction())
+    run = _compile_lo(model, formula)
     state_of = {}
     for w in model.states():
         state_of.setdefault(model.strategy_of(i, w), w)
 
     def evaluator(s, G):
-        X = event_of_restriction(model, G)
-        return eval_lo(model, formula, {pivot: state_of[s]}, X)
+        return run({pivot: state_of[s]}, event_of_restriction(model, G))
 
     return OptimalityProperty(
         name, i, game, evaluator, "compiled", monotone=check_positive_lo(formula)

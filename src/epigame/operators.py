@@ -10,7 +10,6 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .games import (
     BudgetExceededError,

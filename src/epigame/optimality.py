@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import dominance
-from .games import BudgetExceededError, Restriction, all_restrictions, subsets_of
+from .games import Restriction, all_restrictions, subsets_of
 
 
 class NonMonotonicPropertyError(ValueError):

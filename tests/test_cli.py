@@ -227,6 +227,19 @@ def test_eval_box_needs_correspondences(capsys):
     assert "correspondences" in err
 
 
+@pytest.mark.parametrize("formula, named", [("Box_9(rat)", 9), ("rat_3", 3), ("O_5(rat)", 5)])
+def test_eval_refuses_a_player_the_game_does_not_have(capsys, tmp_path, formula, named):
+    model = tmp_path / "k.emodel"
+    model.write_text(
+        f"game {PD}\nstates a b\n"
+        "assign a 1 C\nassign a 2 C\nassign b 1 D\nassign b 2 D\n"
+        "P 1 a : a\nP 1 b : b\nP 2 a : a b\nP 2 b : a b\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "eval", str(model), "--formula", formula, "--property", "sd_g")
+    assert (code, out, err) == (2, "", f"error: formula names player {named}; the game has 2\n")
+
+
 def test_eval_parse_error(capsys):
     code, _, err = run(capsys, "eval", FIG2, "--formula", "rat &")
     assert code == 2

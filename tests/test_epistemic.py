@@ -30,7 +30,13 @@ from epigame.epistemic import (
     standard_model,
     validate,
 )
-from epigame.games import BudgetExceededError, Restriction, game_to_text, load_game_file
+from epigame.games import (
+    BudgetExceededError,
+    Restriction,
+    all_restrictions,
+    game_to_text,
+    load_game_file,
+)
 from epigame.operators import iterate_to_outcome
 from epigame.optimality import (
     NonMonotonicPropertyError,
@@ -183,6 +189,22 @@ def test_restriction_event_round_trip():
     event = event_of_restriction(model, G)
     assert event == frozenset({model.state_index("D,C"), model.state_index("D,D")})
     assert restriction_of(model, event) == G
+
+
+def test_event_of_restriction_matches_a_per_state_reference():
+    """Restrictions with empty components, on models that are not standard."""
+    rng = random.Random(19)
+    cfg = CheckConfig(max_strategies=3)
+    for _ in range(20):
+        game = random_game(rng, cfg, rng.randint(2, 3))
+        model = random_belief_model(rng, game, 6)
+        for G in all_restrictions(game):
+            expected = frozenset(
+                w
+                for w in model.states()
+                if all(model.strategy_of(i, w) in G.sets[i] for i in range(game.n))
+            )
+            assert event_of_restriction(model, G) == expected
 
 
 def test_restriction_of_per_player_events():

@@ -1,25 +1,34 @@
 """Both formula languages, their evaluators, and the derivation checker."""
 
+import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from epigame import epistemic
 from epigame.checks import (
     BUNDLED_DERIVATION,
     TAMPERED_DERIVATIONS,
     CheckConfig,
+    random_game,
     random_l_formula,
+    random_positive_body,
 )
 from epigame.epistemic import (
     EpistemicModel,
     common_box,
     event_of_restriction,
+    random_assignment,
+    random_belief_model,
     rat_event,
     rationality_event,
+    restriction_of,
     standard_model,
 )
-from epigame.games import BudgetExceededError, load_game_file
+from epigame.games import BudgetExceededError, Game, full_profile, load_game_file, subsets_of
 from epigame.logic import (
     AndF,
     AndO,
@@ -48,8 +57,10 @@ from epigame.logic import (
     find_validity_counterexample,
     has_free_var,
     impl,
+    lnu_denotation,
     lo_free_vars,
     lo_text,
+    LO_TEXTS,
     o_forall,
     o_impl,
     parse_derivation,
@@ -61,7 +72,7 @@ from epigame.logic import (
     var_positive,
     walk,
 )
-from epigame.optimality import profile_named
+from epigame.optimality import MONOTONE_BUILTINS, profile_named
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -218,6 +229,82 @@ def test_find_validity_counterexample():
     assert found == (model, profile)
 
 
+def test_lnu_denotation_is_eval_lnu_with_one_rationality_event_per_player(monkeypatch):
+    real = rationality_event
+    calls = Counter()
+
+    def counting(model, prop):
+        calls[prop.player] += 1
+        return real(model, prop)
+
+    monkeypatch.setattr("epigame.logic.rationality_event", counting)
+    rng = random.Random(23)
+    cfg = CheckConfig()
+    for _ in range(30):
+        game = random_game(rng, cfg, rng.randint(2, 3))
+        model = random_belief_model(rng, game, 4)
+        profile = profile_named(game, rng.choice(MONOTONE_BUILTINS))
+        body = random_positive_body(rng, game)
+        events = list(subsets_of(model.states()))
+        for formula in (body, Nu(body)):
+            calls.clear()
+            denotation = lnu_denotation(model, formula, profile)
+            got = [denotation(F) for F in events]
+            assert max(calls.values(), default=0) <= 1
+            assert got == [eval_lnu(model, formula, profile, x_event=F) for F in events]
+
+
+def test_players_out_of_range_are_refused_when_compiled():
+    model = _pd_knowledge()
+    profile = profile_named(PD, "sd_g")
+    for text, named in (("Box_9(rat)", 9), ("rat_3", 3), ("O_5(rat)", 5), ("x & !rat_3", 3)):
+        with pytest.raises(LogicEvalError) as info:
+            lnu_denotation(model, parse_lnu(text), profile)
+        assert str(info.value) == f"formula names player {named}; the game has 2"
+    with pytest.raises(LogicEvalError) as info:
+        eval_lo(model, parse_lo("x >=^4_x x"), {"x": 0}, model.all_event())
+    assert str(info.value) == "formula names player 4; the game has 2"
+
+
+def _unmemoised_rat_definability(model, profile):
+    """The definability check with one optimality event per event X."""
+    for i in range(model.game.n):
+        rhs = model.all_event()
+        for X in subsets_of(model.states()):
+            optimal = epistemic.optimality_event(model, profile[i], restriction_of(model, X))
+            rhs &= (model.all_event() - epistemic.box(model, X, i)) | optimal
+        if rationality_event(model, profile[i]) != rhs:
+            return False
+    return True
+
+
+def test_rat_definability_computes_one_optimality_event_per_restriction(monkeypatch):
+    real = epistemic.optimality_event
+    calls = Counter()
+
+    def counting(model, prop, restriction=None):
+        calls[prop.player] += 1
+        return real(model, prop, restriction)
+
+    monkeypatch.setattr("epigame.logic.optimality_event", counting)
+    rng = random.Random(31)
+    cfg = CheckConfig()
+    answers = set()
+    for _ in range(30):
+        game = random_game(rng, cfg, rng.randint(2, 3))
+        model = random_belief_model(rng, game, 5)
+        profile = profile_named(game, rng.choice(("sd_g", "br_g", "br_l", "wd_l")))
+        distinct = {restriction_of(model, X) for X in subsets_of(model.states())}
+        calls.clear()
+        got = check_rat_definability(model, profile)
+        assert got == _unmemoised_rat_definability(model, profile)
+        assert set(calls.values()) == {len(distinct)}
+        if got:
+            assert set(calls) == set(range(game.n))
+        answers.add(got)
+    assert answers == {True, False}
+
+
 def test_rat_definability():
     """The event quantifier ranges over supersets of the believed event, so the
     definition matches exactly for monotone properties."""
@@ -284,6 +371,166 @@ def test_eval_lo_directly():
     assert eval_lo(model, f, {"x": state_of[1]}, X)
     with pytest.raises(LogicEvalError):
         eval_lo(model, f, {}, X)
+
+
+# ---------- the compiled first-order evaluator against a tree walker ----------
+
+
+def _walker_eval_lo(model, f, assignment, X):
+    """The plain tree walker over the syntax, with Fraction payoffs."""
+
+    def ev(f, asg):
+        if isinstance(f, Member):
+            if f.var not in asg:
+                raise LogicEvalError(f"unbound variable {f.var!r}")
+            return asg[f.var] in X
+        if isinstance(f, Cmp):
+            for v in (f.left, f.ctx, f.right):
+                if v not in asg:
+                    raise LogicEvalError(f"unbound variable {v!r}")
+            game = model.game
+            i = f.player
+            wz = asg[f.ctx]
+            ctx = tuple(model.strategy_of(j, wz) for j in range(game.n) if j != i)
+            a = game.payoff(i, full_profile(i, model.strategy_of(i, asg[f.left]), ctx))
+            b = game.payoff(i, full_profile(i, model.strategy_of(i, asg[f.right]), ctx))
+            return a >= b
+        if isinstance(f, NotO):
+            return not ev(f.sub, asg)
+        if isinstance(f, AndO):
+            return ev(f.left, asg) and ev(f.right, asg)
+        if isinstance(f, ExistsO):
+            for w in model.states():
+                asg2 = dict(asg)
+                asg2[f.var] = w
+                if ev(f.body, asg2):
+                    return True
+            return False
+        raise TypeError(f"not a formula: {f!r}")
+
+    return ev(f, dict(assignment))
+
+
+def _outcome(evaluate, *args):
+    try:
+        value = evaluate(*args)
+    except LogicEvalError as exc:
+        return "raises", str(exc)
+    assert type(value) is bool
+    return "returns", value
+
+
+def _rational_game(rng, n):
+    """Payoffs p/q with mixed denominators, negative ones included."""
+    sizes = [rng.randint(1, 3) for _ in range(n)]
+    names = tuple(tuple(f"s{k}" for k in range(size)) for size in sizes)
+    table = {
+        profile: tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7))) for _ in range(n))
+        for profile in itertools.product(*map(range, sizes))
+    }
+    return Game(names, table)
+
+
+def _model_with_repeated_profiles(rng, game):
+    """A bare or belief model, not a standard one: its last state repeats the
+    profile of its first."""
+    if rng.random() < 0.5:
+        k = rng.randint(2, 4)
+        names, corr = tuple(f"w{w + 1}" for w in range(k)), None
+        assignment = random_assignment(rng, game, k)
+    else:
+        belief = random_belief_model(rng, game, 4)
+        names, corr, assignment = belief.state_names, belief.correspondences, belief.assignment
+    assignment = tuple(own[:-1] + own[:1] if len(own) > 1 else own for own in assignment)
+    return EpistemicModel(game, names, assignment, corr)
+
+
+_LO_VARS = ("x", "y", "z")
+
+
+def _random_lo(rng, game, depth=4):
+    """Random conditions; quantifiers reuse the three variable names, so inner
+    ones shadow outer ones."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return Member(rng.choice(_LO_VARS))
+        return Cmp(rng.randrange(game.n), *(rng.choice(_LO_VARS) for _ in range(3)))
+    kind = rng.choice(("not", "and", "exists", "exists in", "forall", "forall in"))
+    var = rng.choice(_LO_VARS)
+    body = _random_lo(rng, game, depth - 1)
+    if kind == "not":
+        return NotO(body)
+    if kind == "and":
+        return AndO(body, _random_lo(rng, game, depth - 1))
+    if kind == "exists":
+        return ExistsO(var, body)
+    if kind == "exists in":
+        return ExistsO(var, AndO(Member(var), body))
+    if kind == "forall":
+        return o_forall(var, body)
+    return o_forall(var, o_impl(Member(var), body))
+
+
+def _some_events(rng, model):
+    """The empty and the full event and random ones, most not product events."""
+    states = list(model.states())
+    return [frozenset(), model.all_event()] + [
+        frozenset(rng.sample(states, rng.randint(1, len(states)))) for _ in range(2)
+    ]
+
+
+def test_compiled_conditions_equal_the_walker_on_random_formulas():
+    rng = random.Random(41)
+    for _ in range(12):
+        game = _rational_game(rng, rng.randint(2, 3))
+        model = _model_with_repeated_profiles(rng, game)
+        events = _some_events(rng, model)
+        for _ in range(16):
+            f = _random_lo(rng, game)
+            for states in itertools.product(model.states(), repeat=len(_LO_VARS)):
+                full = dict(zip(_LO_VARS, states))
+                # every assignment, and some with variables left unbound
+                partial = {v: w for v, w in full.items() if rng.random() < 0.5}
+                for assignment in (full, partial):
+                    X = rng.choice(events)
+                    assert _outcome(eval_lo, model, f, assignment, X) == _outcome(
+                        _walker_eval_lo, model, f, assignment, X
+                    ), (f, assignment, X)
+
+
+def test_compiled_optimality_conditions_equal_the_walker():
+    rng = random.Random(43)
+    for _ in range(10):
+        game = _rational_game(rng, rng.randint(2, 3))
+        model = _model_with_repeated_profiles(rng, game)
+        events = _some_events(rng, model)
+        for name in LO_TEXTS:
+            for i in range(game.n):
+                f = parse_lo(lo_text(name, i))
+                for w, X in itertools.product(model.states(), events):
+                    # y is bound outside and shadowed inside every condition
+                    assignment = {"x": w, "y": rng.choice(model.states())}
+                    assert eval_lo(model, f, assignment, X) == _walker_eval_lo(
+                        model, f, assignment, X
+                    ), (name, i, w, X)
+
+
+def test_unbound_variables_raise_only_where_evaluation_reaches_them():
+    model = standard_model(PD.full_restriction())
+    X = frozenset({0})
+    f = AndO(Member("x"), Member("u"))
+    assert eval_lo(model, f, {"x": 1}, X) is False
+    with pytest.raises(LogicEvalError) as info:
+        eval_lo(model, f, {"x": 0}, X)
+    assert str(info.value) == "unbound variable 'u'"
+    for bound, missing in (({"b": 0}, "a"), ({"a": 0}, "b"), ({"a": 0, "b": 0}, "c")):
+        with pytest.raises(LogicEvalError) as info:
+            eval_lo(model, Cmp(0, "a", "b", "c"), bound, X)
+        assert str(info.value) == f"unbound variable {missing!r}"
+    # a quantifier's binding ends with it
+    with pytest.raises(LogicEvalError) as info:
+        eval_lo(model, AndO(ExistsO("u", Member("u")), Member("u")), {}, model.all_event())
+    assert str(info.value) == "unbound variable 'u'"
 
 
 def test_compiled_conditions_match_builtins_on_pd():

@@ -17,3 +17,30 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads; names in __all__ count as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_the_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert not found, f"unused imports in the package: {', '.join(found)}"
