@@ -94,9 +94,9 @@ def _pearce(game, context, i, support, dominated):
     correlated belief p over the contexts against which dominated does at
     least as well as every strategy in support (Pearce's lemma: there is one
     exactly when no mixture dominates). Its point is the belief, re-checked
-    by expected payoffs; when there is none, the Farkas ray on the support's
-    rows, normalised, is the dominating mixture, re-checked by
-    strictly_dominates.
+    by expected payoffs; when there is none, Infeasible.ray on the support's
+    rows (nonnegative, as standard_form negates these '>=' rows),
+    normalised, is the dominating mixture, re-checked by strictly_dominates.
     """
     rows = context.rows(i)
     mine = rows[dominated]

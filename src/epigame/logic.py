@@ -323,6 +323,8 @@ class _LnuParser(_TokenCursor):
             self.eat("(")
             inner = self.formula()
             self.eat(")")
+            if has_free_var(inner):
+                raise LogicParseError("CB(f) binds x, so f may not mention a free x", pos)
             return common_belief(inner)
         if kind == "(":
             self.eat()
@@ -349,14 +351,16 @@ def lnu_denotation(model, formula, profile=None):
     fixpoint variable denotes (None if it has none) to the event where the
     formula holds. Needs a profile for rat and O.
 
-    The formula is compiled once, and each player's rationality event is
-    computed at most once over all calls of the map. Greatest fixpoints are
+    The formula is compiled once, and over all calls of the map each
+    player's rationality event is computed at most once, and its optimality
+    event at most once per restriction. Greatest fixpoints are
     computed by downward iteration; a non-shrinking step means the body is not
     monotone for the supplied properties (possible despite syntactic
     positivity when a non-monotone property sits under O) and raises instead
     of converging to a wrong answer.
     """
     rat_cache = {}
+    opt_cache = {}  # (player, restriction's sets) -> optimality event
 
     def rat_of(i):
         if i not in rat_cache:
@@ -407,7 +411,10 @@ def lnu_denotation(model, formula, profile=None):
                 G = restriction_of(model, sub(xval))
                 event = everything
                 for i in players:
-                    event &= optimality_event(model, profile[i], G)
+                    key = (i, G.sets)
+                    if key not in opt_cache:
+                        opt_cache[key] = optimality_event(model, profile[i], G)
+                    event &= opt_cache[key]
                 return event
 
             return opt

@@ -1,25 +1,26 @@
 """Exact rational linear programming via a two-phase primal simplex on integer rows.
 
-`solve` first builds the standard form: bounded and free variables become
-nonnegative columns, `>=` rows are negated and finite upper bounds become
-`<=` rows. The tableau keeps every row, the reduced-cost row included, as
-Python ints: a positive multiple of the exact rational row, divided by the
-gcd of its entries after each pivot. Ratios are compared by
-cross-multiplication, and rationals appear only where the basic values and
-the dual vector are read out of the final tableau. Bland's rule (the lowest
-entering column, and the lowest basic index among tied ratios) keeps the
-pivoting finite on degenerate programs.
+The one program solved is: maximize c . x subject to linear rows, x >= 0.
+`standard_form` negates each `>=` row into a `<=` row and keeps the rest.
+The tableau keeps every row, the reduced-cost row included, as Python ints:
+a positive multiple of the exact rational row, divided by the gcd of its
+entries after each pivot. Ratios are compared by cross-multiplication, and
+rationals appear only where the basic values and the dual vector are read
+out of the final tableau. Bland's rule (the lowest entering column, and the
+lowest basic index among tied ratios) keeps the pivoting finite on
+degenerate programs.
 
 Every optimum is certified before it is returned, without trusting the
-pivots: the point is substituted into the original bounds, rows and
-objective (primal feasibility), and the dual vector is checked on the
-standard form: nonnegative on `<=` rows, u^T A >= c on every column, and
-u^T b equal to the claimed value (optimality, by weak duality).
+pivots: the point is checked against x >= 0, the rows and the objective
+(primal feasibility), and the dual vector is checked on the standard form:
+nonnegative on `<=` rows, u^T A >= c on every column, and u^T b equal to
+the claimed value (optimality, by weak duality).
 
 An infeasible program comes with the dual of phase 1 as its certificate, a
-Farkas ray on the rows of the standard form: nonnegative on `<=` rows,
-u^T A >= 0 on every column and u^T b < 0, so no y >= 0 meets the rows.
-Callers that act on the ray re-check what they derive from it.
+Farkas ray on the rows of the standard form (every `>=` row negated):
+nonnegative on `<=` rows, u^T A >= 0 on every column and u^T b < 0, so no
+x >= 0 meets the rows. Callers that act on the ray re-check what they
+derive from it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """ray: the Farkas certificate on the rows of standard_form(lp), or None
-    when an upper bound lies below its lower bound (INFEASIBLE)."""
+    """ray: the Farkas certificate on the rows of standard_form(lp)."""
 
-    ray: list | None = None
+    ray: list
 
 
 class Unbounded:
@@ -51,15 +51,11 @@ class Unbounded:
         return "Unbounded"
 
 
-INFEASIBLE = Infeasible()
 UNBOUNDED = Unbounded()
 
 
 class LinearProgram:
-    """maximize objective . x subject to linear constraints and var bounds.
-
-    Variables default to x >= 0; use set_bounds for free or shifted ranges.
-    """
+    """maximize objective . x subject to linear constraints and x >= 0."""
 
     def __init__(self, num_vars, objective):
         objective = [Fraction(c) for c in objective]
@@ -68,8 +64,6 @@ class LinearProgram:
         self.num_vars = num_vars
         self.objective = objective
         self.rows = []
-        self.lower = [ZERO] * num_vars
-        self.upper = [None] * num_vars
 
     def add(self, coeffs, rel, rhs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -79,86 +73,11 @@ class LinearProgram:
             raise ValueError(f"bad relation {rel!r}")
         self.rows.append((coeffs, rel, Fraction(rhs)))
 
-    def set_bounds(self, j, lower, upper):
-        self.lower[j] = None if lower is None else Fraction(lower)
-        self.upper[j] = None if upper is None else Fraction(upper)
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """maximize objective . y + const over y >= 0 subject to rows.
-
-    Each row is (dense coefficients, '<=' or '=', rhs). Original variable j
-    is shift[j] + sum(sign * y[column] for column, sign in col_of[j]).
-    """
-
-    rows: tuple
-    objective: tuple
-    const: Fraction
-    col_of: tuple
-    shift: tuple
-
-    def original_point(self, y):
-        point = []
-        for x, cols in zip(self.shift, self.col_of):
-            for col, sign in cols:
-                x += sign * y[col]
-            point.append(x)
-        return point
-
 
 def standard_form(lp):
-    """The standard form of lp, or None when some upper bound is below its lower bound."""
-    col_of = []  # per original var: list of (column, sign)
-    shift = []  # per original var: additive constant
-    ncols = 0
-    extra_rows = []
-    for j in range(lp.num_vars):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None and up is not None and up < lo:
-            return None
-        if lo is not None:
-            col_of.append([(ncols, ONE)])
-            shift.append(lo)
-            if up is not None:
-                extra_rows.append((j, up - lo))
-            ncols += 1
-        elif up is not None:
-            col_of.append([(ncols, -ONE)])
-            shift.append(up)
-            ncols += 1
-        else:
-            col_of.append([(ncols, ONE), (ncols + 1, -ONE)])
-            shift.append(ZERO)
-            ncols += 2
-
-    def substitute(coeffs):
-        dense = [ZERO] * ncols
-        const = ZERO
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            const += c * shift[j]
-            for col, sign in col_of[j]:
-                dense[col] += c * sign
-        return dense, const
-
-    rows = []  # (dense, rel, rhs) with rel in {<=, =}
-    for coeffs, rel, rhs in lp.rows:
-        dense, const = substitute(coeffs)
-        rhs = rhs - const
-        if rel == ">=":
-            dense = [-c for c in dense]
-            rhs = -rhs
-            rel = "<="
-        rows.append((dense, rel, rhs))
-    for j, cap in extra_rows:
-        dense = [ZERO] * ncols
-        col = col_of[j][0][0]
-        dense[col] = ONE
-        rows.append((dense, "<=", cap))
-    objective, const = substitute(lp.objective)
-    return StandardForm(tuple(rows), tuple(objective), const, tuple(col_of), tuple(shift))
+    """The rows of lp as (coefficients, '<=' or '=', rhs), each '>=' row negated."""
+    return [([-c for c in coeffs], "<=", -rhs) if rel == ">=" else (coeffs, rel, rhs)
+            for coeffs, rel, rhs in lp.rows]
 
 
 def _coprime(row):
@@ -185,25 +104,23 @@ def _eliminate(row, prow, j):
 
 
 def solve(lp):
-    """Solve an LP exactly. Returns Optimal(value, point), Infeasible or UNBOUNDED."""
-    form = standard_form(lp)
-    if form is None:
-        return INFEASIBLE
-    outcome = _simplex(form)
+    """Solve an LP exactly. Returns Optimal(value, point), Infeasible(ray) or UNBOUNDED."""
+    rows = standard_form(lp)
+    outcome = _simplex(rows, lp.objective)
     if not isinstance(outcome, tuple):
         return outcome
     y, dual = outcome
-    point = form.original_point(y)
+    point = y[:lp.num_vars]
     value = sum(c * x for c, x in zip(lp.objective, point))
-    _certify(lp, form, point, value, dual)
+    _certify(lp, rows, point, value, dual)
     return Optimal(value, tuple(point))
 
 
-def _simplex(form):
-    """Two-phase simplex on form: (y, dual), Infeasible(ray) or UNBOUNDED."""
-    ncols = len(form.objective)
-    nslack = sum(1 for _, rel, _ in form.rows if rel == "<=")
-    nart = sum(1 for _, rel, rhs in form.rows if rel == "=" or rhs < 0)
+def _simplex(rows, objective):
+    """Two-phase simplex on the standard-form rows: (y, dual), Infeasible(ray) or UNBOUNDED."""
+    ncols = len(objective)
+    nslack = sum(1 for _, rel, _ in rows if rel == "<=")
+    nart = sum(1 for _, rel, rhs in rows if rel == "=" or rhs < 0)
     # Columns: structural | slacks | artificials | rhs. A '<=' row with a
     # nonnegative rhs starts with its slack basic; every other row gets an
     # artificial. dual_col[r] = (column, sign) such that the dual value of
@@ -215,7 +132,7 @@ def _simplex(form):
     dual_col = []
     slack = ncols
     art = real
-    for dense, rel, rhs in form.rows:
+    for dense, rel, rhs in rows:
         row = list(dense) + [ZERO] * (nslack + nart) + [rhs]
         sign = -1 if rhs < 0 else 1
         if rel == "<=":
@@ -293,7 +210,7 @@ def _simplex(form):
             del tableau[r]
             del basis[r]
 
-    z = run_simplex(objective_row(list(form.objective) + [ZERO] * (width - ncols)), real)
+    z = run_simplex(objective_row(list(objective) + [ZERO] * (width - ncols)), real)
     if z is None:
         return UNBOUNDED
     y = [ZERO] * width
@@ -303,20 +220,17 @@ def _simplex(form):
     return y, dual
 
 
-def _certify(lp, form, point, value, dual):
-    """Exact check of a claimed optimum against lp and the dual on its standard form.
+def _certify(lp, rows, point, value, dual):
+    """Exact check of a claimed optimum against lp and the dual on its standard-form rows.
 
-    Raises AssertionError when point breaks a bound or a row of lp, when value
-    is not its objective, or when dual fails to prove that nothing does
-    better: dual must be nonnegative on the '<=' rows of form, cover the
-    objective on every column (u^T A >= c), and have u^T b equal to value
-    less the constant of form.
+    Raises AssertionError when point has a negative coordinate or breaks a
+    row of lp, when value is not its objective, or when dual fails to prove
+    that nothing does better: dual must be nonnegative on the '<=' rows,
+    cover the objective on every column (u^T A >= c), and have u^T b equal
+    to value.
     """
-    for j, x in enumerate(point):
-        if lp.lower[j] is not None and x < lp.lower[j]:
-            raise AssertionError("solution violates a lower bound")
-        if lp.upper[j] is not None and x > lp.upper[j]:
-            raise AssertionError("solution violates an upper bound")
+    if any(x < 0 for x in point):
+        raise AssertionError("solution has a negative coordinate")
     for coeffs, rel, rhs in lp.rows:
         lhs = sum(c * x for c, x in zip(coeffs, point))
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
@@ -325,13 +239,13 @@ def _certify(lp, form, point, value, dual):
     check = sum(c * x for c, x in zip(lp.objective, point))
     if check != value:
         raise AssertionError("objective value mismatch")
-    if len(dual) != len(form.rows):
+    if len(dual) != len(rows):
         raise AssertionError("dual has the wrong length")
-    for u, (_, rel, _) in zip(dual, form.rows):
+    for u, (_, rel, _) in zip(dual, rows):
         if rel == "<=" and u < 0:
             raise AssertionError("dual is negative on an inequality row")
-    for col, c in enumerate(form.objective):
-        if sum(u * dense[col] for u, (dense, _, _) in zip(dual, form.rows)) < c:
+    for col, c in enumerate(lp.objective):
+        if sum(u * dense[col] for u, (dense, _, _) in zip(dual, rows)) < c:
             raise AssertionError("dual does not cover the objective on a column")
-    if sum(u * rhs for u, (_, _, rhs) in zip(dual, form.rows)) != value - form.const:
+    if sum(u * rhs for u, (_, _, rhs) in zip(dual, rows)) != value:
         raise AssertionError("dual value differs from the primal value")

@@ -197,16 +197,15 @@ def test_criterion_06_justification_chain(capsys):
 def _margin_lp_undominated(game, G, i, s):
     """msd_l decided by an LP of its own: maximize eps subject to a mixture
     over G_i beating s by eps in every context of G; s survives when the
-    optimum is at most 0. Without contexts eps is unbounded: every mixture
-    dominates vacuously."""
+    optimum is at most 0. The free eps is written as eps+ - eps-. Without
+    contexts eps is unbounded: every mixture dominates vacuously."""
     support = sorted(G.sets[i])
     k = len(support)
-    lp = LinearProgram(k + 1, [0] * k + [1])
-    lp.set_bounds(k, None, None)
+    lp = LinearProgram(k + 2, [0] * k + [1, -1])
     for ctx in G.opponent_profiles(i):
-        lp.add([game.payoff(i, full_profile(i, d, ctx)) for d in support] + [-1],
+        lp.add([game.payoff(i, full_profile(i, d, ctx)) for d in support] + [-1, 1],
                ">=", game.payoff(i, full_profile(i, s, ctx)))
-    lp.add([1] * k + [0], "=", 1)
+    lp.add([1] * k + [0, 0], "=", 1)
     res = solve(lp)
     return isinstance(res, Optimal) and res.value <= 0
 

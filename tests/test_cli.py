@@ -227,8 +227,7 @@ def test_eval_box_needs_correspondences(capsys):
     assert "correspondences" in err
 
 
-@pytest.mark.parametrize("formula, named", [("Box_9(rat)", 9), ("rat_3", 3), ("O_5(rat)", 5)])
-def test_eval_refuses_a_player_the_game_does_not_have(capsys, tmp_path, formula, named):
+def _knowledge_model(tmp_path):
     model = tmp_path / "k.emodel"
     model.write_text(
         f"game {PD}\nstates a b\n"
@@ -236,8 +235,22 @@ def test_eval_refuses_a_player_the_game_does_not_have(capsys, tmp_path, formula,
         "P 1 a : a\nP 1 b : b\nP 2 a : a b\nP 2 b : a b\n",
         encoding="utf-8",
     )
-    code, out, err = run(capsys, "eval", str(model), "--formula", formula, "--property", "sd_g")
+    return str(model)
+
+
+@pytest.mark.parametrize("formula, named", [("Box_9(rat)", 9), ("rat_3", 3), ("O_5(rat)", 5)])
+def test_eval_refuses_a_player_the_game_does_not_have(capsys, tmp_path, formula, named):
+    model = _knowledge_model(tmp_path)
+    code, out, err = run(capsys, "eval", model, "--formula", formula, "--property", "sd_g")
     assert (code, out, err) == (2, "", f"error: formula names player {named}; the game has 2\n")
+
+
+@pytest.mark.parametrize("formula", ["CB(x)", "CB(rat & x)"])
+def test_eval_refuses_common_belief_of_a_free_x(capsys, tmp_path, formula):
+    model = _knowledge_model(tmp_path)
+    code, out, err = run(capsys, "eval", model, "--formula", formula, "--property", "sd_g")
+    assert (code, out) == (2, "")
+    assert "free x" in err
 
 
 def test_eval_parse_error(capsys):
@@ -394,6 +407,14 @@ def test_derive_invalid_file(tmp_path, capsys):
     assert code == 1
     assert out.strip().splitlines()[-1] == "Invalid"
     assert "FAILED" in out
+
+
+def test_derive_refuses_common_belief_of_a_free_x(tmp_path, capsys):
+    bad = tmp_path / "cbx.deriv"
+    bad.write_text("axiom ratDis psi=CB(x)\n")
+    code, out, err = run(capsys, "derive", str(bad))
+    assert (code, out) == (2, "")
+    assert "free x" in err
 
 
 def test_derive_format_error(tmp_path, capsys):

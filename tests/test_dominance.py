@@ -217,12 +217,12 @@ def _lp_mixed_dominance(game, i, support, s, contexts, strict):
     columns = [_payoffs(game, i, d, contexts) for d in support]
     target = _payoffs(game, i, s, contexts)
     if strict:
-        # maximize eps: sum_d w_d u(d, c) - eps >= u(s, c) for every context c
-        lp = LinearProgram(k + 1, [0] * k + [1])
-        lp.set_bounds(k, None, None)
+        # maximize eps: sum_d w_d u(d, c) - eps >= u(s, c) for every context c,
+        # with the free eps written as eps+ - eps-
+        lp = LinearProgram(k + 2, [0] * k + [1, -1])
         for c in range(m):
-            lp.add([col[c] for col in columns] + [-1], ">=", target[c])
-        lp.add([1] * k + [0], "=", 1)
+            lp.add([col[c] for col in columns] + [-1, 1], ">=", target[c])
+        lp.add([1] * k + [0, 0], "=", 1)
     else:
         # maximize the total gap: sum_d w_d u(d, c) - gap_c = u(s, c), gap_c >= 0
         lp = LinearProgram(k + m, [0] * k + [1] * m)

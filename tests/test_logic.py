@@ -119,6 +119,13 @@ def test_nu_wellformedness_enforced_at_parse():
         parse_lnu("nu x. nu x. x")
 
 
+@pytest.mark.parametrize("text", ["CB(x)", "CB(rat & x)", "rat & CB(Box x)"])
+def test_common_belief_refuses_a_free_x(text):
+    # CB(f) is nu x. Box(x & f): an x in f would be captured by that binder
+    with pytest.raises(LogicParseError, match="free x"):
+        parse_lnu(text)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(LogicParseError) as info:
         parse_lnu("foo")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigame.lp import (
-    INFEASIBLE,
     UNBOUNDED,
     Infeasible,
     LinearProgram,
@@ -37,12 +36,6 @@ def test_infeasible():
     assert res.ray == [1]
 
 
-def test_contradictory_bounds_give_infeasible_without_a_ray():
-    lp = LinearProgram(1, [1])
-    lp.set_bounds(0, 2, 1)
-    assert solve(lp) is INFEASIBLE and INFEASIBLE.ray is None
-
-
 def test_unbounded():
     lp = LinearProgram(2, [1, 0])
     lp.add([0, 1], "<=", 3)
@@ -50,11 +43,11 @@ def test_unbounded():
 
 
 def test_free_variable():
-    lp = LinearProgram(1, [-1])
-    lp.set_bounds(0, None, None)
-    lp.add([1], ">=", -5)
+    # a free x is written as x+ - x-, two nonnegative columns
+    lp = LinearProgram(2, [-1, 1])
+    lp.add([1, -1], ">=", -5)
     res = solve(lp)
-    assert res.value == 5 and res.point == (Fraction(-5),)
+    assert res.value == 5 and res.point == (0, Fraction(5))
 
 
 def test_equality_constraint_simplex_on_weights():
@@ -68,9 +61,11 @@ def test_equality_constraint_simplex_on_weights():
 
 
 def test_upper_bounds_respected():
+    # bounds are rows: x <= 1/3 and 1/4 <= y <= 2
     lp = LinearProgram(2, [1, 1])
-    lp.set_bounds(0, 0, Fraction(1, 3))
-    lp.set_bounds(1, Fraction(1, 4), 2)
+    lp.add([1, 0], "<=", Fraction(1, 3))
+    lp.add([0, 1], ">=", Fraction(1, 4))
+    lp.add([0, 1], "<=", 2)
     res = solve(lp)
     assert res.value == Fraction(1, 3) + 2
 
@@ -115,14 +110,13 @@ def _solve_square(rows, rhs):
     return tuple(aug[r][n] for r in range(n))
 
 
+def _unit(num_vars, j):
+    return [int(k == j) for k in range(num_vars)]
+
+
 def _all_constraints(lp):
     cons = [(tuple(c), rel, rhs) for c, rel, rhs in lp.rows]
-    for j in range(lp.num_vars):
-        unit = tuple(Fraction(int(k == j)) for k in range(lp.num_vars))
-        if lp.lower[j] is not None:
-            cons.append((unit, ">=", lp.lower[j]))
-        if lp.upper[j] is not None:
-            cons.append((unit, "<=", lp.upper[j]))
+    cons.extend((tuple(_unit(lp.num_vars, j)), ">=", 0) for j in range(lp.num_vars))
     return cons
 
 
@@ -139,7 +133,7 @@ def _vertex_optimum(lp):
     """Best objective value over polytope vertices; None when infeasible.
 
     Sound for bounded feasible regions only, which the generator guarantees
-    by boxing every variable.
+    by capping every variable with a '<=' row.
     """
     cons = _all_constraints(lp)
     best = None
@@ -161,7 +155,7 @@ def _boxed_lps(draw):
     num_vars = draw(st.integers(1, 3))
     lp = LinearProgram(num_vars, draw(st.lists(_coeff, min_size=num_vars, max_size=num_vars)))
     for j in range(num_vars):
-        lp.set_bounds(j, 0, draw(st.integers(0, 3)))
+        lp.add(_unit(num_vars, j), "<=", draw(st.integers(0, 3)))
     for _ in range(draw(st.integers(0, 3))):
         coeffs = draw(st.lists(_coeff, min_size=num_vars, max_size=num_vars))
         rel = draw(st.sampled_from(("<=", ">=", "=")))
@@ -171,20 +165,20 @@ def _boxed_lps(draw):
 
 def _assert_farkas_ray(lp, ray):
     """ray proves lp infeasible on its standard form: u >= 0 on '<=' rows,
-    u^T A >= 0 on every column and u^T b < 0, so no y >= 0 meets the rows."""
-    form = standard_form(lp)
-    assert len(ray) == len(form.rows)
-    for u, (_, rel, _) in zip(ray, form.rows):
+    u^T A >= 0 on every column and u^T b < 0, so no x >= 0 meets the rows."""
+    rows = standard_form(lp)
+    assert len(ray) == len(rows)
+    for u, (_, rel, _) in zip(ray, rows):
         assert rel == "=" or u >= 0
-    for col in range(len(form.objective)):
-        assert sum(u * dense[col] for u, (dense, _, _) in zip(ray, form.rows)) >= 0
-    assert sum(u * rhs for u, (_, _, rhs) in zip(ray, form.rows)) < 0
+    for col in range(lp.num_vars):
+        assert sum(u * dense[col] for u, (dense, _, _) in zip(ray, rows)) >= 0
+    assert sum(u * rhs for u, (_, _, rhs) in zip(ray, rows)) < 0
 
 
 def test_infeasible_rays_on_equality_and_upper_bound_rows():
     # -x = 1 needs a negative weight on its '=' row and x = -1, whose row
-    # phase 1 negates, a positive one; x <= 1 with x + y >= 3 and y <= 1
-    # needs the two upper-bound rows that standard_form appends
+    # phase 1 negates, a positive one; x + y >= 3 with the caps x <= 1 and
+    # y <= 1 needs both cap rows
     for coeff, rhs, weight in ((-1, 1, -1), (1, -1, 1)):
         lp = LinearProgram(1, [0])
         lp.add([coeff], "=", rhs)
@@ -192,9 +186,9 @@ def test_infeasible_rays_on_equality_and_upper_bound_rows():
         _assert_farkas_ray(lp, res.ray)
         assert res.ray[0] * weight > 0
     lp = LinearProgram(2, [0, 0])
-    lp.set_bounds(0, 0, 1)
-    lp.set_bounds(1, 0, 1)
     lp.add([1, 1], ">=", 3)
+    lp.add([1, 0], "<=", 1)
+    lp.add([0, 1], "<=", 1)
     res = solve(lp)
     _assert_farkas_ray(lp, res.ray)
     assert res.ray[1:] == [1, 1]
@@ -255,31 +249,27 @@ def test_certificate_accepts_the_optimum_with_its_dual():
 
 def test_certificate_rejects_a_feasible_suboptimal_point_with_any_dual():
     lp = _two_row_lp()
-    form = standard_form(lp)
+    rows = standard_form(lp)
     point = (Fraction(1), Fraction(1))  # feasible, objective 2 < 14/5
     grid = [Fraction(k, 5) for k in range(-5, 11)]
     duals = [[Fraction(2, 5), Fraction(1, 5)]] + [list(u) for u in itertools.product(grid, repeat=2)]
     for dual in duals:
         with pytest.raises(AssertionError):
-            _certify(lp, form, point, Fraction(2), dual)
+            _certify(lp, rows, point, Fraction(2), dual)
 
 
-def test_certificate_checks_the_dual_on_the_substituted_form():
-    # x free and y <= 3 become three nonnegative columns x+, x- and 3 - y, so
-    # the objective -x + y gains the constant 3 and the dual is read on them
-    lp = LinearProgram(2, [-1, 1])
-    lp.set_bounds(0, None, None)
-    lp.set_bounds(1, None, 3)
-    lp.add([1, 0], ">=", -5)
-    lp.add([0, 1], ">=", 0)
-    res = solve(lp)
-    assert res == Optimal(Fraction(8), (Fraction(-5), Fraction(3)))
-    form = standard_form(lp)
-    assert len(form.objective) == 3 and form.const == 3
-    _certify(lp, form, res.point, res.value, [Fraction(1), Fraction(0)])
-    for dual in ([Fraction(0), Fraction(0)], [Fraction(1), Fraction(-1)]):
-        with pytest.raises(AssertionError):
-            _certify(lp, form, res.point, res.value, dual)
+def test_certificate_refuses_a_negative_coordinate():
+    # maximize -x s.t. x >= -5: x = -5 meets the row, its value 5 matches and
+    # the dual 1 on the negated row -x <= 5 covers the column with u.b = 5,
+    # so only the x >= 0 check stands between it and a false optimum
+    lp = LinearProgram(1, [-1])
+    lp.add([1], ">=", -5)
+    rows = standard_form(lp)
+    assert rows == [([-1], "<=", 5)]
+    with pytest.raises(AssertionError, match="negative coordinate"):
+        _certify(lp, rows, (Fraction(-5),), Fraction(5), [Fraction(1)])
+    assert solve(lp) == Optimal(Fraction(0), (Fraction(0),))
+    _certify(lp, rows, (Fraction(0),), Fraction(0), [Fraction(0)])
 
 
 def test_certificate_needs_a_nonnegative_dual_on_inequality_rows():
@@ -287,7 +277,7 @@ def test_certificate_needs_a_nonnegative_dual_on_inequality_rows():
     # the optimum, yet proves nothing because it is negative on a '<=' row
     lp = LinearProgram(1, [-1])
     lp.add([1], "<=", 0)
-    form = standard_form(lp)
-    _certify(lp, form, (Fraction(0),), Fraction(0), [Fraction(0)])
-    with pytest.raises(AssertionError, match="negative"):
-        _certify(lp, form, (Fraction(0),), Fraction(0), [Fraction(-1)])
+    rows = standard_form(lp)
+    _certify(lp, rows, (Fraction(0),), Fraction(0), [Fraction(0)])
+    with pytest.raises(AssertionError, match="negative on an inequality row"):
+        _certify(lp, rows, (Fraction(0),), Fraction(0), [Fraction(-1)])
