@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import announcements, epistemic, games, logic, operators, optimality
@@ -108,17 +109,18 @@ def _profile(game, names, belief_class=None):
     )
 
 
-def _pick_names(rng, cfg, pool, n):
-    pool = cfg.properties or pool
-    return [rng.choice(pool) for _ in range(n)]
-
-
 def _random_profile(rng, cfg, pool):
     """A random game and one property per player, names drawn from the pool."""
     n = rng.randint(cfg.min_players, cfg.max_players)
-    names = _pick_names(rng, cfg, pool, n)
+    names = [rng.choice(pool) for _ in range(n)]
     game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
     return game, names, _profile(game, names)
+
+
+def _random_model(rng, game, max_states, mode):
+    if mode == "knowledge":
+        return epistemic.random_knowledge_model(rng, game, max_states)
+    return epistemic.random_belief_model(rng, game, max_states)
 
 
 def random_event(rng, model):
@@ -224,19 +226,14 @@ def _inclusion_payload(game, model, rat_names, outcome_names, mode, belief_class
 def _belief_inclusion_holds(model, rat_profile, outcome_profile, mode):
     """The induced restriction of (common belief of) rationality sits inside
     the elimination outcome of outcome_profile."""
-    rat = epistemic.rat_event(model, rat_profile)
-    event = epistemic.common_box(model, rat)
-    if mode == "belief":
-        event &= rat
-    lhs = epistemic.restriction_of(model, event)
+    _, lhs = epistemic.theorem1_lhs(model, rat_profile, mode)
     outcome = operators.iterate_to_outcome(outcome_profile).outcome
     return games.restriction_leq(lhs, outcome)
 
 
 def _witness_equality_holds(profile):
     witness = epistemic.construct_witness(profile)
-    event = epistemic.common_box(witness, epistemic.rat_event(witness, profile))
-    lhs = epistemic.restriction_of(witness, event)
+    _, lhs = epistemic.theorem1_lhs(witness, profile, "knowledge")
     return lhs == operators.iterate_to_outcome(profile).outcome
 
 
@@ -254,410 +251,509 @@ def verify_counterexample(payload):
     raise ValueError(f"cannot replay a counterexample for claim {claim!r}")
 
 
-# ---------- the checks ----------
+# ---------- the registry ----------
+
+# Filled by _check in definition order, which is the order `all` runs.
+CHECKS = {}  # name -> run(cfg) returning a CheckResult
+SUITES = {}
+# Which builtin names a check accepts through CheckConfig.properties; checks
+# missing here draw fixed properties and ignore the override.
+CHECK_POOLS = {}
 
 
-def _sweep(name, cfg, instance):
-    rng = random.Random(f"{cfg.seed}:{name}")
-    for k in range(cfg.count):
-        payload = instance(rng)
-        if payload is not None:
-            payload.setdefault("claim", name)
-            payload["check"] = name
-            return CheckResult(
-                name, False, k + 1, f"failed on instance {k + 1}", payload
-            )
-    return CheckResult(name, True, cfg.count)
+def _check(suite, pool=None, name=None, fixed=False):
+    """Register the decorated function as the check `name` (by default the
+    function's own name) of `suite`, drawing properties from `pool` if given.
+
+    The function tests one random instance: it gets the check's generator,
+    the configuration and, when the check has a pool, that pool or
+    CheckConfig.properties in its place; it returns None or a counterexample
+    payload. A fixed check's function gets nothing, tests its own fixed
+    instances and returns (instances, failure detail or "", payload).
+    """
+
+    def register(body):
+        key = name or body.__name__
+
+        def run(cfg):
+            if fixed:
+                instances, detail, payload = body()
+                return CheckResult(key, not detail, instances, detail, payload)
+            rng = random.Random(f"{cfg.seed}:{key}")
+            args = (rng, cfg) if pool is None else (rng, cfg, cfg.properties or pool)
+            for k in range(cfg.count):
+                payload = body(*args)
+                if payload is not None:
+                    payload.setdefault("claim", key)
+                    payload["check"] = key
+                    return CheckResult(
+                        key, False, k + 1, f"failed on instance {k + 1}", payload
+                    )
+            return CheckResult(key, True, cfg.count)
+
+        CHECKS[key] = run
+        SUITES[suite] = SUITES.get(suite, ()) + (key,)
+        if pool is not None:
+            CHECK_POOLS[key] = pool
+        return body
+
+    return register
 
 
-def check_epist1_belief(cfg):
-    """Common true belief of rationality only keeps surviving strategies."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
-        model = epistemic.random_belief_model(rng, game, cfg.max_states)
-        if _belief_inclusion_holds(model, profile, profile, "belief"):
-            return None
-        return _inclusion_payload(game, model, names, names, "belief")
-
-    return _sweep("epist1_belief", cfg, instance)
+# ---------- the checks, in registry order ----------
 
 
-def check_epist1_knowledge(cfg):
-    """Common knowledge of rationality only keeps surviving strategies."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
-        model = epistemic.random_knowledge_model(rng, game, cfg.max_states)
-        if _belief_inclusion_holds(model, profile, profile, "knowledge"):
-            return None
-        return _inclusion_payload(game, model, names, names, "knowledge")
-
-    return _sweep("epist1_knowledge", cfg, instance)
+def _epist1(rng, cfg, pool, mode):
+    """Common true belief (belief mode) or common knowledge (knowledge mode)
+    of rationality only keeps surviving strategies."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    model = _random_model(rng, game, cfg.max_states, mode)
+    if _belief_inclusion_holds(model, profile, profile, mode):
+        return None
+    return _inclusion_payload(game, model, names, names, mode)
 
 
-def check_epist1_witness(cfg):
+_check("epist1", MONOTONE_BUILTINS, "epist1_belief")(partial(_epist1, mode="belief"))
+_check("epist1", MONOTONE_BUILTINS, "epist1_knowledge")(partial(_epist1, mode="knowledge"))
+
+
+@_check("epist1", MONOTONE_BUILTINS)
+def epist1_witness(rng, cfg, pool):
     """Some knowledge model attains the outcome exactly."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
-        if _witness_equality_holds(profile):
-            return None
-        return {
-            "claim": "witness_equality",
-            "game": games.game_to_text(game),
-            "rat": list(names),
-        }
-
-    return _sweep("epist1_witness", cfg, instance)
+    game, names, profile = _random_profile(rng, cfg, pool)
+    if _witness_equality_holds(profile):
+        return None
+    return {
+        "claim": "witness_equality",
+        "game": games.game_to_text(game),
+        "rat": list(names),
+    }
 
 
-def check_epist2_identity(cfg):
+@_check("epist2", LOCAL_BUILTINS)
+def epist2_identity(rng, cfg, pool):
     """With singleton truth, common knowledge of rationality excludes nothing."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, LOCAL_BUILTINS)
-        report = epistemic.check_theorem_epist2(profile)
-        if report.ok and report.hypothesis_ok:
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "rat": list(names),
-            "hypothesis_ok": report.hypothesis_ok,
-            "lhs": [sorted(part) for part in report.lhs.sets],
-        }
-
-    return _sweep("epist2_identity", cfg, instance)
+    game, names, profile = _random_profile(rng, cfg, pool)
+    report = epistemic.check_theorem_epist2(profile)
+    if report.ok and report.hypothesis_ok:
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "rat": list(names),
+        "hypothesis_ok": report.hypothesis_ok,
+        "lhs": [sorted(part) for part in report.lhs.sets],
+    }
 
 
-def check_just_chain(cfg):
+@_check("just")
+def just_chain(rng, cfg):
     """Pointwise: best response to a joint strategy is not strictly dominated,
     and the global dominance property implies the local one."""
-
-    def instance(rng):
-        game = random_game(rng, cfg)
-        brg = _profile(game, "br_g")
-        sdg = _profile(game, "sd_g")
-        sdl = _profile(game, "sd_l")
-        for G in games.all_restrictions(game, budget=cfg.budget):
-            for i in range(game.n):
-                for s in G.strategies(i):
-                    a, b, c = (
-                        brg[i].holds(s, G),
-                        sdg[i].holds(s, G),
-                        sdl[i].holds(s, G),
-                    )
-                    if (a and not b) or (b and not c):
-                        return {
-                            "game": games.game_to_text(game),
-                            "restriction": G.describe(),
-                            "player": i + 1,
-                            "strategy": game.name(i, s),
-                            "values": {"br_g": a, "sd_g": b, "sd_l": c},
-                        }
-        big = operators.iterate_to_outcome(sdl).outcome
-        small = operators.iterate_to_outcome(brg).outcome
-        if games.restriction_leq(small, big):
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "outcome_br_g": small.describe(),
-            "outcome_sd_l": big.describe(),
-        }
-
-    return _sweep("just_chain", cfg, instance)
-
-
-def check_just_model(cfg):
-    """Common belief or knowledge of best-response rationality stays within
-    the pure strict dominance outcome."""
-
-    def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        game = random_game(rng, cfg, n)
-        brg = _profile(game, "br_g")
-        sdl_names = ["sd_l"] * n
-        belief = epistemic.random_belief_model(rng, game, cfg.max_states)
-        if not _belief_inclusion_holds(belief, brg, _profile(game, "sd_l"), "belief"):
-            return _inclusion_payload(game, belief, ["br_g"] * n, sdl_names, "belief")
-        knowledge = epistemic.random_knowledge_model(rng, game, cfg.max_states)
-        if not _belief_inclusion_holds(
-            knowledge, brg, _profile(game, "sd_l"), "knowledge"
-        ):
-            return _inclusion_payload(
-                game, knowledge, ["br_g"] * n, sdl_names, "knowledge"
-            )
+    game = random_game(rng, cfg)
+    brg = _profile(game, "br_g")
+    sdg = _profile(game, "sd_g")
+    sdl = _profile(game, "sd_l")
+    for G in games.all_restrictions(game, budget=cfg.budget):
+        for i in range(game.n):
+            for s in G.strategies(i):
+                a, b, c = (
+                    brg[i].holds(s, G),
+                    sdg[i].holds(s, G),
+                    sdl[i].holds(s, G),
+                )
+                if (a and not b) or (b and not c):
+                    return {
+                        "game": games.game_to_text(game),
+                        "restriction": G.describe(),
+                        "player": i + 1,
+                        "strategy": game.name(i, s),
+                        "values": {"br_g": a, "sd_g": b, "sd_l": c},
+                    }
+    big = operators.iterate_to_outcome(sdl).outcome
+    small = operators.iterate_to_outcome(brg).outcome
+    if games.restriction_leq(small, big):
         return None
+    return {
+        "game": games.game_to_text(game),
+        "outcome_br_g": small.describe(),
+        "outcome_sd_l": big.describe(),
+    }
 
-    return _sweep("just_model", cfg, instance)
+
+def _br_model(rng, cfg, outcome_name, belief_class):
+    """Common belief or knowledge of best-response rationality (with beliefs
+    of belief_class) stays within the outcome of outcome_name."""
+    n = rng.randint(cfg.min_players, cfg.max_players)
+    game = random_game(rng, cfg, n, lp_heavy=_lp_heavy([outcome_name]))
+    rat = _profile(game, "br_g", belief_class)
+    outcome = _profile(game, outcome_name)
+    for mode in ("belief", "knowledge"):
+        model = _random_model(rng, game, cfg.max_states, mode)
+        if not _belief_inclusion_holds(model, rat, outcome, mode):
+            return _inclusion_payload(
+                game, model, ["br_g"] * n, [outcome_name] * n, mode, belief_class
+            )
+    return None
 
 
-def check_just1_pearce(cfg):
+_check("just", name="just_model")(partial(_br_model, outcome_name="sd_l", belief_class=None))
+
+
+@_check("just1")
+def just1_pearce(rng, cfg):
     """Correlated best response and mixed strict dominance induce the same
     elimination operator on every restriction."""
-
-    def instance(rng):
-        game = random_game(rng, cfg, lp_heavy=True)
-        brc = _profile(game, "brc_l")
-        msd = _profile(game, "msd_l")
-        for G in games.all_restrictions(game, budget=cfg.budget):
-            left = operators.apply_T(brc, G)
-            right = operators.apply_T(msd, G)
-            if left != right:
-                return {
-                    "game": games.game_to_text(game),
-                    "restriction": G.describe(),
-                    "brc_l": left.describe(),
-                    "msd_l": right.describe(),
-                }
-        return None
-
-    return _sweep("just1_pearce", cfg, instance)
-
-
-def check_just1_model(cfg):
-    """Common belief or knowledge of best-response rationality with correlated
-    beliefs stays within the mixed strict dominance outcome."""
-
-    def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        game = random_game(rng, cfg, n, lp_heavy=True)
-        brg = _profile(game, "br_g", belief_class="correlated")
-        msd = _profile(game, "msd_l")
-        belief = epistemic.random_belief_model(rng, game, cfg.max_states)
-        if not _belief_inclusion_holds(belief, brg, msd, "belief"):
-            return _inclusion_payload(
-                game, belief, ["br_g"] * n, ["msd_l"] * n, "belief", "correlated"
-            )
-        knowledge = epistemic.random_knowledge_model(rng, game, cfg.max_states)
-        if not _belief_inclusion_holds(knowledge, brg, msd, "knowledge"):
-            return _inclusion_payload(
-                game, knowledge, ["br_g"] * n, ["msd_l"] * n, "knowledge", "correlated"
-            )
-        return None
-
-    return _sweep("just1_model", cfg, instance)
-
-
-def check_gfp_characterizations(cfg):
-    """Common belief of an event agrees with its two fixpoint descriptions,
-    plus the evident-event one on knowledge models."""
-
-    def instance(rng):
-        game = random_game(rng, cfg)
-        maker = (
-            epistemic.random_knowledge_model
-            if rng.random() < 0.5
-            else epistemic.random_belief_model
-        )
-        model = maker(rng, game, min(cfg.max_states, 8))
-        event = random_event(rng, model)
-        report = epistemic.check_fixed_point_characterizations(model, event)
-        if all(report.values()):
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "model": _model_payload(model),
-            "event": sorted(event),
-            "report": report,
-        }
-
-    return _sweep("gfp_characterizations", cfg, instance)
-
-
-def check_common_belief_formula(cfg):
-    """The fixpoint rendering of common belief matches the event operator."""
-
-    def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, PURE_BUILTINS, n)
-        game = random_game(rng, cfg, n)
-        model = epistemic.random_belief_model(rng, game, cfg.max_states)
-        profile = _profile(game, names)
-        psi = random_l_formula(rng, game)
-        lhs = logic.eval_lnu(model, logic.common_belief(psi), profile)
-        rhs = epistemic.common_box(model, logic.eval_lnu(model, psi, profile))
-        if lhs == rhs:
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "model": _model_payload(model),
-            "rat": list(names),
-            "formula": logic.pretty(psi),
-            "fixpoint": sorted(lhs),
-            "operator": sorted(rhs),
-        }
-
-    return _sweep("common_belief_formula", cfg, instance)
-
-
-def check_survival_formula(cfg):
-    """The strategies picked inside the optimality fixpoint survive
-    elimination; on the canonical model the two coincide."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
-        formula = logic.Nu(logic.Opt(None, logic.Var()))
-        outcome = operators.iterate_to_outcome(profile).outcome
-
-        model = random_bare_model(rng, game, cfg.max_states)
-        event = logic.eval_lnu(model, formula, profile)
-        induced = epistemic.restriction_of(model, event)
-        if not games.restriction_leq(induced, outcome):
+    game = random_game(rng, cfg, lp_heavy=True)
+    brc = _profile(game, "brc_l")
+    msd = _profile(game, "msd_l")
+    for G in games.all_restrictions(game, budget=cfg.budget):
+        left = operators.apply_T(brc, G)
+        right = operators.apply_T(msd, G)
+        if left != right:
             return {
                 "game": games.game_to_text(game),
-                "model": _model_payload(model),
-                "rat": list(names),
-                "induced": induced.describe(),
-                "outcome": outcome.describe(),
+                "restriction": G.describe(),
+                "brc_l": left.describe(),
+                "msd_l": right.describe(),
             }
-        standard = epistemic.standard_model(game.full_restriction())
-        ev2 = logic.eval_lnu(standard, formula, profile)
-        if ev2 == epistemic.event_of_restriction(standard, outcome):
-            return None
+    return None
+
+
+_check("just1", name="just1_model")(
+    partial(_br_model, outcome_name="msd_l", belief_class="correlated")
+)
+
+
+@_check("just", PURE_BUILTINS + ("msd_l", "msd_g"))
+def operator_laws(rng, cfg, pool):
+    """The operator deflates, stages shrink to a fixpoint, and for monotone
+    profiles the iteration outcome is the largest postfixpoint."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    G = rng.choice(list(games.all_restrictions(game, budget=cfg.budget)))
+    image = operators.apply_T(profile, G)
+    if not games.restriction_leq(image, G):
+        return {"game": games.game_to_text(game), "reason": "not deflationary"}
+    trace = operators.iterate_to_outcome(profile)
+    for earlier, later in zip(trace.stages, trace.stages[1:]):
+        if not games.restriction_leq(later, earlier):
+            return {"game": games.game_to_text(game), "reason": "stage grew"}
+    outcome = trace.outcome
+    if operators.apply_T(profile, outcome) != outcome:
+        return {"game": games.game_to_text(game), "reason": "outcome not fixed"}
+    if all(p.monotone for p in profile):
+        largest = operators.largest_fixpoint_via_postfixpoints(profile)
+        if largest != outcome:
+            return {
+                "game": games.game_to_text(game),
+                "rat": list(names),
+                "reason": "largest postfixpoint differs from the iteration",
+            }
+    return None
+
+
+@_check("just")
+def local_global_outcome(rng, cfg):
+    """Each dominance or best-response notion eliminates to the same outcome
+    whether dominators are drawn locally or globally."""
+    base = rng.choice(PAIR_BASES)
+    heavy = base in ("msd", "mwd")
+    game = random_game(rng, cfg, lp_heavy=heavy)
+    left = operators.iterate_to_outcome(_profile(game, f"{base}_l")).outcome
+    right = operators.iterate_to_outcome(_profile(game, f"{base}_g")).outcome
+    if left == right:
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "base": base,
+        "local": left.describe(),
+        "global": right.describe(),
+    }
+
+
+@_check("notes")
+def gfp_characterizations(rng, cfg):
+    """Common belief of an event agrees with its two fixpoint descriptions,
+    plus the evident-event one on knowledge models."""
+    game = random_game(rng, cfg)
+    mode = "knowledge" if rng.random() < 0.5 else "belief"
+    model = _random_model(rng, game, min(cfg.max_states, 8), mode)
+    event = random_event(rng, model)
+    report = epistemic.check_fixed_point_characterizations(model, event)
+    if all(report.values()):
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "model": _model_payload(model),
+        "event": sorted(event),
+        "report": report,
+    }
+
+
+@_check("notes", PURE_BUILTINS)
+def common_belief_formula(rng, cfg, pool):
+    """The fixpoint rendering of common belief matches the event operator."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    model = epistemic.random_belief_model(rng, game, cfg.max_states)
+    psi = random_l_formula(rng, game)
+    lhs = logic.eval_lnu(model, logic.common_belief(psi), profile)
+    rhs = epistemic.common_box(model, logic.eval_lnu(model, psi, profile))
+    if lhs == rhs:
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "model": _model_payload(model),
+        "rat": list(names),
+        "formula": logic.pretty(psi),
+        "fixpoint": sorted(lhs),
+        "operator": sorted(rhs),
+    }
+
+
+@_check("notes", MONOTONE_BUILTINS)
+def survival_formula(rng, cfg, pool):
+    """The strategies picked inside the optimality fixpoint survive
+    elimination; on the canonical model the two coincide."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    formula = logic.Nu(logic.Opt(None, logic.Var()))
+    outcome = operators.iterate_to_outcome(profile).outcome
+
+    model = random_bare_model(rng, game, cfg.max_states)
+    event = logic.eval_lnu(model, formula, profile)
+    induced = epistemic.restriction_of(model, event)
+    if not games.restriction_leq(induced, outcome):
         return {
             "game": games.game_to_text(game),
+            "model": _model_payload(model),
             "rat": list(names),
-            "fixpoint_event": sorted(ev2),
+            "induced": induced.describe(),
             "outcome": outcome.describe(),
         }
+    standard = epistemic.standard_model(game.full_restriction())
+    ev2 = logic.eval_lnu(standard, formula, profile)
+    if ev2 == epistemic.event_of_restriction(standard, outcome):
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "rat": list(names),
+        "fixpoint_event": sorted(ev2),
+        "outcome": outcome.describe(),
+    }
 
-    return _sweep("survival_formula", cfg, instance)
+
+@_check("notes")
+def note_7_1_proper(rng, cfg):
+    """A proper announcement turns the canonical model of a game into the
+    canonical model of the announced restriction."""
+    game = random_game(rng, cfg)
+    targets = tuple(
+        frozenset(
+            s for s in game.strategies(i) if rng.random() < 0.7
+        )
+        for i in range(game.n)
+    )
+    for with_corr in (False, True):
+        model = epistemic.standard_model(
+            game.full_restriction(), correspondences=with_corr
+        )
+        events = tuple(
+            frozenset(
+                w for w in model.states() if model.strategy_of(i, w) in targets[i]
+            )
+            for i in range(game.n)
+        )
+        if not announcements.is_proper(model, events):
+            return {
+                "game": games.game_to_text(game),
+                "reason": "cylinder announcement not recognized as proper",
+            }
+        result = announcements.effect(model, events)
+        target = epistemic.standard_model(
+            games.Restriction(game, targets), correspondences=with_corr
+        )
+        if not announcements.models_equal_via_profiles(
+            result, target, check_correspondences=with_corr
+        ):
+            return {
+                "game": games.game_to_text(game),
+                "targets": [sorted(part) for part in targets],
+                "reason": "effect is not the canonical model of the target",
+            }
+    return None
 
 
-def check_formula3_valid(cfg):
+@_check("notes", BUILTIN_NAMES)
+def note_7_2_operator(rng, cfg, pool):
+    """Announcing optimality on the canonical model acts exactly like one
+    application of the elimination operator."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    for G in games.all_restrictions(game, budget=cfg.budget):
+        if any(not part for part in G.sets):
+            continue
+        model = epistemic.standard_model(G)
+        events = tuple(
+            announcements.optimality_event(model, profile[i], G)
+            for i in range(game.n)
+        )
+        announced = announcements.announced_restriction(model, events)
+        if announced != operators.apply_T(profile, G):
+            return {
+                "game": games.game_to_text(game),
+                "rat": list(names),
+                "restriction": G.describe(),
+                "announced": announced.describe(),
+            }
+    return None
+
+
+@_check("notes")
+def note_7_4_pinned(rng, cfg):
+    """In the canonical knowledge model a player's possibility set pins their
+    own strategy and leaves the others free."""
+    game = random_game(rng, cfg)
+    restriction = None
+    for _ in range(20):
+        candidate = games.Restriction(
+            game,
+            tuple(
+                frozenset(s for s in game.strategies(i) if rng.random() < 0.8)
+                for i in range(game.n)
+            ),
+        )
+        if not candidate.is_empty():
+            restriction = candidate
+            break
+    if restriction is None:
+        restriction = game.full_restriction()
+    model = epistemic.standard_model(restriction, correspondences=True)
+    for i in range(game.n):
+        for w in model.states():
+            pinned = epistemic.pinned_restriction(model, i, w)
+            expected = tuple(
+                frozenset([model.strategy_of(i, w)])
+                if j == i
+                else restriction.sets[j]
+                for j in range(game.n)
+            )
+            if pinned.sets != expected:
+                return {
+                    "game": games.game_to_text(game),
+                    "restriction": restriction.describe(),
+                    "player": i + 1,
+                    "state": model.state_names[w],
+                    "pinned": pinned.describe(),
+                }
+    return None
+
+
+_FORMULA3 = logic.parse_lnu("rat & CB(rat) -> nu x. O x")
+
+
+@_check("logic", MONOTONE_BUILTINS)
+def formula3_valid(rng, cfg, pool):
     """rat & CB(rat) -> nu x. O x holds everywhere on belief models."""
-    formula = logic.parse_lnu("rat & CB(rat) -> nu x. O x")
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, MONOTONE_BUILTINS)
-        model = epistemic.random_belief_model(rng, game, cfg.max_states)
-        if logic.eval_lnu(model, formula, profile) == model.all_event():
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "model": _model_payload(model),
-            "rat": list(names),
-        }
-
-    return _sweep("formula3_valid", cfg, instance)
+    game, names, profile = _random_profile(rng, cfg, pool)
+    model = epistemic.random_belief_model(rng, game, cfg.max_states)
+    if logic.eval_lnu(model, _FORMULA3, profile) == model.all_event():
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "model": _model_payload(model),
+        "rat": list(names),
+    }
 
 
-def check_formula4_rat(cfg):
+@_check("logic", ("sd_g", "br_g"))
+def formula4_rat(rng, cfg, pool):
     """Rationality is the conjunction 'every believed event is optimal'."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
+    if logic.check_rat_definability(model, profile):
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "model": _model_payload(model),
+        "rat": list(names),
+    }
 
-    def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, ("sd_g", "br_g"), n)
-        game = random_game(rng, cfg, n)
-        model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
-        profile = _profile(game, names)
-        if logic.check_rat_definability(model, profile):
-            return None
+
+@_check("logic", ("sd_g", "br_g"))
+def nu_postfixpoints(rng, cfg, pool):
+    """The fixpoint evaluator returns the largest postfixpoint of the body."""
+    game, names, profile = _random_profile(rng, cfg, pool)
+    model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
+    body = random_positive_body(rng, game)
+    E = logic.eval_lnu(model, logic.Nu(body), profile)
+    body_of = logic.lnu_denotation(model, body, profile)
+    if body_of(E) != E:
         return {
             "game": games.game_to_text(game),
             "model": _model_payload(model),
-            "rat": list(names),
+            "body": logic.pretty(body),
+            "reason": "fixpoint equation fails",
         }
-
-    return _sweep("formula4_rat", cfg, instance)
-
-
-def check_nu_postfixpoints(cfg):
-    """The fixpoint evaluator returns the largest postfixpoint of the body."""
-
-    def instance(rng):
-        n = rng.randint(cfg.min_players, cfg.max_players)
-        names = _pick_names(rng, cfg, ("sd_g", "br_g"), n)
-        game = random_game(rng, cfg, n)
-        model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
-        profile = _profile(game, names)
-        body = random_positive_body(rng, game)
-        E = logic.eval_lnu(model, logic.Nu(body), profile)
-        body_of = logic.lnu_denotation(model, body, profile)
-        if body_of(E) != E:
+    for F in games.subsets_of(model.states()):
+        F = frozenset(F)
+        if F <= body_of(F) and not F <= E:
             return {
                 "game": games.game_to_text(game),
                 "model": _model_payload(model),
                 "body": logic.pretty(body),
-                "reason": "fixpoint equation fails",
+                "reason": f"postfixpoint {sorted(F)} escapes the fixpoint",
             }
-        for F in games.subsets_of(model.states()):
-            F = frozenset(F)
-            if F <= body_of(F) and not F <= E:
-                return {
-                    "game": games.game_to_text(game),
-                    "model": _model_payload(model),
-                    "body": logic.pretty(body),
-                    "reason": f"postfixpoint {sorted(F)} escapes the fixpoint",
-                }
-        return None
-
-    return _sweep("nu_postfixpoints", cfg, instance)
+    return None
 
 
-def check_positivity_monotone(cfg):
+@_check("logic")
+def positivity_monotone(rng, cfg):
     """Exactly two of the six conditions are positive, and the positive ones
     compile to monotone properties."""
-    positives = {
+    positives = sorted(
         name
         for name in logic.LO_TEXTS
         if logic.check_positive_lo(logic.parse_lo(logic.lo_text(name, 0)))
-    }
-    if positives != {"sd_g", "br_g"}:
-        return CheckResult(
-            "positivity_monotone",
-            False,
-            1,
-            f"positive set came out as {sorted(positives)}",
-        )
-
-    def instance(rng):
-        game = random_game(rng, cfg, n=2, lp_heavy=True)
-        for name in sorted(positives):
-            prop = logic.compile_lo_to_property(logic.lo_text(name, 0), game, 0, name)
-            report = optimality.is_monotonic_on(prop, budget=cfg.budget)
-            if not report.monotonic:
-                s, smaller, larger = report.counterexample
-                return {
-                    "game": games.game_to_text(game),
-                    "condition": name,
-                    "strategy": game.name(0, s),
-                    "smaller": smaller.describe(),
-                    "larger": larger.describe(),
-                }
-        return None
-
-    return _sweep("positivity_monotone", cfg, instance)
+    )
+    if positives != ["br_g", "sd_g"]:
+        return {"reason": f"positive set came out as {positives}"}
+    game = random_game(rng, cfg, n=2, lp_heavy=True)
+    for name in positives:
+        prop = logic.compile_lo_to_property(logic.lo_text(name, 0), game, 0, name)
+        report = optimality.is_monotonic_on(prop, budget=cfg.budget)
+        if not report.monotonic:
+            s, smaller, larger = report.counterexample
+            return {
+                "game": games.game_to_text(game),
+                "condition": name,
+                "strategy": game.name(0, s),
+                "smaller": smaller.describe(),
+                "larger": larger.describe(),
+            }
+    return None
 
 
-def check_compiled_agreement(cfg):
+@_check("logic")
+def compiled_agreement(rng, cfg):
     """Compiled conditions agree with the builtin properties on restrictions
     with no empty component."""
-
-    def instance(rng):
-        game = random_game(rng, cfg, lp_heavy=True)
-        for name in logic.LO_TEXTS:
-            for i in range(game.n):
-                compiled = logic.compile_lo_to_property(
-                    logic.lo_text(name, i), game, i, name
-                )
-                builtin = optimality.builtin(game, name, i)
-                for G in games.all_restrictions(game, budget=cfg.budget):
-                    if any(not part for part in G.sets):
-                        continue
-                    for s in game.strategies(i):
-                        if compiled.holds(s, G) != builtin.holds(s, G):
-                            return {
-                                "game": games.game_to_text(game),
-                                "condition": name,
-                                "player": i + 1,
-                                "strategy": game.name(i, s),
-                                "restriction": G.describe(),
-                            }
-        return None
-
-    return _sweep("compiled_agreement", cfg, instance)
+    game = random_game(rng, cfg, lp_heavy=True)
+    for name in logic.LO_TEXTS:
+        for i in range(game.n):
+            compiled = logic.compile_lo_to_property(
+                logic.lo_text(name, i), game, i, name
+            )
+            builtin = optimality.builtin(game, name, i)
+            for G in games.all_restrictions(game, budget=cfg.budget):
+                if any(not part for part in G.sets):
+                    continue
+                for s in game.strategies(i):
+                    if compiled.holds(s, G) != builtin.holds(s, G):
+                        return {
+                            "game": games.game_to_text(game),
+                            "condition": name,
+                            "player": i + 1,
+                            "strategy": game.name(i, s),
+                            "restriction": G.describe(),
+                        }
+    return None
 
 
 BUNDLED_DERIVATION = """\
@@ -710,381 +806,149 @@ TAMPERED_DERIVATIONS = (
 )
 
 
-def check_derivation_valid(cfg):
+@_check("logic", fixed=True)
+def derivation_valid():
     """The bundled derivation validates and every tampered variant fails."""
     report = logic.check_derivation(logic.parse_derivation(BUNDLED_DERIVATION))
     if not report.valid:
         bad = next(r for r in report.steps if not r.ok)
-        return CheckResult(
-            "derivation_valid", False, 1, f"step {bad.index}: {bad.reason}"
-        )
+        return 1, f"step {bad.index}: {bad.reason}", None
     expected = logic.impl(
         logic.AndF(logic.common_belief(logic.Rat(None)), logic.Rat(None)),
         logic.Nu(logic.Opt(None, logic.Var())),
     )
     if report.steps[-1].formula != expected:
-        return CheckResult(
-            "derivation_valid", False, 1, "final formula is not the target"
-        )
+        return 1, "final formula is not the target", None
     for k, text in enumerate(TAMPERED_DERIVATIONS):
         tampered = logic.check_derivation(logic.parse_derivation(text))
         if tampered.valid:
-            return CheckResult(
-                "derivation_valid",
-                False,
-                k + 2,
-                f"tampered variant {k + 1} was accepted",
-                {"derivation": text},
-            )
-    return CheckResult("derivation_valid", True, 1 + len(TAMPERED_DERIVATIONS))
+            return k + 2, f"tampered variant {k + 1} was accepted", {"derivation": text}
+    return 1 + len(TAMPERED_DERIVATIONS), "", None
 
 
-def check_operator_laws(cfg):
-    """The operator deflates, stages shrink to a fixpoint, and for monotone
-    profiles the iteration outcome is the largest postfixpoint."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(
-            rng, cfg, PURE_BUILTINS + ("msd_l", "msd_g")
-        )
-        G = rng.choice(list(games.all_restrictions(game, budget=cfg.budget)))
-        image = operators.apply_T(profile, G)
-        if not games.restriction_leq(image, G):
-            return {"game": games.game_to_text(game), "reason": "not deflationary"}
-        trace = operators.iterate_to_outcome(profile)
-        for earlier, later in zip(trace.stages, trace.stages[1:]):
-            if not games.restriction_leq(later, earlier):
-                return {"game": games.game_to_text(game), "reason": "stage grew"}
-        outcome = trace.outcome
-        if operators.apply_T(profile, outcome) != outcome:
-            return {"game": games.game_to_text(game), "reason": "outcome not fixed"}
-        if all(p.monotone for p in profile):
-            largest = operators.largest_fixpoint_via_postfixpoints(profile)
-            if largest != outcome:
-                return {
-                    "game": games.game_to_text(game),
-                    "rat": list(names),
-                    "reason": "largest postfixpoint differs from the iteration",
-                }
-        return None
-
-    return _sweep("operator_laws", cfg, instance)
-
-
-def check_local_global_outcome(cfg):
-    """Each dominance or best-response notion eliminates to the same outcome
-    whether dominators are drawn locally or globally."""
-
-    def instance(rng):
-        base = rng.choice(PAIR_BASES)
-        heavy = base in ("msd", "mwd")
-        game = random_game(rng, cfg, lp_heavy=heavy)
-        left = operators.iterate_to_outcome(_profile(game, f"{base}_l")).outcome
-        right = operators.iterate_to_outcome(_profile(game, f"{base}_g")).outcome
-        if left == right:
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "base": base,
-            "local": left.describe(),
-            "global": right.describe(),
-        }
-
-    return _sweep("local_global_outcome", cfg, instance)
-
-
-def check_condition_a_globals(cfg):
+@_check("announce")
+def condition_a_globals(rng, cfg):
     """The global properties never read the owner's own component."""
-
-    def instance(rng):
-        game = random_game(rng, cfg, lp_heavy=True)
-        for name in GLOBAL_BUILTINS:
-            for i in range(game.n):
-                report = optimality.satisfies_condition_A(
-                    optimality.builtin(game, name, i), budget=cfg.budget
-                )
-                if not report.independent:
-                    return {
-                        "game": games.game_to_text(game),
-                        "property": name,
-                        "player": i + 1,
-                    }
-        return None
-
-    return _sweep("condition_a_globals", cfg, instance)
-
-
-def check_note_7_2_operator(cfg):
-    """Announcing optimality on the canonical model acts exactly like one
-    application of the elimination operator."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, BUILTIN_NAMES)
-        for G in games.all_restrictions(game, budget=cfg.budget):
-            if any(not part for part in G.sets):
-                continue
-            model = epistemic.standard_model(G)
-            events = tuple(
-                announcements.optimality_event(model, profile[i], G)
-                for i in range(game.n)
-            )
-            announced = announcements.announced_restriction(model, events)
-            if announced != operators.apply_T(profile, G):
-                return {
-                    "game": games.game_to_text(game),
-                    "rat": list(names),
-                    "restriction": G.describe(),
-                    "announced": announced.describe(),
-                }
-        return None
-
-    return _sweep("note_7_2_operator", cfg, instance)
-
-
-def check_note_7_1_proper(cfg):
-    """A proper announcement turns the canonical model of a game into the
-    canonical model of the announced restriction."""
-
-    def instance(rng):
-        game = random_game(rng, cfg)
-        targets = tuple(
-            frozenset(
-                s for s in game.strategies(i) if rng.random() < 0.7
-            )
-            for i in range(game.n)
-        )
-        for with_corr in (False, True):
-            model = epistemic.standard_model(
-                game.full_restriction(), correspondences=with_corr
-            )
-            events = tuple(
-                frozenset(
-                    w for w in model.states() if model.strategy_of(i, w) in targets[i]
-                )
-                for i in range(game.n)
-            )
-            if not announcements.is_proper(model, events):
-                return {
-                    "game": games.game_to_text(game),
-                    "reason": "cylinder announcement not recognized as proper",
-                }
-            result = announcements.effect(model, events)
-            target = epistemic.standard_model(
-                games.Restriction(game, targets), correspondences=with_corr
-            )
-            if not announcements.models_equal_via_profiles(
-                result, target, check_correspondences=with_corr
-            ):
-                return {
-                    "game": games.game_to_text(game),
-                    "targets": [sorted(part) for part in targets],
-                    "reason": "effect is not the canonical model of the target",
-                }
-        return None
-
-    return _sweep("note_7_1_proper", cfg, instance)
-
-
-def check_note_7_4_pinned(cfg):
-    """In the canonical knowledge model a player's possibility set pins their
-    own strategy and leaves the others free."""
-
-    def instance(rng):
-        game = random_game(rng, cfg)
-        restriction = None
-        for _ in range(20):
-            candidate = games.Restriction(
-                game,
-                tuple(
-                    frozenset(s for s in game.strategies(i) if rng.random() < 0.8)
-                    for i in range(game.n)
-                ),
-            )
-            if not candidate.is_empty():
-                restriction = candidate
-                break
-        if restriction is None:
-            restriction = game.full_restriction()
-        model = epistemic.standard_model(restriction, correspondences=True)
+    game = random_game(rng, cfg, lp_heavy=True)
+    for name in GLOBAL_BUILTINS:
         for i in range(game.n):
-            for w in model.states():
-                pinned = epistemic.pinned_restriction(model, i, w)
-                expected = tuple(
-                    frozenset([model.strategy_of(i, w)])
-                    if j == i
-                    else restriction.sets[j]
-                    for j in range(game.n)
-                )
-                if pinned.sets != expected:
-                    return {
-                        "game": games.game_to_text(game),
-                        "restriction": restriction.describe(),
-                        "player": i + 1,
-                        "state": model.state_names[w],
-                        "pinned": pinned.describe(),
-                    }
-        return None
-
-    return _sweep("note_7_4_pinned", cfg, instance)
+            report = optimality.satisfies_condition_A(
+                optimality.builtin(game, name, i), budget=cfg.budget
+            )
+            if not report.independent:
+                return {
+                    "game": games.game_to_text(game),
+                    "property": name,
+                    "player": i + 1,
+                }
+    return None
 
 
-def check_announce_optimality(cfg):
+@_check("announce", BUILTIN_NAMES)
+def announce_optimality(rng, cfg, pool):
     """Iterated optimality announcements terminate in the canonical model of
     the elimination outcome, for any of the builtin properties."""
-
-    def instance(rng):
-        game, names, profile = _random_profile(rng, cfg, BUILTIN_NAMES)
-        trace = announcements.iterate_optimality_announcements(profile)
-        outcome = operators.iterate_to_outcome(profile).outcome
-        target = epistemic.standard_model(outcome)
-        for m in trace.models:
-            if not announcements.is_standard(m):
-                return {
-                    "game": games.game_to_text(game),
-                    "rat": list(names),
-                    "reason": "intermediate model lost standardness",
-                }
-        if announcements.models_equal_via_profiles(
-            trace.terminal, target, check_correspondences=False
-        ):
-            return None
-        return {
-            "game": games.game_to_text(game),
-            "rat": list(names),
-            "terminal": list(trace.terminal.state_names),
-            "outcome": outcome.describe(),
-        }
-
-    return _sweep("announce_optimality", cfg, instance)
+    game, names, profile = _random_profile(rng, cfg, pool)
+    trace = announcements.iterate_optimality_announcements(profile)
+    outcome = operators.iterate_to_outcome(profile).outcome
+    target = epistemic.standard_model(outcome)
+    for m in trace.models:
+        if not announcements.is_standard(m):
+            return {
+                "game": games.game_to_text(game),
+                "rat": list(names),
+                "reason": "intermediate model lost standardness",
+            }
+    if announcements.models_equal_via_profiles(
+        trace.terminal, target, check_correspondences=False
+    ):
+        return None
+    return {
+        "game": games.game_to_text(game),
+        "rat": list(names),
+        "terminal": list(trace.terminal.state_names),
+        "outcome": outcome.describe(),
+    }
 
 
-def check_announce_rationality(cfg):
+@_check("announce")
+def announce_rationality(rng, cfg):
     """Iterated rationality announcements: global properties land on the
     canonical knowledge model of the outcome (shared by the local variant),
     local properties announce nothing at all."""
-
-    def instance(rng):
-        base = rng.choice(PAIR_BASES)
-        heavy = base in ("msd", "mwd")
-        game = random_game(rng, cfg, lp_heavy=heavy)
-        global_profile = _profile(game, f"{base}_g")
-        trace = announcements.iterate_rationality_announcements(
-            global_profile, check_condition=False
-        )
-        outcome_g = operators.iterate_to_outcome(global_profile)
-        target = epistemic.standard_model(outcome_g.outcome, correspondences=True)
-        if not announcements.models_equal_via_profiles(trace.terminal, target):
-            return {
-                "game": games.game_to_text(game),
-                "rat": [f"{base}_g"] * game.n,
-                "terminal": list(trace.terminal.state_names),
-                "outcome": outcome_g.outcome.describe(),
-            }
-        if trace.rounds != outcome_g.closure_ordinal:
-            return {
-                "game": games.game_to_text(game),
-                "rat": [f"{base}_g"] * game.n,
-                "reason": f"{trace.rounds} rounds vs ordinal {outcome_g.closure_ordinal}",
-            }
-        outcome_l = operators.iterate_to_outcome(_profile(game, f"{base}_l")).outcome
-        if not announcements.models_equal_via_profiles(
-            trace.terminal,
-            epistemic.standard_model(outcome_l, correspondences=True),
-        ):
-            return {
-                "game": games.game_to_text(game),
-                "rat": [f"{base}_g"] * game.n,
-                "reason": "terminal differs from the local-variant outcome model",
-            }
-        local_trace = announcements.iterate_rationality_announcements(
-            _profile(game, f"{base}_l"), check_condition=False
-        )
-        if local_trace.rounds != 0:
-            return {
-                "game": games.game_to_text(game),
-                "rat": [f"{base}_l"] * game.n,
-                "reason": "local properties announced something",
-            }
-        return None
-
-    return _sweep("announce_rationality", cfg, instance)
+    base = rng.choice(PAIR_BASES)
+    heavy = base in ("msd", "mwd")
+    game = random_game(rng, cfg, lp_heavy=heavy)
+    global_profile = _profile(game, f"{base}_g")
+    trace = announcements.iterate_rationality_announcements(
+        global_profile, check_condition=False
+    )
+    outcome_g = operators.iterate_to_outcome(global_profile)
+    target = epistemic.standard_model(outcome_g.outcome, correspondences=True)
+    if not announcements.models_equal_via_profiles(trace.terminal, target):
+        return {
+            "game": games.game_to_text(game),
+            "rat": [f"{base}_g"] * game.n,
+            "terminal": list(trace.terminal.state_names),
+            "outcome": outcome_g.outcome.describe(),
+        }
+    if trace.rounds != outcome_g.closure_ordinal:
+        return {
+            "game": games.game_to_text(game),
+            "rat": [f"{base}_g"] * game.n,
+            "reason": f"{trace.rounds} rounds vs ordinal {outcome_g.closure_ordinal}",
+        }
+    outcome_l = operators.iterate_to_outcome(_profile(game, f"{base}_l")).outcome
+    if not announcements.models_equal_via_profiles(
+        trace.terminal,
+        epistemic.standard_model(outcome_l, correspondences=True),
+    ):
+        return {
+            "game": games.game_to_text(game),
+            "rat": [f"{base}_g"] * game.n,
+            "reason": "terminal differs from the local-variant outcome model",
+        }
+    local_trace = announcements.iterate_rationality_announcements(
+        _profile(game, f"{base}_l"), check_condition=False
+    )
+    if local_trace.rounds != 0:
+        return {
+            "game": games.game_to_text(game),
+            "rat": [f"{base}_l"] * game.n,
+            "reason": "local properties announced something",
+        }
+    return None
 
 
-# ---------- registry ----------
-
-CHECKS = {
-    "epist1_belief": check_epist1_belief,
-    "epist1_knowledge": check_epist1_knowledge,
-    "epist1_witness": check_epist1_witness,
-    "epist2_identity": check_epist2_identity,
-    "just_chain": check_just_chain,
-    "just_model": check_just_model,
-    "just1_pearce": check_just1_pearce,
-    "just1_model": check_just1_model,
-    "operator_laws": check_operator_laws,
-    "local_global_outcome": check_local_global_outcome,
-    "gfp_characterizations": check_gfp_characterizations,
-    "common_belief_formula": check_common_belief_formula,
-    "survival_formula": check_survival_formula,
-    "note_7_1_proper": check_note_7_1_proper,
-    "note_7_2_operator": check_note_7_2_operator,
-    "note_7_4_pinned": check_note_7_4_pinned,
-    "formula3_valid": check_formula3_valid,
-    "formula4_rat": check_formula4_rat,
-    "nu_postfixpoints": check_nu_postfixpoints,
-    "positivity_monotone": check_positivity_monotone,
-    "compiled_agreement": check_compiled_agreement,
-    "derivation_valid": check_derivation_valid,
-    "condition_a_globals": check_condition_a_globals,
-    "announce_optimality": check_announce_optimality,
-    "announce_rationality": check_announce_rationality,
-}
-
-SUITES = {
-    "epist1": ("epist1_belief", "epist1_knowledge", "epist1_witness"),
-    "epist2": ("epist2_identity",),
-    "just": ("just_chain", "just_model", "operator_laws", "local_global_outcome"),
-    "just1": ("just1_pearce", "just1_model"),
-    "notes": (
-        "gfp_characterizations",
-        "common_belief_formula",
-        "survival_formula",
-        "note_7_1_proper",
-        "note_7_2_operator",
-        "note_7_4_pinned",
-    ),
-    "logic": (
-        "formula3_valid",
-        "formula4_rat",
-        "nu_postfixpoints",
-        "positivity_monotone",
-        "compiled_agreement",
-        "derivation_valid",
-    ),
-    "announce": (
-        "condition_a_globals",
-        "announce_optimality",
-        "announce_rationality",
-    ),
-}
 SUITES["all"] = tuple(CHECKS)
 
-# Which builtin names a check accepts through CheckConfig.properties; checks
-# missing here draw fixed properties and ignore the override.
-CHECK_POOLS = {
-    "epist1_belief": MONOTONE_BUILTINS,
-    "epist1_knowledge": MONOTONE_BUILTINS,
-    "epist1_witness": MONOTONE_BUILTINS,
-    "epist2_identity": LOCAL_BUILTINS,
-    "common_belief_formula": PURE_BUILTINS,
-    "survival_formula": MONOTONE_BUILTINS,
-    "formula3_valid": MONOTONE_BUILTINS,
-    "formula4_rat": ("sd_g", "br_g"),
-    "nu_postfixpoints": ("sd_g", "br_g"),
-    "operator_laws": PURE_BUILTINS + ("msd_l", "msd_g"),
-    "note_7_2_operator": BUILTIN_NAMES,
-    "announce_optimality": BUILTIN_NAMES,
-}
+
+def select(suite, properties=None):
+    """The checks a suite, or a single check, runs. Given properties must be
+    builtin names within the pool of every selected check that has one, and
+    at least one selected check must have a pool, or they would go unused."""
+    if suite in SUITES:
+        names = SUITES[suite]
+    elif suite in CHECKS:
+        names = (suite,)
+    else:
+        raise KeyError(f"unknown suite or check {suite!r}; suites: {', '.join(SUITES)}")
+    if properties is not None:
+        for nm in properties:
+            if nm not in BUILTIN_NAMES:
+                raise ValueError(f"unknown property {nm!r}")
+        pooled = [name for name in names if name in CHECK_POOLS]
+        if not pooled:
+            raise ValueError(
+                f"{suite} draws no properties; checks that do: {', '.join(CHECK_POOLS)}"
+            )
+        for name in pooled:
+            pool = CHECK_POOLS[name]
+            if not set(properties) <= set(pool):
+                raise ValueError(
+                    f"check {name} only accepts properties from: {', '.join(pool)}"
+                )
+    return names
 
 
 def run_check(name, cfg):
@@ -1096,12 +960,7 @@ def run_check(name, cfg):
 def run_suite(suite, cfg, jobs=1):
     """Run a suite (or a single check) and return the results in registry
     order; results do not depend on the number of worker processes."""
-    if suite in SUITES:
-        names = SUITES[suite]
-    elif suite in CHECKS:
-        names = (suite,)
-    else:
-        raise KeyError(f"unknown suite or check {suite!r}")
+    names = select(suite)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:

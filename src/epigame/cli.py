@@ -273,24 +273,10 @@ def _cmd_eval(args):
 
 
 def _cmd_check(args):
-    if args.suite not in checks.SUITES and args.suite not in checks.CHECKS:
-        raise ValueError(
-            f"unknown suite or check {args.suite!r}; "
-            f"suites: {', '.join(checks.SUITES)}"
-        )
     properties = None
     if args.property is not None:
         properties = tuple(nm.strip() for nm in args.property.split(","))
-        for nm in properties:
-            if nm not in optimality.BUILTIN_NAMES:
-                raise ValueError(f"unknown property {nm!r}")
-        selected = checks.SUITES.get(args.suite, (args.suite,))
-        for name in selected:
-            pool = checks.CHECK_POOLS.get(name)
-            if pool is not None and not set(properties) <= set(pool):
-                raise ValueError(
-                    f"check {name} only accepts properties from: {', '.join(pool)}"
-                )
+    checks.select(args.suite, properties)
     cfg = checks.CheckConfig(
         seed=args.seed,
         count=args.random,

@@ -328,6 +328,16 @@ def rat_event(model, profile):
 # ---------- theorem checkers ----------
 
 
+def theorem1_lhs(model, profile, mode):
+    """The left side of Theorem 1: the event CB(RAT) on a knowledge model,
+    RAT and CB(RAT) in any other mode, and the restriction it induces."""
+    rat = rat_event(model, profile)
+    event = common_box(model, rat)
+    if mode != "knowledge":
+        event &= rat
+    return event, restriction_of(model, event)
+
+
 @dataclass(frozen=True)
 class InclusionReport:
     ok: bool
@@ -350,12 +360,7 @@ def check_theorem_epist1(model, profile, mode="auto"):
     bad = validate(model, mode)
     if bad:
         raise ValueError(f"model does not validate at level {mode}: {bad[0]}")
-    rat = rat_event(model, profile)
-    if mode == "knowledge":
-        event = common_box(model, rat)
-    else:
-        event = rat & common_box(model, rat)
-    lhs = restriction_of(model, event)
+    event, lhs = theorem1_lhs(model, profile, mode)
     outcome = iterate_to_outcome(profile).outcome
     ok = restriction_leq(lhs, outcome)
     return InclusionReport(ok, mode, event, lhs, outcome)

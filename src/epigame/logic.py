@@ -193,10 +193,10 @@ def pretty(f):
         return "x"
     if isinstance(f, NotF):
         if isinstance(f.sub, AndF) and isinstance(f.sub.right, NotF):
-            return f"({pretty(f.sub.left)} -> {pretty(f.sub.right.sub)})"
+            return f"({_operand(f.sub.left)} -> {pretty(f.sub.right.sub)})"
         return f"!{_wrap(f.sub)}"
     if isinstance(f, AndF):
-        return f"({pretty(f.left)} & {pretty(f.right)})"
+        return f"({_operand(f.left)} & {_operand(f.right)})"
     if isinstance(f, Box):
         mod = "Box" if f.player is None else f"Box_{f.player + 1}"
         return f"{mod} {_wrap(f.sub)}"
@@ -206,6 +206,14 @@ def pretty(f):
     if isinstance(f, Nu):
         return f"nu x. {pretty(f.body)}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _operand(f):
+    # A fixpoint's body runs to the closing parenthesis, so a fixpoint that
+    # is not the last operand would swallow the rest; the parser also reads
+    # none after '&'.
+    text = pretty(f)
+    return f"({text})" if isinstance(f, Nu) else text
 
 
 def _wrap(f):
@@ -325,6 +333,8 @@ class _LnuParser(_TokenCursor):
             self.eat(")")
             if has_free_var(inner):
                 raise LogicParseError("CB(f) binds x, so f may not mention a free x", pos)
+            if contains_nu(inner):
+                raise LogicParseError("nested fixpoints are not allowed", pos)
             return common_belief(inner)
         if kind == "(":
             self.eat()

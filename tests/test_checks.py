@@ -34,6 +34,55 @@ payoff b d 1 0
 """
 
 
+MONOTONE = ("sd_g", "msd_g", "br_g")
+ALL_BUILTINS = (
+    "sd_l", "sd_g", "msd_l", "msd_g", "wd_l", "wd_g", "mwd_l", "mwd_g", "br_l", "br_g", "brc_l",
+)
+
+
+def test_registry_lists_every_check_in_its_suite_and_pool():
+    assert tuple(CHECKS) == (
+        "epist1_belief", "epist1_knowledge", "epist1_witness", "epist2_identity",
+        "just_chain", "just_model", "just1_pearce", "just1_model", "operator_laws",
+        "local_global_outcome", "gfp_characterizations", "common_belief_formula",
+        "survival_formula", "note_7_1_proper", "note_7_2_operator", "note_7_4_pinned",
+        "formula3_valid", "formula4_rat", "nu_postfixpoints", "positivity_monotone",
+        "compiled_agreement", "derivation_valid", "condition_a_globals",
+        "announce_optimality", "announce_rationality",
+    )
+    assert SUITES == {
+        "epist1": ("epist1_belief", "epist1_knowledge", "epist1_witness"),
+        "epist2": ("epist2_identity",),
+        "just": ("just_chain", "just_model", "operator_laws", "local_global_outcome"),
+        "just1": ("just1_pearce", "just1_model"),
+        "notes": (
+            "gfp_characterizations", "common_belief_formula", "survival_formula",
+            "note_7_1_proper", "note_7_2_operator", "note_7_4_pinned",
+        ),
+        "logic": (
+            "formula3_valid", "formula4_rat", "nu_postfixpoints", "positivity_monotone",
+            "compiled_agreement", "derivation_valid",
+        ),
+        "announce": ("condition_a_globals", "announce_optimality", "announce_rationality"),
+        "all": tuple(CHECKS),
+    }
+    assert list(SUITES) == ["epist1", "epist2", "just", "just1", "notes", "logic", "announce", "all"]
+    assert CHECK_POOLS == {
+        "epist1_belief": MONOTONE,
+        "epist1_knowledge": MONOTONE,
+        "epist1_witness": MONOTONE,
+        "epist2_identity": ("sd_l", "msd_l", "wd_l", "mwd_l", "br_l", "brc_l"),
+        "common_belief_formula": ("sd_l", "sd_g", "wd_l", "wd_g", "br_l", "br_g"),
+        "survival_formula": MONOTONE,
+        "formula3_valid": MONOTONE,
+        "formula4_rat": ("sd_g", "br_g"),
+        "nu_postfixpoints": ("sd_g", "br_g"),
+        "operator_laws": ("sd_l", "sd_g", "wd_l", "wd_g", "br_l", "br_g", "msd_l", "msd_g"),
+        "note_7_2_operator": ALL_BUILTINS,
+        "announce_optimality": ALL_BUILTINS,
+    }
+
+
 def test_registry_is_consistent():
     assert set(SUITES["all"]) == set(CHECKS)
     for suite, names in SUITES.items():
@@ -65,9 +114,11 @@ def test_checks_are_deterministic():
 
 
 def test_parallel_run_matches_serial():
-    cfg = CheckConfig(seed=2, count=3)
-    serial = run_suite("epist1", cfg, jobs=1)
-    parallel = run_suite("epist1", cfg, jobs=2)
+    # workers look every check up by name in their own copy of the registry
+    cfg = CheckConfig(seed=2, count=2)
+    serial = run_suite("all", cfg, jobs=1)
+    parallel = run_suite("all", cfg, jobs=2)
+    assert [r.name for r in serial] == list(CHECKS)
     assert serial == parallel
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from epigame.cli import main
+from epigame.logic import check_derivation, parse_derivation, parse_lnu
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -253,6 +254,14 @@ def test_eval_refuses_common_belief_of_a_free_x(capsys, tmp_path, formula):
     assert "free x" in err
 
 
+@pytest.mark.parametrize("formula", ["CB(nu x. Box(x & rat))", "CB(CB(rat))"])
+def test_eval_refuses_a_fixpoint_inside_common_belief(capsys, tmp_path, formula):
+    model = _knowledge_model(tmp_path)
+    code, out, err = run(capsys, "eval", model, "--formula", formula, "--property", "sd_g")
+    assert (code, out) == (2, "")
+    assert "nested fixpoints are not allowed" in err
+
+
 def test_eval_parse_error(capsys):
     code, _, err = run(capsys, "eval", FIG2, "--formula", "rat &")
     assert code == 2
@@ -319,16 +328,26 @@ def test_check_games_wider_than_ten_strategies(capsys):
 def test_check_unknown_suite(capsys):
     code, _, err = run(capsys, "check", "mystery")
     assert code == 2
-    assert "unknown suite or check" in err
+    assert err == (
+        "error: unknown suite or check 'mystery'; "
+        "suites: epist1, epist2, just, just1, notes, logic, announce, all\n"
+    )
 
 
 def test_check_property_pool_enforced(capsys):
     code, _, err = run(capsys, "check", "epist1", "--property", "wd_g")
     assert code == 2
-    assert "only accepts properties from" in err
+    assert err == "error: check epist1_belief only accepts properties from: sd_g, msd_g, br_g\n"
     code, _, err = run(capsys, "check", "epist1", "--property", "zzz")
     assert code == 2
     assert "unknown property" in err
+
+
+@pytest.mark.parametrize("suite, prop", [("just_chain", "msd_l"), ("just1", "sd_g")])
+def test_check_refuses_a_property_no_selected_check_draws(capsys, suite, prop):
+    code, out, err = run(capsys, "check", suite, "--property", prop, "--random", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {suite} draws no properties; checks that do: epist1_belief,")
 
 
 def test_check_rejects_a_negative_instance_count(capsys):
@@ -398,6 +417,14 @@ def test_derive_valid_file(capsys):
     assert code == 0
     assert out.strip().splitlines()[-1] == "Valid"
     assert "step 1 ok:" in out
+
+
+def test_derive_prints_formulas_that_parse_back(capsys):
+    code, out, _ = run(capsys, "derive", DERIV)
+    assert code == 0
+    steps = check_derivation(parse_derivation(Path(DERIV).read_text(encoding="utf-8"))).steps
+    printed = [line.split(" ok: ", 1)[1] for line in out.splitlines()[:-1]]
+    assert [parse_lnu(text) for text in printed] == [step.formula for step in steps]
 
 
 def test_derive_invalid_file(tmp_path, capsys):

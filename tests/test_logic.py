@@ -167,7 +167,17 @@ def test_pretty_round_trips():
     rng = random.Random(17)
     for _ in range(60):
         f = random_l_formula(rng, PD)
-        assert parse_lnu(pretty(f)) == f
+        cb = common_belief(f)
+        nu = Nu(random_positive_body(rng, PD))
+        for g in (f, cb, nu, AndF(cb, f), AndF(f, nu), impl(cb, nu), impl(nu, f), Box(0, nu)):
+            assert parse_lnu(pretty(g)) == g, pretty(g)
+
+
+@pytest.mark.parametrize("text", ["CB(nu x. Box(x & rat))", "CB(CB(rat))", "CB(rat & (nu x. O x))"])
+def test_common_belief_refuses_a_fixpoint_inside(text):
+    # written out, CB(f) with a fixpoint in f is a nested fixpoint
+    with pytest.raises(LogicParseError, match="nested fixpoints are not allowed"):
+        parse_lnu(text)
 
 
 def test_pretty_resugars_implication():
