@@ -952,15 +952,19 @@ def select(suite, properties=None):
 
 
 def run_check(name, cfg):
+    """Run one check; cfg.properties must lie in its pool, and a check
+    without a pool ignores them."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}")
+    select(name, cfg.properties if name in CHECK_POOLS else None)
     return CHECKS[name](cfg)
 
 
 def run_suite(suite, cfg, jobs=1):
     """Run a suite (or a single check) and return the results in registry
-    order; results do not depend on the number of worker processes."""
-    names = select(suite)
+    order; results do not depend on the number of worker processes.
+    cfg.properties are checked by select first."""
+    names = select(suite, cfg.properties)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:

@@ -123,6 +123,9 @@ def _cmd_solve(args):
     profile = optimality.profile_named(
         game, args.property, args.belief_class, args.grid_denominator
     )
+    if args.belief_class == "mixed" and game.n >= 3:
+        print("warning: with 3 or more players, --belief-class mixed eliminations "
+              "come from a grid search and are not proven", file=sys.stderr)
     trace = operators.iterate_to_outcome(profile)
     payload = {
         "property": [p.name for p in profile],
@@ -276,7 +279,6 @@ def _cmd_check(args):
     properties = None
     if args.property is not None:
         properties = tuple(nm.strip() for nm in args.property.split(","))
-    checks.select(args.suite, properties)
     cfg = checks.CheckConfig(
         seed=args.seed,
         count=args.random,

@@ -85,80 +85,69 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     return _pearce(game, context, i, support, dominated)
 
 
-def _pearce(game, context, i, support, dominated):
-    """A mixture over the sorted support strictly dominating dominated, or
-    None. The caller has checked that dominated has a non-empty row and is
-    no pure best response within support.
+def _pearce(game, context, i, support, dominated, weak=False):
+    """A mixture over the sorted support strictly (weak: weakly) dominating
+    dominated, or None. The caller has checked that dominated has a
+    non-empty row and is no pure best response (weak: no unique strict one)
+    within support.
 
-    A pure strict dominator is its own witness. Otherwise one LP asks for a
+    A pure dominator is its own witness. Otherwise one LP asks for a
     correlated belief p over the contexts against which dominated does at
-    least as well as every strategy in support (Pearce's lemma: there is one
-    exactly when no mixture dominates). Its point is the belief, re-checked
-    by expected payoffs; when there is none, Infeasible.ray on the support's
-    rows (nonnegative, as standard_form negates these '>=' rows),
-    normalised, is the dominating mixture, re-checked by strictly_dominates.
+    least as well as every strategy in support; with weak set, p = q + t
+    with q >= 0 and the LP maximises t. By Pearce's lemma there is such a
+    belief (weak: one with full support, t > 0) exactly when no mixture
+    dominates; it is re-checked by expected payoffs. Otherwise the support's
+    entries of the dual certificate, normalised, are the dominating mixture,
+    re-checked by strictly_dominates or weakly_dominates: Infeasible.ray when
+    there is no belief, the optimum's dual when t = 0. Both are nonnegative
+    there, as standard_form negates these '>=' rows.
     """
     rows = context.rows(i)
     mine = rows[dominated]
+    dominates = weakly_dominates if weak else strictly_dominates
+    row_dominates = row_weakly_dominates if weak else row_strictly_dominates
     for d in support:
-        if row_strictly_dominates(rows[d], mine):
+        if row_dominates(rows[d], mine):
             return point_mass(game, i, d)
     m = len(mine)
-    lp = LinearProgram(m, [0] * m)
+    lp = LinearProgram(m + weak, [0] * m + [1] * weak)  # weak: the last column is t
     for r in support:
-        lp.add(list(map(sub, mine, rows[r])), ">=", 0)
-    lp.add([1] * m, "=", 1)
+        gap = list(map(sub, mine, rows[r]))
+        lp.add(gap + [sum(gap)] * weak, ">=", 0)
+    lp.add([1] * m + [m] * weak, "=", 1)
     res = solve(lp)
-    if isinstance(res, Optimal):
-        belief = CorrelatedBelief(
-            game, i, {ctx: w for ctx, w in zip(context.opponent_profiles(i), res.point) if w}
-        )
+    if isinstance(res, Optimal) and (res.value or not weak):
+        t, profiles = res.value, context.opponent_profiles(i)
+        belief = CorrelatedBelief(game, i, {c: w + t for c, w in zip(profiles, res.point) if w + t})
         value = expected_payoff(game, i, dominated, belief)
         if any(value < expected_payoff(game, i, r, belief) for r in support):
             raise AssertionError("LP belief does not support the strategy")
         return None
-    total = sum(res.ray[:len(support)])
-    witness = MixedStrategy(game, i, {s: u / total for s, u in zip(support, res.ray) if u})
-    if not strictly_dominates(game, context, i, witness, dominated):
-        raise AssertionError("LP mixture does not strictly dominate")
+    ray = res.dual if isinstance(res, Optimal) else res.ray
+    total = sum(ray[:len(support)])
+    witness = MixedStrategy(game, i, {s: u / total for s, u in zip(support, ray) if u})
+    if not dominates(game, context, i, witness, dominated):
+        raise AssertionError("LP mixture does not dominate")
     return witness
 
 
 def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     """Search for a weakly dominating mixture over support; None if there is none.
 
-    A strict, unique best response within support is undominated and a pure
-    weak dominator is its own witness. Otherwise an LP over mixture weights
-    plus one slack gap per context decides: feasibility gives 'at least as
-    good everywhere', a positive total gap gives 'better somewhere'.
+    A strict, unique best response within support is undominated; otherwise
+    _pearce decides.
     """
     support = sorted(support)
     if not support:
         raise ValueError("empty support")
     rows = context.rows(i)
-    m = len(rows[dominated])
-    if not m:
+    if not rows[dominated]:
         return None
     # Where dominated is the unique best response within support, a mixture
     # at least as good must be dominated itself, which is better nowhere.
     if _pure_best_response(rows, dominated, [s for s in support if s != dominated], strict=True):
         return None
-    for d in support:
-        if row_weakly_dominates(rows[d], rows[dominated]):
-            return point_mass(game, i, d)
-    k = len(support)
-    lp = LinearProgram(k + m, [0] * k + [1] * m)
-    for c in range(m):
-        lp.add([rows[s][c] for s in support] + [-int(c2 == c) for c2 in range(m)],
-               "=", rows[dominated][c])
-    lp.add([1] * k + [0] * m, "=", 1)
-    res = solve(lp)
-    if not isinstance(res, Optimal) or res.value <= 0:
-        return None
-    witness = MixedStrategy(game, i, {s: w for s, w in zip(support, res.point) if w})
-    if not weakly_dominates(game, context, i, witness, dominated):
-        raise AssertionError("LP mixture does not weakly dominate")
-    return witness
+    return _pearce(game, context, i, support, dominated, weak=True)
 
 
 def _grid_mixtures(game, player, strategies, denominator_bound):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .games import BudgetExceededError, Restriction, load_game_file, restriction_leq, subsets_of
-from .operators import iterate_to_outcome
+from .operators import descend, iterate_to_outcome
 from .optimality import require_monotone, satisfies_singleton_truth
 
 
@@ -115,27 +116,6 @@ def box(model, event, player=None):
     )
 
 
-class NotShrinkingError(ValueError):
-    """A step of a greatest-fixpoint iteration did not shrink its argument."""
-
-
-def greatest_fixpoint(model, step):
-    """The greatest fixpoint of a monotone map on events, by downward
-    iteration from the set of all states.
-
-    A step that leaves the current event without staying inside it shows the
-    map is not monotone; that raises instead of returning a wrong answer.
-    """
-    current = model.all_event()
-    while True:
-        nxt = step(current)
-        if nxt == current:
-            return current
-        if not nxt <= current:
-            raise NotShrinkingError("fixpoint iteration is not shrinking")
-        current = nxt
-
-
 def common_box(model, event):
     """Common belief of an event: the greatest fixpoint of F -> box(F & E).
 
@@ -143,7 +123,7 @@ def common_box(model, event):
     box-powers box^k(E) for k >= 1.
     """
     event = frozenset(event)
-    return greatest_fixpoint(model, lambda F: box(model, F & event))
+    return descend(model.all_event(), lambda F: box(model, F & event), operator.le)[-1]
 
 
 def is_evident(model, event):

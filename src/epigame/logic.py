@@ -9,19 +9,19 @@ of syntax trees is equality of primitive forms.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .epistemic import (
-    NotShrinkingError,
     box,
-    greatest_fixpoint,
     optimality_event,
     rationality_event,
     restriction_of,
 )
 from .games import BudgetExceededError, subsets_of
+from .operators import NotShrinkingError, descend
 
 
 class LogicParseError(ValueError):
@@ -433,7 +433,7 @@ def lnu_denotation(model, formula, profile=None):
 
             def nu(xval):
                 try:
-                    return greatest_fixpoint(model, body)
+                    return descend(everything, body, operator.le)[-1]
                 except NotShrinkingError:
                     raise LogicEvalError(
                         "fixpoint iteration is not shrinking; "

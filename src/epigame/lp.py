@@ -25,7 +25,7 @@ derive from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,8 +35,12 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Optimal:
+    """dual: the certified dual on the rows of standard_form(lp), one entry
+    per row; it takes no part in equality."""
+
     value: Fraction
     point: tuple
+    dual: tuple = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def _eliminate(row, prow, j):
 
 
 def solve(lp):
-    """Solve an LP exactly. Returns Optimal(value, point), Infeasible(ray) or UNBOUNDED."""
+    """Solve an LP exactly. Returns Optimal(value, point, dual), Infeasible(ray) or UNBOUNDED."""
     rows = standard_form(lp)
     outcome = _simplex(rows, lp.objective)
     if not isinstance(outcome, tuple):
@@ -113,7 +117,7 @@ def solve(lp):
     point = y[:lp.num_vars]
     value = sum(c * x for c, x in zip(lp.objective, point))
     _certify(lp, rows, point, value, dual)
-    return Optimal(value, tuple(point))
+    return Optimal(value, tuple(point), tuple(dual))
 
 
 def _simplex(rows, objective):

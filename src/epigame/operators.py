@@ -56,17 +56,32 @@ class EliminationTrace:
         return len(self.stages) - 1
 
 
+class NotShrinkingError(ValueError):
+    """A step of a greatest-fixpoint iteration did not shrink its argument."""
+
+
+def descend(top, step, leq):
+    """The chain top, step(top), ... down to the first value that step keeps.
+
+    On a finite lattice, for a monotone step, its last value is the greatest
+    fixpoint below top. A step that leaves its argument (not leq) shows the
+    map is not monotone; that raises instead of returning a wrong answer.
+    """
+    chain = [top]
+    while True:
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        if not leq(nxt, chain[-1]):
+            raise NotShrinkingError("fixpoint iteration is not shrinking")
+        chain.append(nxt)
+
+
 def iterate_to_outcome(profile, start=None):
     """Iterate T from the full game (or a given restriction) to its fixpoint."""
-    game = profile[0].game
     if start is None:
-        start = game.full_restriction()
-    stages = [start]
-    while True:
-        nxt = apply_T(profile, stages[-1])
-        if nxt == stages[-1]:
-            break
-        stages.append(nxt)
+        start = profile[0].game.full_restriction()
+    stages = descend(start, lambda G: apply_T(profile, G), restriction_leq)
     return EliminationTrace(tuple(profile), tuple(stages))
 
 

@@ -127,6 +127,15 @@ def test_property_override_narrows_the_pool():
     assert run_check("epist1_knowledge", cfg).passed
 
 
+def test_library_runs_refuse_properties_outside_the_pool():
+    cfg = CheckConfig(seed=0, count=1, properties=("wd_g",))
+    message = "check formula3_valid only accepts properties from: sd_g, msd_g, br_g"
+    with pytest.raises(ValueError, match=message):
+        run_check("formula3_valid", cfg)
+    with pytest.raises(ValueError, match=message):
+        run_suite("logic", cfg)
+
+
 # ---------- counterexample payloads ----------
 
 

@@ -104,10 +104,19 @@ def _grid_game(tmp_path):
 def test_solve_grid_denominator_decides_the_mixed_belief(tmp_path, capsys):
     game = _grid_game(tmp_path)
     for denominator, outcome in (("1", ["a", "b"]), ("2", ["a", "b", "m"])):
-        code, out, _ = run(capsys, "--format", "json-lines", "solve", game, "--property", "br_l",
-                           "--belief-class", "mixed", "--grid-denominator", denominator)
+        code, out, err = run(capsys, "--format", "json-lines", "solve", game, "--property",
+                             "br_l", "--belief-class", "mixed", "--grid-denominator", denominator)
         assert code == 0
         assert json.loads(out)["outcome"][0] == outcome
+        assert err == ("warning: with 3 or more players, --belief-class mixed eliminations "
+                       "come from a grid search and are not proven\n")
+
+
+def test_two_player_mixed_beliefs_are_exact_and_not_flagged(capsys):
+    code, out, err = run(capsys, "solve", TBT, "--property", "br_l", "--belief-class", "mixed")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "solve", TBT, "--property", "br_l",
+                      "--belief-class", "correlated")[1]
 
 
 @pytest.mark.parametrize("denominator", ["0", "-3"])

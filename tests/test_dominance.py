@@ -245,16 +245,30 @@ def _lp_correlated_best_response(game, i, s, rivals, contexts):
     return isinstance(solve(lp), Optimal)
 
 
-def _weakly_dominated_best_response_game():
-    """s ties r1 on L and C, so r1 weakly dominates it; r2 and r3 beat s on L
-    and C in turn, so it is no pure best response; the even belief on L and C
-    supports it all the same. No pure prefilter decides it: the LP must."""
-    rows = {"s": (0, 0, 0), "r1": (0, 0, 1), "r2": (1, -1, 0), "r3": (-1, 1, 0)}
+def _row_game(rows):
+    """Player 1 plays the named rows over the columns L, C and R; player 2
+    gets nothing."""
     table = {
         (a, b): (Fraction(rows[name][b]), Fraction(0))
         for a, name in enumerate(rows) for b in range(3)
     }
     return Game((tuple(rows), ("L", "C", "R")), table)
+
+
+def _weakly_dominated_best_response_game():
+    """s ties r1 on L and C, so r1 weakly dominates it; r2 and r3 beat s on L
+    and C in turn, so it is no pure best response; the even belief on L and C
+    supports it all the same. No pure prefilter decides it: the LP must."""
+    return _row_game({"s": (0, 0, 0), "r1": (0, 0, 1), "r2": (1, -1, 0), "r3": (-1, 1, 0)})
+
+
+# s ties every rival on R and loses to one of them on L and on C, so no pure
+# prefilter decides its mixed weak dominance. Against r1=(3,0,0), r2=(0,3,0)
+# only the belief on R supports s, and the even mix of r1 and r2 weakly
+# dominates it; against r1=(2,0,0), r2=(0,2,0) the even belief on all three
+# columns supports it.
+WEAKLY_DOMINATED = {"s": (1, 1, 0), "r1": (3, 0, 0), "r2": (0, 3, 0)}
+WEAKLY_UNDOMINATED = {"s": (1, 1, 0), "r1": (2, 0, 0), "r2": (0, 2, 0)}
 
 
 def test_weakly_dominated_strategy_can_be_a_correlated_best_response():
@@ -309,28 +323,79 @@ def test_prefilters_agree_with_the_dominance_and_belief_lps(monkeypatch):
     assert 0 < len(fallbacks) < decisions / 2
 
 
+def _recorded_lps(monkeypatch):
+    submitted = []
+
+    def recorded(lp):
+        res = solve(lp)
+        submitted.append((lp, res))
+        return res
+
+    monkeypatch.setattr(dominance, "solve", recorded)
+    return submitted
+
+
+def test_mwd_takes_the_dominating_mixture_from_the_pearce_dual(monkeypatch):
+    submitted = _recorded_lps(monkeypatch)
+    game = _row_game(WEAKLY_DOMINATED)
+    full = game.full_restriction()
+    witness = mixed_weakly_dominates_exists(game, full, 0, full.sets[0], 0)
+    [(_, res)] = submitted
+    assert isinstance(res, Optimal) and res.value == 0
+    assert len(witness.support()) > 1
+    assert weakly_dominates(game, full, 0, witness, 0)
+    assert _lp_mixed_dominance(game, 0, [0, 1, 2], 0, list(full.opponent_profiles(0)),
+                               strict=False)
+
+
+def test_mwd_survival_is_a_full_support_pearce_belief(monkeypatch):
+    submitted = _recorded_lps(monkeypatch)
+    game = _row_game(WEAKLY_UNDOMINATED)
+    full = game.full_restriction()
+    assert mixed_weakly_dominates_exists(game, full, 0, full.sets[0], 0) is None
+    [(_, res)] = submitted
+    t = res.value
+    assert t == Fraction(1, 3)
+    assert all(q + t > 0 for q in res.point[:-1])
+    assert not _lp_mixed_dominance(game, 0, [0, 1, 2], 0, list(full.opponent_profiles(0)),
+                                   strict=False)
+
+
 def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
     """Pearce's lemma as code: brc_l and msd_l at the same (G, i, s) solve one
     LP each, with equal rows; its point proves survival (s in the weakly
     dominated best response game) and its ray proves elimination (B in
-    threebytwo)."""
-    submitted = []
-
-    def recorded(lp):
-        submitted.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(dominance, "solve", recorded)
-    survivor = _weakly_dominated_best_response_game()
-    for game, s, survives in ((survivor, 0, True), (TBT, TBT.index(0, "B"), False)):
+    threebytwo). mwd_l, where it needs an LP, solves the same one with one
+    more column t, the weight every context keeps. In the last two games
+    msd keeps s; mwd keeps it where the uniform belief supports it and
+    eliminates it where only beliefs without R do."""
+    submitted = _recorded_lps(monkeypatch)
+    cases = (
+        # r1 weakly dominates s, so mwd needs no LP
+        (_weakly_dominated_best_response_game(), 0, True, False, 0),
+        (TBT, TBT.index(0, "B"), False, False, 1),
+        (_row_game({"s": (1, 1, 1), "r1": (2, 0, 1), "r2": (0, 2, 1), "r3": (0, 0, 2)}),
+         0, True, True, 1),
+        (_row_game({"s": (1, 1, 1), "r1": (2, 0, 2), "r2": (0, 2, 2)}), 0, True, False, 1),
+    )
+    for game, s, survives, survives_weak, mwd_lp_count in cases:
         G = game.full_restriction()
         runs = []
-        for name in ("brc_l", "msd_l"):
+        for name in ("brc_l", "msd_l", "mwd_l"):
             del submitted[:]
-            runs.append((builtin(game, name, 0).holds(s, G), list(submitted)))
-        (brc_answer, [brc_lp]), (msd_answer, [msd_lp]) = runs
+            runs.append((builtin(game, name, 0).holds(s, G), [lp for lp, _ in submitted]))
+        (brc_answer, [brc_lp]), (msd_answer, [msd_lp]), (mwd_answer, mwd_lps) = runs
         assert brc_answer == msd_answer == survives
         assert brc_lp.rows == msd_lp.rows and brc_lp.objective == msd_lp.objective
+        assert mwd_answer == survives_weak
+        assert len(mwd_lps) == mwd_lp_count
+        if mwd_lps:
+            m = msd_lp.num_vars
+            assert mwd_lps[0].objective == [0] * m + [1]
+            assert mwd_lps[0].rows == [
+                (coeffs + [sum(coeffs) if rel == ">=" else m], rel, rhs)
+                for coeffs, rel, rhs in msd_lp.rows
+            ]
 
 
 def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):

@@ -1,5 +1,6 @@
 """The elimination operator, its iteration, and the fixpoint cross-checks."""
 
+import operator
 import random
 from pathlib import Path
 
@@ -14,8 +15,10 @@ from epigame.games import (
 )
 from epigame.operators import (
     LemmaHypothesisError,
+    NotShrinkingError,
     apply_T,
     check_lemma_inc,
+    descend,
     iterate_to_outcome,
     largest_fixpoint_via_postfixpoints,
     serialize_trace,
@@ -83,6 +86,12 @@ def test_iterate_from_a_start():
 def test_serialize_trace():
     text = serialize_trace(iterate_to_outcome(profile_named(PD, "sd_l")))
     assert text.splitlines() == ["stage 0: {C,D} | {C,D}", "stage 1: {D} | {D}"]
+
+
+def test_descend_stops_at_the_first_kept_value_and_refuses_growth():
+    assert descend(12, lambda n: n // 2, operator.le) == [12, 6, 3, 1, 0]
+    with pytest.raises(NotShrinkingError):
+        descend(frozenset({1}), lambda F: F | {len(F) + 1}, operator.le)
 
 
 # ---------- the greatest fixpoint route ----------

@@ -1,9 +1,11 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "epigame"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "epigame"
 
 
 def test_no_assert_statements_in_the_package():
@@ -44,3 +46,21 @@ def test_no_unused_imports_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not found, f"unused imports in the package: {', '.join(found)}"
+
+
+def test_benchmark_layer_targets_resolve():
+    """Every layer the benchmark's tracer wraps still exists, so renaming one
+    fails here instead of silently dropping its per-layer metrics."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for target in tracer.TARGETS:
+        module, *attrs = target.split(".")
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        for part in attrs:
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(target)
+    assert tracer.TARGETS and not missing, f"tracer targets not found: {', '.join(missing)}"
