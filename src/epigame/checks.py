@@ -741,18 +741,19 @@ def compiled_agreement(rng, cfg):
                 logic.lo_text(name, i), game, i, name
             )
             builtin = optimality.builtin(game, name, i)
+            everyone = game.strategies(i)
             for G in games.all_restrictions(game, budget=cfg.budget):
                 if any(not part for part in G.sets):
                     continue
-                for s in game.strategies(i):
-                    if compiled.holds(s, G) != builtin.holds(s, G):
-                        return {
-                            "game": games.game_to_text(game),
-                            "condition": name,
-                            "player": i + 1,
-                            "strategy": game.name(i, s),
-                            "restriction": G.describe(),
-                        }
+                differ = compiled.survivors(G, everyone) ^ builtin.survivors(G, everyone)
+                if differ:
+                    return {
+                        "game": games.game_to_text(game),
+                        "condition": name,
+                        "player": i + 1,
+                        "strategy": game.name(i, min(differ)),
+                        "restriction": G.describe(),
+                    }
     return None
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import ge, gt, sub
+from itertools import repeat
+from operator import and_, eq, ge, gt, sub
 
 from .games import (
     CorrelatedBelief,
@@ -65,6 +66,79 @@ def _pure_best_response(rows, s_i, rivals, strict=False):
         return bool(mine)
     best = rows[rivals[0]] if len(rivals) == 1 else map(max, *(rows[s] for s in rivals))
     return any(map(gt if strict else ge, mine, best))
+
+
+def _column_max(rival_rows):
+    """The context-wise maximum of one or more rows."""
+    return rival_rows[0] if len(rival_rows) == 1 else tuple(map(max, *rival_rows))
+
+
+def _reached_alone(rival_rows, best):
+    """Per context, whether exactly one of the rows reaches best there."""
+    return tuple(map(eq, map(tuple.count, zip(*rival_rows), best), repeat(1)))
+
+
+def _best_responders(rows, rivals, candidates, strict=False):
+    """Split candidates into those at least as good as every rival (strict:
+    better than every other rival) in some context, and the rest.
+
+    The set-wise form of _pure_best_response: the rivals' context-wise maximum
+    is built once for all candidates. With no rivals, a candidate qualifies
+    wherever it has a context. Returns two lists.
+    """
+    hits, rest = [], []
+    if not rivals:
+        for s in candidates:
+            (hits if rows[s] else rest).append(s)
+        return hits, rest
+    rival_rows = list(map(rows.__getitem__, rivals))
+    best = _column_max(rival_rows)
+    alone = _reached_alone(rival_rows, best) if strict else None
+    for s in candidates:
+        row = rows[s]
+        if not strict:
+            hit = any(map(ge, row, best))
+        elif s in rivals:  # alone at the maximum, where every other rival is below
+            hit = any(map(and_, map(eq, row, best), alone))
+        else:
+            hit = any(map(gt, row, best))
+        (hits if hit else rest).append(s)
+    return hits, rest
+
+
+def undominated(rows, rivals, candidates, weak=False):
+    """The candidates that no rival strictly (weak: weakly) dominates.
+
+    A candidate at least as good as every rival in some context has no strict
+    dominator among them; one as good as every rival in every context, or
+    better than every other rival in some context, has no weak dominator. The
+    others are scanned against every rival with row_strictly_dominates (weak:
+    row_weakly_dominates).
+    """
+    rival_rows = list(map(rows.__getitem__, rivals))
+    if not rival_rows:
+        return candidates
+    best = _column_max(rival_rows)
+    dominates = row_weakly_dominates if weak else row_strictly_dominates
+    alone = None  # built when a candidate first needs it
+    kept = []
+    for s in candidates:
+        row = rows[s]
+        if not weak:
+            safe = any(map(ge, row, best))
+        elif row == best:
+            safe = True
+        elif s not in rivals:
+            safe = any(map(gt, row, best))
+        elif any(map(eq, row, best)):  # at the maximum somewhere: alone there?
+            if alone is None:
+                alone = _reached_alone(rival_rows, best)
+            safe = any(map(and_, map(eq, row, best), alone))
+        else:
+            safe = False
+        if safe or not any(map(dominates, rival_rows, repeat(row))):
+            kept.append(s)
+    return kept
 
 
 def mixed_strictly_dominates_exists(game, context, i, support, dominated):
@@ -150,6 +224,23 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     return _pearce(game, context, i, support, dominated, weak=True)
 
 
+def mixed_undominated(game, context, i, support, candidates, weak=False):
+    """The candidates that no mixture over support strictly (weak: weakly)
+    dominates: mixed_strictly_dominates_exists (weak:
+    mixed_weakly_dominates_exists) for all of them at once, with the pure
+    prefilter built once and _pearce only for the candidates it leaves open.
+    """
+    if not support:
+        raise ValueError("empty support")
+    rows = context.rows(i)
+    kept, rest = _best_responders(rows, support, candidates, strict=weak)
+    support = sorted(support)
+    # with no context, strict domination is vacuous and weak domination impossible
+    kept += [s for s in rest
+             if (_pearce(game, context, i, support, s, weak) is None if rows[s] else weak)]
+    return kept
+
+
 def _grid_mixtures(game, player, strategies, denominator_bound):
     """All distributions over strategies with weights of denominator <= bound."""
     strategies = sorted(strategies)
@@ -183,18 +274,7 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
     which Pearce's LP in _pearce decides with a checked certificate either
     way; only the grid searches further.
     """
-    if grid_denominator is not None and grid_denominator < 1:
-        raise BeliefClassError(f"grid denominator must be at least 1, got {grid_denominator}")
-    if belief_class == "mixed":
-        if game.n == 2:
-            belief_class = "correlated"
-        elif grid_denominator is None:
-            raise BeliefClassError(
-                "independent mixed beliefs with more than two players: "
-                "supply grid_denominator for an approximate grid search"
-            )
-    elif belief_class not in ("pure", "correlated"):
-        raise BeliefClassError(f"unknown belief class {belief_class!r}")
+    belief_class = _belief_class(game, belief_class, grid_denominator)
     rivals = comparison.strategies(i)
     rows = beliefs_in.rows(i)
     if not rows[s_i]:  # no opponent profile to hold a belief about
@@ -203,8 +283,50 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
         return True
     if belief_class == "pure" or _pearce(game, beliefs_in, i, rivals, s_i) is not None:
         return False
-    if belief_class == "correlated":
-        return True
+    return belief_class == "correlated" or _grid_best_response(
+        game, beliefs_in, i, s_i, rivals, grid_denominator)
+
+
+def best_responses(game, comparison, beliefs_in, i, candidates, belief_class="pure",
+                   grid_denominator=None):
+    """The candidates that is_best_response accepts, decided together: the
+    pure best responses from one column maximum, then _pearce (and the grid)
+    only for the others."""
+    belief_class = _belief_class(game, belief_class, grid_denominator)
+    rows = beliefs_in.rows(i)
+    kept, rest = _best_responders(rows, comparison.sets[i], candidates)
+    if belief_class == "pure" or not rest:
+        return kept
+    rivals = comparison.strategies(i)
+    for s in rest:
+        if rows[s] and _pearce(game, beliefs_in, i, rivals, s) is None and (
+            belief_class == "correlated"
+            or _grid_best_response(game, beliefs_in, i, s, rivals, grid_denominator)
+        ):
+            kept.append(s)
+    return kept
+
+
+def _belief_class(game, belief_class, grid_denominator):
+    """The class is_best_response decides: 'pure', 'correlated', or 'mixed'
+    for the grid search. Raises BeliefClassError as is_best_response documents."""
+    if grid_denominator is not None and grid_denominator < 1:
+        raise BeliefClassError(f"grid denominator must be at least 1, got {grid_denominator}")
+    if belief_class == "mixed":
+        if game.n == 2:
+            return "correlated"
+        if grid_denominator is None:
+            raise BeliefClassError(
+                "independent mixed beliefs with more than two players: "
+                "supply grid_denominator for an approximate grid search"
+            )
+    elif belief_class not in ("pure", "correlated"):
+        raise BeliefClassError(f"unknown belief class {belief_class!r}")
+    return belief_class
+
+
+def _grid_best_response(game, beliefs_in, i, s_i, rivals, grid_denominator):
+    """Is s_i at least as good as every rival against some product of grid mixtures?"""
     opponents = [j for j in range(game.n) if j != i]
     grids = [
         list(_grid_mixtures(game, j, beliefs_in.strategies(j), grid_denominator))

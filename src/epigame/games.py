@@ -67,6 +67,10 @@ class Game:
         return self.strategy_names[i][s]
 
     @functools.cached_property
+    def _index_sets(self):
+        return tuple(frozenset(range(len(names))) for names in self.strategy_names)
+
+    @functools.cached_property
     def _indices(self):
         return tuple({nm: s for s, nm in enumerate(names)} for names in self.strategy_names)
 
@@ -135,10 +139,11 @@ class Restriction:
     def __post_init__(self):
         if len(self.sets) != self.game.n:
             raise ValueError("restriction arity does not match game")
-        for i, part in enumerate(self.sets):
-            for s in part:
-                if not 0 <= s < self.game.strategy_count(i):
-                    raise ValueError(f"strategy index {s} out of range for player {i + 1}")
+        if not all(map(frozenset.issuperset, self.game._index_sets, self.sets)):
+            for i, part in enumerate(self.sets):  # names the first bad index
+                for s in part:
+                    if not 0 <= s < self.game.strategy_count(i):
+                        raise ValueError(f"strategy index {s} out of range for player {i + 1}")
 
     def __iter__(self):
         return iter(self.sets)

@@ -768,8 +768,12 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
     def evaluator(s, G):
         return run({pivot: state_of[s]}, event_of_restriction(model, G))
 
+    def rule(G, candidates):
+        X = event_of_restriction(model, G)
+        return [s for s in candidates if run({pivot: state_of[s]}, X)]
+
     return OptimalityProperty(
-        name, i, game, evaluator, "compiled", monotone=check_positive_lo(formula)
+        name, i, game, evaluator, "compiled", monotone=check_positive_lo(formula), rule=rule
     )
 
 

@@ -32,12 +32,11 @@ def _check_profile(profile, game):
 
 
 def apply_T(profile, restriction):
-    """One elimination round: keep the strategies their owner's property accepts."""
+    """One elimination round: each player's property decides their whole set at once."""
     game = restriction.game
     _check_profile(profile, game)
     sets = tuple(
-        frozenset(s for s in part if profile[i].holds(s, restriction))
-        for i, part in enumerate(restriction.sets)
+        prop.survivors(restriction, part) for prop, part in zip(profile, restriction.sets)
     )
     return Restriction(game, sets)
 

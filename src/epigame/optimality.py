@@ -30,6 +30,9 @@ class OptimalityProperty:
     # guards then enumerate. own_independent is condition A.
     monotone: bool = False
     own_independent: bool = False
+    # rule(G, candidates) -> the candidates at which the property holds on G,
+    # deciding them together; None filters the candidates through evaluator.
+    rule: Optional[Callable] = None
 
     def holds(self, s_i, restriction):
         if restriction.game is not self.game:
@@ -37,6 +40,24 @@ class OptimalityProperty:
         if not 0 <= s_i < self.game.strategy_count(self.player):
             raise ValueError(f"strategy index {s_i} out of range")
         return bool(self.evaluator(s_i, restriction))
+
+    def survivors(self, restriction, candidates):
+        """The frozenset of candidates (strategy indices of the owner) at which
+        the property holds on the restriction; refused as holds refuses them."""
+        if restriction.game is not self.game:
+            raise ValueError("restriction belongs to a different game")
+        if not candidates:
+            return frozenset()
+        # the restriction's own part was checked when it was built
+        if candidates is not restriction.sets[self.player]:
+            count = self.game.strategy_count(self.player)
+            if not (0 <= min(candidates) and max(candidates) < count):
+                for s in candidates:
+                    if not 0 <= s < count:
+                        raise ValueError(f"strategy index {s} out of range")
+        if self.rule is None:
+            return frozenset(s for s in candidates if self.evaluator(s, restriction))
+        return frozenset(self.rule(restriction, candidates))
 
     def __repr__(self):
         return f"<{self.name} player {self.player + 1}>"
@@ -62,21 +83,26 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
             f"grid denominator must be at least 1, got {grid_denominator}"
         )
     full = game.full_restriction()
+    local = name.endswith("_l")
+    everyone = game.strategies(i)
 
     if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
-        local = name.endswith("_l")
+        weak = name[0] == "w"
         relation = (
             dominance.row_strictly_dominates if name[0] == "s" else dominance.row_weakly_dominates
         )
-        everyone = game.strategies(i)
 
         def evaluator(s, G):
             rows = G.rows(i)
             rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
             return not any(map(relation, rivals, itertools.repeat(rows[s])))
 
+        def rule(G, candidates):
+            return dominance.undominated(G.rows(i), G.sets[i] if local else everyone,
+                                         candidates, weak)
+
     elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
-        local = name.endswith("_l")
+        weak = name.startswith("mwd")
         search = (
             dominance.mixed_strictly_dominates_exists
             if name.startswith("msd")
@@ -89,9 +115,15 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
                 return True
             return search(game, G, i, support, s) is None
 
-    elif name in ("br_l", "br_g"):
+        def rule(G, candidates):
+            support = G.sets[i] if local else everyone
+            if not support:
+                return candidates
+            return dominance.mixed_undominated(game, G, i, support, candidates, weak)
+
+    else:  # br_l, br_g, brc_l
         comparison_full = name == "br_g"
-        cls = belief_class or "pure"
+        cls = "correlated" if name == "brc_l" else belief_class or "pure"
 
         def evaluator(s, G):
             comparison = full if comparison_full else G
@@ -99,13 +131,14 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
                 game, comparison, G, i, s, cls, grid_denominator
             )
 
-    else:  # brc_l
-
-        def evaluator(s, G):
-            return dominance.is_best_response(game, G, G, i, s, "correlated")
+        def rule(G, candidates):
+            comparison = full if comparison_full else G
+            return dominance.best_responses(
+                game, comparison, G, i, candidates, cls, grid_denominator
+            )
 
     return OptimalityProperty(name, i, game, evaluator, monotone=name in MONOTONE_BUILTINS,
-                              own_independent=name.endswith("_g"))
+                              own_independent=name.endswith("_g"), rule=rule)
 
 
 def profile_named(game, names, belief_class=None, grid_denominator=None):

@@ -300,6 +300,11 @@ def test_restriction_validation():
         Restriction(PD, (frozenset([0]),))
     with pytest.raises(ValueError):
         Restriction(PD, (frozenset([5]), frozenset()))
+    # the first bad index, part by part, is the one named
+    with pytest.raises(ValueError, match="^strategy index 7 out of range for player 2$"):
+        Restriction(PD, (frozenset([0, 1]), frozenset([1, 7])))
+    with pytest.raises(ValueError, match="^strategy index -1 out of range for player 1$"):
+        Restriction(PD, (frozenset([-1]), frozenset([9])))
 
 
 def test_empty_and_full():

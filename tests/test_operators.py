@@ -9,6 +9,7 @@ import pytest
 from epigame.checks import CheckConfig, random_game
 from epigame.games import (
     BudgetExceededError,
+    Restriction,
     all_restrictions,
     load_game_file,
     restriction_leq,
@@ -49,6 +50,37 @@ def test_apply_T_is_deflationary_for_all_builtins():
         profile = profile_named(PD, name)
         for G in all_restrictions(PD):
             assert restriction_leq(apply_T(profile, G), G), name
+
+
+def _per_strategy_T(profile, G):
+    """The reference operator: ask holds once per strategy."""
+    return Restriction(G.game, tuple(
+        frozenset(s for s in part if profile[i].holds(s, G)) for i, part in enumerate(G.sets)
+    ))
+
+
+def test_apply_T_equals_the_per_strategy_filter():
+    """apply_T decides each player's set at once; on every restriction of
+    seeded 2- and 3-player games, and along every elimination, it equals the
+    holds filter."""
+    rng = random.Random(1515)
+    draws = [(2, 3, 1), (2, 3, 9), (2, 4, 3), (3, 2, 1), (3, 2, 9)]
+    games = [PD, TBT] + [
+        random_game(rng, CheckConfig(count=0, max_players=n, max_strategies=cap,
+                                     payoff_bound=bound), n=n)
+        for n, cap, bound in draws
+    ]
+    for game in games:
+        profiles = [profile_named(game, name) for name in BUILTIN_NAMES]
+        profiles += [profile_named(game, "br_g", belief_class="correlated"),
+                     profile_named(game, "sd_l,wd_g" if game.n == 2 else "br_l,sd_g,mwd_l")]
+        for profile in profiles:
+            for G in all_restrictions(game):
+                assert apply_T(profile, G) == _per_strategy_T(profile, G), (profile, G.describe())
+            stages = [game.full_restriction()]
+            while (nxt := _per_strategy_T(profile, stages[-1])) != stages[-1]:
+                stages.append(nxt)
+            assert iterate_to_outcome(profile).stages == tuple(stages), profile
 
 
 def test_iterate_pd():

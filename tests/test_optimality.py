@@ -248,3 +248,68 @@ def test_pure_dominance_builtins_equal_the_pairwise_relations():
                             not any(relation(game, G, i, d, s) for d in rivals))
                         checked += 1
     assert checked > 5000
+
+
+# ---------- survivors: the set-wise rules against holds ----------
+
+
+def _gate_games():
+    """Seeded 2- and 3-player games; small payoff bounds make ties common."""
+    rng = random.Random(1414)
+    draws = [(2, 3, 1), (2, 3, 3), (2, 3, 9), (2, 4, 2), (2, 4, 9), (3, 2, 1), (3, 2, 3), (3, 2, 9)]
+    return [PD, TBT, WDW] + [
+        random_game(rng, CheckConfig(count=0, max_players=n, max_strategies=cap,
+                                     payoff_bound=bound), n=n)
+        for n, cap, bound in draws
+    ]
+
+
+def _gate_properties(game, i):
+    props = [builtin(game, name, i) for name in BUILTIN_NAMES]
+    classes = ["correlated", "mixed"] if game.n == 2 else ["correlated"]
+    props += [builtin(game, name, i, belief_class=cls)
+              for name in ("br_l", "br_g") for cls in classes]
+    if game.n > 2:
+        props += [builtin(game, name, i, belief_class="mixed", grid_denominator=2)
+                  for name in ("br_l", "br_g")]
+    props += [compile_lo_to_property(lo_text("wd_l", i), game, i, "wd_l"),
+              compile_lo_to_property(lo_text("br_g", i), game, i, "br_g"),
+              constant_property(game, i), constant_property(game, i, value=False)]
+    return props
+
+
+def test_survivors_equal_holds():
+    """On every restriction, empty parts included, survivors(G, S) for all of
+    the owner's strategies S (those outside G.sets[i] too) is the holds filter."""
+    checked = 0
+    for game in _gate_games():
+        for i in range(game.n):
+            props = _gate_properties(game, i)
+            everyone = list(game.strategies(i))
+            for G in all_restrictions(game):
+                for prop in props:
+                    got = prop.survivors(G, everyone)
+                    assert isinstance(got, frozenset)
+                    assert got == {s for s in everyone if prop.holds(s, G)}, (
+                        prop, G.describe())
+                    assert prop.survivors(G, G.sets[i]) == got & G.sets[i]
+                    checked += 1
+    assert checked > 15000
+
+
+def test_survivors_refuses_as_holds_does():
+    prop = builtin(PD, "sd_l", 0)
+    other = load_game_file(DATA / "pd.game").full_restriction()
+    for refused in (lambda: prop.holds(0, other), lambda: prop.survivors(other, [0])):
+        with pytest.raises(ValueError, match="^restriction belongs to a different game$"):
+            refused()
+    full = PD.full_restriction()
+    for candidates in ([0, 9], [9, 0, -1], range(3)):
+        first = next(s for s in candidates if not 0 <= s < 2)
+        with pytest.raises(ValueError) as by_holds:
+            prop.holds(first, full)
+        with pytest.raises(ValueError) as by_survivors:
+            prop.survivors(full, candidates)
+        assert str(by_survivors.value) == str(by_holds.value) == (
+            f"strategy index {first} out of range")
+    assert prop.survivors(full, []) == frozenset()

@@ -64,3 +64,17 @@ def test_benchmark_layer_targets_resolve():
         if not callable(owner):
             missing.append(target)
     assert tracer.TARGETS and not missing, f"tracer targets not found: {', '.join(missing)}"
+
+
+def test_every_builtin_has_a_set_wise_rule():
+    """apply_T asks each property for a player's whole set; a builtin without
+    its own rule would silently fall back to one holds call per strategy."""
+    from epigame.games import load_game_file
+    from epigame.optimality import BUILTIN_NAMES, builtin, constant_property
+
+    game = load_game_file(ROOT / "data" / "pd.game")
+    props = [builtin(game, name, 0) for name in BUILTIN_NAMES]
+    props += [builtin(game, name, 0, belief_class=cls)
+              for name in ("br_l", "br_g") for cls in ("pure", "correlated", "mixed")]
+    assert [prop.name for prop in props if prop.rule is None] == []
+    assert constant_property(game, 0).rule is None  # the holds filter is the default
