@@ -355,20 +355,17 @@ def just_chain(rng, cfg):
     sdl = _profile(game, "sd_l")
     for G in games.all_restrictions(game, budget=cfg.budget):
         for i in range(game.n):
-            for s in G.strategies(i):
-                a, b, c = (
-                    brg[i].holds(s, G),
-                    sdg[i].holds(s, G),
-                    sdl[i].holds(s, G),
-                )
-                if (a and not b) or (b and not c):
-                    return {
-                        "game": games.game_to_text(game),
-                        "restriction": G.describe(),
-                        "player": i + 1,
-                        "strategy": game.name(i, s),
-                        "values": {"br_g": a, "sd_g": b, "sd_l": c},
-                    }
+            a, b, c = (prop[i].survivors(G, G.sets[i]) for prop in (brg, sdg, sdl))
+            bad = (a - b) | (b - c)
+            if bad:
+                s = min(bad)
+                return {
+                    "game": games.game_to_text(game),
+                    "restriction": G.describe(),
+                    "player": i + 1,
+                    "strategy": game.name(i, s),
+                    "values": {"br_g": s in a, "sd_g": s in b, "sd_l": s in c},
+                }
     big = operators.iterate_to_outcome(sdl).outcome
     small = operators.iterate_to_outcome(brg).outcome
     if games.restriction_leq(small, big):

@@ -256,27 +256,31 @@ def pinned_restriction(model, i, w):
 def rationality_event(model, prop):
     """States where the property holds for the owner's strategy given their beliefs.
 
-    G_{P_i(w)} depends only on the block, and blocks with equal strategy images
-    share one restriction (so its cut rows) and one verdict per strategy.
+    G_{P_i(w)} depends only on the block, so the states are grouped by block
+    into cells, one per distinct strategy image. A property declaring
+    condition A (own_independent) ignores the owner's own image, so its cells
+    are keyed by the opponents' images alone and the first restriction seen
+    stands for the cell. Each cell asks the property once, for the own
+    strategies played at its states.
     """
     i = prop.player
-    out = []
-    by_sets = {}  # strategy images -> (restriction, verdict by own strategy)
-    by_block = {}
-    for w, s in enumerate(model.assignment[i]):
-        block = model.P(i, w)
-        cell = by_block.get(block)
+    own = model.assignment[i]
+    states_of = {}  # block -> the states holding it
+    for w in model.states():
+        states_of.setdefault(model.P(i, w), []).append(w)
+    cells = {}  # strategy images, or the opponents' -> (restriction, own strategies, states)
+    for block, states in states_of.items():
+        sets = _images(model, [block] * model.game.n)
+        key = sets[:i] + sets[i + 1 :] if prop.own_independent else sets
+        cell = cells.get(key)
         if cell is None:
-            sets = _images(model, [block] * model.game.n)
-            cell = by_sets.get(sets)
-            if cell is None:
-                cell = by_sets[sets] = (Restriction(model.game, sets), {})
-            by_block[block] = cell
-        G, verdicts = cell
-        if s not in verdicts:
-            verdicts[s] = prop.holds(s, G)
-        if verdicts[s]:
-            out.append(w)
+            cell = cells[key] = (Restriction(model.game, sets), set(), [])
+        cell[1].update(map(own.__getitem__, states))
+        cell[2].extend(states)
+    out = []
+    for G, asked, states in cells.values():
+        kept = prop.survivors(G, frozenset(asked))
+        out += itertools.compress(states, map(kept.__contains__, map(own.__getitem__, states)))
     return frozenset(out)
 
 
@@ -285,16 +289,9 @@ def optimality_event(model, prop, restriction=None):
     (default: the restriction induced by the whole model)."""
     if restriction is None:
         restriction = restriction_of(model, model.all_event())
-    i = prop.player
-    cache = {}
-    out = []
-    for w in model.states():
-        s = model.strategy_of(i, w)
-        if s not in cache:
-            cache[s] = prop.holds(s, restriction)
-        if cache[s]:
-            out.append(w)
-    return frozenset(out)
+    own = model.assignment[prop.player]
+    kept = prop.survivors(restriction, frozenset(own))
+    return frozenset(itertools.compress(model.states(), map(kept.__contains__, own)))
 
 
 def rat_event(model, profile):
@@ -474,13 +471,147 @@ class LoadedModel:
 
 
 def parse_model(text, base_dir="."):
-    """Parse the plain-text model format; see the README for the layout."""
+    """Parse the plain-text model format; see the README for the layout.
+
+    A well-formed text is read column-wise; only when a check of that reading
+    fails does the line loop run, which names the first faulty line.
+    """
+    lines = _text_lines(text)
+    games = {}  # the path after 'game' -> its game, so a fallback loads it once
+    parts = _model_columns(lines, base_dir, games) or _model_lines(lines, base_dir, games)
+    return _loaded_model(*parts)
+
+
+def _text_lines(text):
+    """The lines of a text with '#' comments cut off."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return lines
+
+
+def _game_at(games, game_path, base_dir):
+    if game_path not in games:
+        path = game_path
+        if not os.path.isabs(path):
+            path = os.path.join(base_dir, path)
+        games[game_path] = load_game_file(path)
+    return games[game_path]
+
+
+def _model_columns(lines, base_dir, games):
+    """The parts of a model text, or None if any check fails: the first two
+    non-blank lines are 'game <path>' and 'states <name>...'; every other
+    line is an assign, P or level line; the assign lines give every (state,
+    player) once, and the P lines, if any, every (player, state) once.
+
+    The assign lines are read as one flat token list cut by stride; each
+    line's own token list lives only to be counted. A P line is cut at its
+    ' : ' and the parts before it are read the same way. Each distinct text
+    after ' : ' is split once, and equal blocks are one frozenset.
+    """
+    lines = list(filter(None, map(str.strip, lines)))
+    if len(lines) < 2:
+        return None
+    head, states = lines[0].split(), lines[1].split()
+    if len(head) != 2 or head[0] != "game" or states[0] != "states" or len(states) < 2:
+        return None
+    game = _game_at(games, head[1], base_dir)
+    state_names = tuple(states[1:])
+    state_index = {name: w for w, name in enumerate(state_names)}
+    if len(state_index) != len(state_names):
+        return None
+    n, k = game.n, len(state_names)
+    players = {str(i + 1): i for i in range(n)}
+
+    body = lines[2:]
+    kinds = list(map(operator.itemgetter(0), body))  # each line's first character
+
+    def lines_of(kind):
+        return list(itertools.compress(body, map(operator.eq, kinds, itertools.repeat(kind))))
+
+    def columns(rows, width, directive):
+        """The rows' tokens as one flat list, or None unless there are n·|W|
+        rows, each of width tokens, the first of them the directive."""
+        if len(rows) != n * k or list(map(len, map(str.split, rows))).count(width) != n * k:
+            return None
+        toks = " ".join(rows).split()
+        return toks if toks[::width].count(directive) == n * k else None
+
+    def column(index, names):
+        col = list(map(index.get, names))
+        return None if None in col else col
+
+    def by_player(player_col, state_col, values):
+        """Per player, the values by state; None on an unknown player or
+        state, or unless every (player, state) is given once."""
+        i_col, w_col = column(players, player_col), column(state_index, state_col)
+        if i_col is None or w_col is None:
+            return None
+        slots = map(operator.add, map(operator.mul, i_col, itertools.repeat(k)), w_col)
+        table = dict(zip(slots, values))
+        if len(table) != n * k:
+            return None
+        flat = list(map(table.__getitem__, range(n * k)))
+        return tuple(tuple(flat[i * k : (i + 1) * k]) for i in range(n))
+
+    def assignment_of(rows):
+        """Per player, the strategy by state, or None."""
+        toks = columns(rows, 4, "assign")
+        if toks is None:
+            return None
+        i_col = column(players, toks[2::4])
+        if i_col is None:
+            return None
+        index = [{nm: s for s, nm in enumerate(names)} for names in game.strategy_names]
+        chosen = list(map(dict.get, map(index.__getitem__, i_col), toks[3::4]))
+        return None if None in chosen else by_player(toks[2::4], toks[1::4], chosen)
+
+    def blocks_of(rows):
+        """Per player, the block by state, or None."""
+        cuts = list(map(str.partition, rows, itertools.repeat(" : ")))
+        heads, seps, listed = (list(map(operator.itemgetter(j), cuts)) for j in range(3))
+        toks = columns(heads, 3, "P") if seps.count(" : ") == len(rows) else None
+        if toks is None:
+            return None
+        blocks = {}  # the text after ' : ' -> its block
+        shared = {}  # one object per distinct block
+        for names in set(listed):
+            block = frozenset(map(state_index.get, names.split()))
+            if None in block:
+                return None
+            blocks[names] = shared.setdefault(block, block)
+        return by_player(toks[1::3], toks[2::3], map(blocks.__getitem__, listed))
+
+    assigns, plines, levels = lines_of("a"), lines_of("P"), lines_of("l")
+    if len(assigns) + len(plines) + len(levels) != len(body):
+        return None
+    level, level_seen = "bare", False
+    for line in levels:
+        toks = line.split()
+        if toks[0] != "level" or len(toks) != 2 or toks[1] not in LEVELS:
+            return None
+        level, level_seen = toks[1], True
+    # each reading's tokens are dropped before the next one starts
+    assignment = assignment_of(assigns)
+    if assignment is None:
+        return None
+    corr = blocks_of(plines) if plines else None
+    if plines and corr is None:
+        return None
+    return game, head[1], state_names, assignment, corr, level, level_seen
+
+
+def _model_lines(lines, base_dir, games):
+    """The parts of a model text read line by line; raises at the first
+    faulty line."""
     game = None
     game_path = None
     state_names = state_index = None
     assigns = {}  # (state, player) -> strategy
     plines = {}  # (player, state) -> frozenset of states
-    blocks = {}  # the names after ':' -> their frozenset, one object per distinct text
+    blocks = {}  # the names after ':' -> their block
+    shared = {}  # one object per distinct block
     level = "bare"
     level_seen = False
 
@@ -490,20 +621,16 @@ def parse_model(text, base_dir="."):
         except KeyError:
             raise ModelFormatError(f"unknown state {name!r}", lineno) from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    for lineno, raw in enumerate(lines, start=1):
+        toks = raw.split()
+        if not toks:
             continue
-        toks = stripped.split()
         head = toks[0]
         if head == "game":
             if len(toks) != 2:
                 raise ModelFormatError("expected 'game <path>'", lineno)
             game_path = toks[1]
-            path = game_path
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            game = load_game_file(path)
+            game = _game_at(games, game_path, base_dir)
         elif head == "states":
             if game is None:
                 raise ModelFormatError("'states' before 'game'", lineno)
@@ -554,7 +681,8 @@ def parse_model(text, base_dir="."):
                 )
             listed = tuple(toks[4:])
             if listed not in blocks:
-                blocks[listed] = frozenset(state_idx(nm, lineno) for nm in listed)
+                block = frozenset(state_idx(nm, lineno) for nm in listed)
+                blocks[listed] = shared.setdefault(block, block)
             plines[(i, w)] = blocks[listed]
         elif head == "level":
             if len(toks) != 2 or toks[1] not in LEVELS:
@@ -590,6 +718,10 @@ def parse_model(text, base_dir="."):
             tuple(plines[(i, w)] for w in range(len(state_names)))
             for i in range(game.n)
         )
+    return game, game_path, state_names, assignment, corr, level, level_seen
+
+
+def _loaded_model(game, game_path, state_names, assignment, corr, level, level_seen):
     model = EpistemicModel(game, state_names, assignment, corr)
     if level_seen:
         bad = validate(model, level)

@@ -1,10 +1,12 @@
 """Epistemic models, belief operators, and the two foundation checkers."""
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
+from epigame import epistemic
 from epigame.announcements import effect
 from epigame.checks import CheckConfig, random_game
 from epigame.epistemic import (
@@ -20,6 +22,7 @@ from epigame.epistemic import (
     is_evident,
     load_model_file,
     model_to_text,
+    optimality_event,
     parse_model,
     pinned_restriction,
     random_belief_model,
@@ -37,12 +40,15 @@ from epigame.games import (
     game_to_text,
     load_game_file,
 )
+from epigame.logic import compile_lo_to_property, lo_text, parse_lo
 from epigame.operators import iterate_to_outcome
 from epigame.optimality import (
+    BUILTIN_NAMES,
     NonMonotonicPropertyError,
     OptimalityProperty,
     builtin,
     profile_named,
+    satisfies_condition_A,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -589,3 +595,206 @@ def test_state_index_keeps_its_answers_and_message():
     with pytest.raises(KeyError) as info:
         model.state_index("nope")
     assert info.value.args == ("no state named 'nope'",)
+
+
+# ---------- the column-wise model reader ----------
+
+
+def _both_paths(text, base_dir):
+    """The model as the column-wise reader gives it (None when it declines)
+    and as the line loop gives it, both from one game object."""
+    lines = epistemic._text_lines(text)
+    games = {}
+    columns = epistemic._model_columns(lines, base_dir, games)
+    loop = epistemic._loaded_model(*epistemic._model_lines(lines, base_dir, games))
+    return columns and epistemic._loaded_model(*columns), loop
+
+
+def _sharing(model):
+    """Each block position mapped to the first position holding that very
+    object, over all players."""
+    first = {}
+    flat = [block for blocks in model.correspondences for block in blocks]
+    return [first.setdefault(id(block), k) for k, block in enumerate(flat)]
+
+
+def _assert_same_loaded(a, b):
+    assert (a.level, a.game_path) == (b.level, b.game_path)
+    assert a.model.game is b.model.game
+    assert a.model.state_names == b.model.state_names
+    assert a.model.assignment == b.model.assignment
+    assert a.model.correspondences == b.model.correspondences
+    if a.model.correspondences is not None:
+        assert _sharing(a.model) == _sharing(b.model)
+        flat = [block for blocks in a.model.correspondences for block in blocks]
+        assert len({id(block) for block in flat}) == len(set(flat))  # one object per value
+
+
+def _variants(text, rng):
+    """Rewritings of a model text that keep its meaning: (name, text, whether
+    the column-wise reader takes it)."""
+    lines = text.splitlines()
+    head, body = lines[:2], lines[2:]
+    shuffled = list(body)
+    rng.shuffle(shuffled)
+    first_assign = next(k for k, line in enumerate(body) if line.startswith("assign "))
+    zero_player = list(body)
+    zero_player[first_assign] = zero_player[first_assign].replace(" 1 ", " 01 ", 1)
+    spaced = []
+    for line in body:
+        spaced += [line, "", "   \t "]
+    join = "\n".join
+    yield "as written", text, True
+    yield "comments", join(["# a model", *head, *(f"{line}  # note" for line in body)]), True
+    yield "crlf", "\r\n".join(lines) + "\r\n", True
+    yield "blank and whitespace-only lines", join(head + spaced), True
+    yield "indented", join(f"  {line}\t" for line in lines), True
+    yield "tabs in assign lines", join(
+        head + [line.replace(" ", "\t") if line.startswith("assign") else line for line in body]
+    ), True
+    yield "tabs everywhere", text.replace(" ", "\t"), "\nP " not in text
+    yield "reordered lines", join(head + shuffled), True
+    yield "player 01", join(head + zero_player), False
+
+
+def test_column_reader_matches_the_line_loop_on_the_bundled_models():
+    for path in sorted(DATA.glob("*.emodel")):
+        columns, loop = _both_paths(path.read_text(encoding="utf-8"), str(DATA))
+        assert columns is not None, path.name
+        _assert_same_loaded(columns, loop)
+
+
+def test_column_reader_matches_the_line_loop_on_random_models(tmp_path):
+    rng = random.Random(77)
+    for k, (game, model) in enumerate(_random_models(77, 16, max_states=12)):
+        (tmp_path / f"g{k}.game").write_text(game_to_text(game))
+        for level in ("bare", "belief", "knowledge" if k % 2 == 0 else "belief"):
+            text = model_to_text(model, f"g{k}.game", level)
+            for name, variant, bulk in _variants(text, rng):
+                columns, loop = _both_paths(variant, str(tmp_path))
+                assert (columns is not None) == bulk, (k, name)
+                if columns is not None:
+                    _assert_same_loaded(columns, loop)
+                parsed = parse_model(variant, str(tmp_path))
+                assert parsed.model.assignment == model.assignment, (k, name)
+                assert parsed.model.correspondences == model.correspondences, (k, name)
+                assert parsed.level == level
+
+
+def test_column_reader_takes_state_names_with_colons(tmp_path):
+    (tmp_path / "g.game").write_text(game_to_text(PD))
+    text = (
+        "game g.game\nstates a:1 b: :c\n"
+        "assign a:1 1 C\nassign a:1 2 C\nassign b: 1 D\nassign b: 2 D\n"
+        "assign :c 1 C\nassign :c 2 D\n"
+        "P 1 a:1 : a:1 b:\nP 1 b: : a:1 b:\nP 1 :c : :c\n"
+        "P 2 a:1 : a:1\nP 2 b: : b: :c\nP 2 :c : :c b:\n"
+    )
+    columns, loop = _both_paths(text, str(tmp_path))
+    assert columns is not None
+    _assert_same_loaded(columns, loop)
+    assert loop.level == "belief"
+    assert loop.model.P(1, 2) == frozenset({1, 2})
+    # a state named ':' is left to the line loop, which reads it the same
+    colon = text.replace(":c", ":")
+    columns, loop = _both_paths(colon, str(tmp_path))
+    assert columns is None
+    assert loop.model.P(1, 2) == frozenset({1, 2})
+
+
+def test_column_reader_declines_lines_that_line_up_only_when_joined(tmp_path):
+    """Tokens that fall into the right columns only once the lines are joined
+    are left to the line loop, which refuses the faulty line."""
+    head = "game g.game\nstates "
+    cases = {
+        # a fifth token on one assign line, a missing one on the next
+        head + "aw\nassign aw 1 C assign\naw 2 D\n": (3, "expected 'assign"),
+        # a P line cut short before its ' : ' and one running over
+        head + "Pw\nassign Pw 1 C\nassign Pw 2 D\nP 1 : Pw\nPw P 2 Pw : Pw\n": (5, "expected 'P"),
+        head + "w\nassign w 1 C\nassign w 2 D\nP 1 w\nP 2 w : w\n": (5, "expected 'P"),
+    }
+    for text, (line, message) in cases.items():
+        err = _bad_model(text, tmp_path)
+        assert err.line == line and message in str(err), text
+
+
+def test_a_model_that_falls_back_loads_its_game_once(tmp_path, monkeypatch):
+    (tmp_path / "g.game").write_text(game_to_text(PD))
+    calls = []
+    real = epistemic.load_game_file
+    monkeypatch.setattr(epistemic, "load_game_file", lambda path: calls.append(path) or real(path))
+    text = "game g.game\nstates w\nassign w 01 C\nassign w 2 D\n"
+    assert epistemic._model_columns(epistemic._text_lines(text), str(tmp_path), {}) is None
+    calls.clear()
+    loaded = parse_model(text, str(tmp_path))
+    assert loaded.model.assignment == ((C,), (D,))
+    assert len(calls) == 1
+    with pytest.raises(ModelFormatError) as info:
+        parse_model(text + "assign w 2 C\n", str(tmp_path))
+    assert "given twice" in str(info.value) and info.value.line == 5
+    assert len(calls) == 2
+
+
+# ---------- rationality and optimality events, one survivors call per cell ----------
+
+
+def _event_properties(game, i):
+    """Every builtin, br_l/br_g with correlated (and, for two players, mixed)
+    beliefs, and compiled first-order properties."""
+    props = [builtin(game, name, i) for name in BUILTIN_NAMES]
+    classes = ("correlated", "mixed") if game.n == 2 else ("correlated",)
+    props += [builtin(game, name, i, belief_class=cls)
+              for name in ("br_l", "br_g") for cls in classes]
+    props += [compile_lo_to_property(parse_lo(lo_text(name, i)), game, i, name)
+              for name in ("sd_l", "wd_g")]
+    return props
+
+
+def _reference_optimality_event(model, prop, restriction):
+    return frozenset(
+        w for w in model.states() if prop.holds(model.strategy_of(prop.player, w), restriction)
+    )
+
+
+def test_events_equal_the_per_strategy_definition():
+    outside = 0  # states whose own strategy lies outside their block's image
+    for k, (game, model) in enumerate(_random_models(78, 12, max_strategies=3, max_states=6)):
+        rng = random.Random(k)
+        event = frozenset(rng.sample(range(model.num_states), model.num_states // 2 + 1))
+        for i in range(game.n):
+            outside += sum(
+                model.strategy_of(i, w) not in {model.strategy_of(i, v) for v in model.P(i, w)}
+                for w in model.states()
+            )
+            for prop in _event_properties(game, i):
+                want = frozenset(
+                    w for w in model.states()
+                    if prop.holds(model.strategy_of(i, w), pinned_restriction(model, i, w))
+                )
+                assert rationality_event(model, prop) == want, (k, prop.name)
+                assert rationality_event(_unshared(model), prop) == want, (k, prop.name)
+                for G in (None, restriction_of(model, event)):
+                    reference = G or restriction_of(model, model.all_event())
+                    assert optimality_event(model, prop, G) == _reference_optimality_event(
+                        model, prop, reference
+                    ), (k, prop.name)
+    assert outside > 0
+
+
+def test_a_wrong_own_independence_declaration_shows():
+    """rationality_event trusts own_independent; the condition-A oracle
+    reads only the evaluator, so it still refutes a wrong declaration."""
+    caught = []
+    for k, (game, model) in enumerate(_random_models(79, 16, max_strategies=3, max_states=8)):
+        for name in ("sd_l", "br_l"):
+            for i in range(game.n):
+                honest = builtin(game, name, i)
+                wrong = dataclasses.replace(honest, own_independent=True)
+                want = _reference_rationality_event(model, honest)
+                assert rationality_event(model, honest) == want
+                if rationality_event(model, wrong) != want:
+                    caught.append((k, name, i))
+                    report = satisfies_condition_A(wrong)
+                    assert not report.independent
+                    assert report == satisfies_condition_A(honest)
+    assert caught

@@ -78,3 +78,24 @@ def test_every_builtin_has_a_set_wise_rule():
               for name in ("br_l", "br_g") for cls in ("pure", "correlated", "mixed")]
     assert [prop.name for prop in props if prop.rule is None] == []
     assert constant_property(game, 0).rule is None  # the holds filter is the default
+
+
+def test_holds_is_called_only_by_the_oracles():
+    """Callers decide a whole set with survivors; only the oracles that test
+    what properties declare ask holds, one strategy at a time."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        owner = {}  # line -> the innermost function around it
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        found += [
+            (path.name, owner.get(lineno))
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if ".holds(" in line
+        ]
+    assert sorted(found) == [
+        ("optimality.py", "satisfies_singleton_truth"),
+        ("optimality.py", "value_table"),
+    ]
