@@ -10,10 +10,9 @@ such a payload alone.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Optional
 
@@ -85,13 +84,10 @@ def random_game(rng, cfg, n=None, lp_heavy=False):
     else:
         raise games.BudgetExceededError("no game size fits the strategy budget")
     names = tuple(tuple(_strategy_name(k) for k in range(size)) for size in sizes)
-    table = {}
-    for profile in itertools.product(*(range(size) for size in sizes)):
-        table[profile] = tuple(
-            Fraction(rng.randint(-cfg.payoff_bound, cfg.payoff_bound))
-            for _ in range(n)
-        )
-    return games.Game(names, table)
+    # one draw per profile in profiles() order, then per player
+    drawn = [rng.randint(-cfg.payoff_bound, cfg.payoff_bound)
+             for _ in range(math.prod(sizes) * n)]
+    return games.Game.from_columns(names, [drawn[i::n] for i in range(n)], [1] * n)
 
 
 def _lp_heavy(names):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration was refused because the instance is too big."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rational(token, line=None):
@@ -35,23 +36,63 @@ def parse_rational(token, line=None):
     return Fraction(token)
 
 
-@dataclass(frozen=True, eq=False)
 class Game:
     """An n-player finite strategic game with exact rational payoffs.
 
     Strategies are interned to dense indices per player; names are kept for
     I/O. Games compare by identity.
 
-    The pure predicates read ``kernel[i][s]``: player i's payoffs for own
-    strategy s against each opponent profile in flat order (opponents
-    ascending, the last fastest), times the lcm of player i's denominators.
-    A positive factor per player keeps every decision of the Fraction table,
-    which serves I/O, expected payoffs and the LPs. It is built on first use,
-    since the lcm is known only once every payoff is read.
+    A game is its integer kernel: ``kernel[i][s]`` holds player i's payoffs
+    for own strategy s against each opponent profile in flat order
+    (opponents ascending, the last fastest), times a positive factor per
+    player, the lcm of that player's denominators, which keeps every
+    decision. The pure predicates read the kernel. ``table``, from joint
+    profiles to Fraction tuples, is the exact view that expected payoffs
+    (the LP re-checks, the grid) and game_to_text read. A loaded game is
+    built from its kernel by ``from_columns`` and derives the table on first
+    use; ``Game(strategy_names, table)`` goes the other way and derives the
+    kernel from the table on first use.
     """
 
-    strategy_names: tuple[tuple[str, ...], ...]
-    table: Mapping[tuple[int, ...], tuple[Fraction, ...]]
+    def __init__(self, strategy_names, table):
+        self.strategy_names = strategy_names
+        self.table = table
+
+    @classmethod
+    def from_columns(cls, strategy_names, columns, scales):
+        """The game in which player i's payoff at the p-th profile of
+        profiles() is columns[i][p] / scales[i], for int columns and
+        positive int scales."""
+        game = cls.__new__(cls)
+        game.strategy_names = strategy_names
+        counts = tuple(map(len, strategy_names))
+        game.kernel = tuple(_kernel_rows(column, counts, i) for i, column in enumerate(columns))
+        game._scales = tuple(scales)
+        return game
+
+    @functools.cached_property
+    def table(self):
+        # only a game built by from_columns gets here; one Fraction per
+        # distinct (player, int) is shared by every cell that holds it
+        counts = tuple(map(len, self.strategy_names))
+        columns = []
+        for i, scale in enumerate(self._scales):
+            flat = _profile_order(self.kernel[i], counts, i)
+            exact = {k: Fraction(k, scale) for k in set(flat)}
+            columns.append(map(exact.__getitem__, flat))
+        return dict(zip(itertools.product(*map(range, counts)), zip(*columns)))
+
+    @functools.cached_property
+    def kernel(self):
+        # only a game built from its table gets here
+        counts = tuple(map(len, self.strategy_names))
+        cells = list(map(self.table.__getitem__, itertools.product(*map(range, counts))))
+        kernel = []
+        for i, column in enumerate(zip(*cells)):
+            # each distinct value object is scaled once
+            scaled, _ = _scaled(dict(zip(map(id, column), column)))
+            kernel.append(_kernel_rows(list(map(scaled.__getitem__, map(id, column))), counts, i))
+        return tuple(kernel)
 
     @property
     def n(self):
@@ -79,27 +120,6 @@ class Game:
             return self._indices[i][name]
         except KeyError:
             raise KeyError(f"player {i + 1} has no strategy {name!r}") from None
-
-    @functools.cached_property
-    def kernel(self):
-        counts = list(map(len, self.strategy_names))
-        cells = list(map(self.table.__getitem__, itertools.product(*map(range, counts))))
-        kernel = []
-        for i, column in enumerate(zip(*cells)):
-            # each distinct value object is scaled once; a parsed game shares
-            # one object per distinct token
-            distinct = dict(zip(map(id, column), column))
-            scale = math.lcm(*{v.denominator for v in distinct.values()})
-            scaled = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
-            flat = list(map(scaled.__getitem__, map(id, column)))
-            k, after = counts[i], math.prod(counts[i + 1 :])
-            # row s: the runs of `after` cells with s in player i's place, one
-            # cell each for the last player
-            kernel.append(tuple(
-                tuple(flat[s::k]) if after == 1 else tuple(itertools.chain.from_iterable(
-                    flat[a : a + after] for a in range(s * after, len(flat), k * after)))
-                for s in range(k)))
-        return tuple(kernel)
 
     def profiles(self):
         return itertools.product(*(self.strategies(i) for i in range(self.n)))
@@ -196,6 +216,27 @@ class _CutRows(dict):
     def __missing__(self, s):
         row = self[s] = tuple(map(self.kernel_rows[s].__getitem__, self.index))
         return row
+
+
+def _kernel_rows(flat, counts, i):
+    """Player i's kernel rows from their payoffs in profiles() order."""
+    k, after = counts[i], math.prod(counts[i + 1 :])
+    # row s: the runs of `after` cells with s in player i's place, one cell
+    # each for the last player
+    return tuple(
+        tuple(flat[s::k]) if after == 1 else tuple(itertools.chain.from_iterable(
+            flat[a : a + after] for a in range(s * after, len(flat), k * after)))
+        for s in range(k))
+
+
+def _profile_order(rows, counts, i):
+    """Player i's payoffs in profiles() order from their kernel rows; the
+    inverse of _kernel_rows."""
+    after = math.prod(counts[i + 1 :])
+    if after == 1:
+        return list(itertools.chain.from_iterable(zip(*rows)))
+    return list(itertools.chain.from_iterable(
+        row[a : a + after] for a in range(0, len(rows[0]), after) for row in rows))
 
 
 def full_profile(i, s_i, opponents):
@@ -359,10 +400,21 @@ def load_game(text):
     players <n>, then one strategies line per player, then one payoff line
     per joint profile. '#' starts a comment.
 
-    The payoff block is checked column by column and the table built in one
-    pass; only when a check fails does the line loop run, which names the
-    first faulty line.
+    The payoff block is checked column by column and read straight into the
+    integer kernel; only when a check fails does the line loop run, which
+    names the first faulty line.
     """
+    names, index, body, lines = _game_header(text)
+    columns = _payoff_columns(body, names, index)
+    if columns is None:
+        return Game(names, _payoff_lines(lines, names, index))
+    return Game.from_columns(names, *columns)
+
+
+def _game_header(text):
+    """The strategy names, their indices per player, the text lines after
+    the strategies lines, and the numbered token lists after them, which
+    the line loop reads."""
     raw = text.splitlines()
     if "#" in text:
         raw = [line.partition("#")[0] for line in raw]
@@ -397,20 +449,20 @@ def load_game(text):
         names.append(player_names)
 
     index = [{nm: s for s, nm in enumerate(player_names)} for player_names in names]
-    table = _payoff_columns(raw[lineno:], names, index)
-    if table is None:
-        table = _payoff_lines(lines, names, index)
-    return Game(tuple(names), table)
+    return tuple(names), index, raw[lineno:], lines
 
 
 def _payoff_columns(body, names, index):
-    """The payoff table from the text lines after the header, or None if any
-    check fails: every non-blank line is 'payoff', n known strategies and n
+    """Each player's scaled int payoffs in profiles() order and their
+    scales, from the text lines after the header; or None if any check
+    fails: every non-blank line is 'payoff', n known strategies and n
     rationals; no profile repeats and every profile is given.
 
     The tokens are read as one flat list, cut into columns by stride. Each
     line's own token list lives only to be counted, so large files do not
-    fill the collector's young generation.
+    fill the collector's young generation. Each line's flat profile index
+    is computed from its strategy columns; lines out of profiles() order are
+    put in that order by it.
     """
     n, width, count = len(names), 1 + 2 * len(names), math.prod(map(len, names))
     widths = list(map(len, map(str.split, body)))
@@ -419,18 +471,45 @@ def _payoff_columns(body, names, index):
     tokens = " ".join(body).split()
     if tokens[::width].count("payoff") != count:
         return None
-    profile_columns = [list(map(ix.get, tokens[1 + j :: width])) for j, ix in enumerate(index)]
-    if any(None in column for column in profile_columns):
-        return None
-    profiles = list(zip(*profile_columns))
-    if len(set(profiles)) != count:
+    flat = None  # each line's flat profile index
+    stride = count
+    for j, (part, ix) in enumerate(zip(names, index)):
+        stride //= len(part)
+        column = list(map({nm: s * stride for nm, s in ix.items()}.get, tokens[1 + j :: width]))
+        if None in column:
+            return None
+        flat = column if flat is None else list(map(operator.add, flat, column))
+    in_order = flat == list(range(count))  # then no index repeats
+    if not in_order and len(set(flat)) != count:
         return None
     value_columns = [tokens[1 + n + j :: width] for j in range(n)]
-    distinct = set().union(*value_columns)
-    if not all(map(_RATIONAL_RE.match, distinct)):
+    distinct = list(map(set, value_columns))
+    if not all(map(_RATIONAL_RE.match, set().union(*distinct))):
         return None
-    numbers = dict(zip(distinct, map(Fraction, distinct)))  # one Fraction per distinct token
-    return dict(zip(profiles, zip(*(map(numbers.__getitem__, col) for col in value_columns))))
+    if not in_order:
+        order = sorted(range(count), key=flat.__getitem__)
+        value_columns = [list(map(column.__getitem__, order)) for column in value_columns]
+    columns, scales = [], []
+    for column, values in zip(value_columns, distinct):
+        scaled, scale = _scaled_ints(values)
+        columns.append(list(map(scaled.__getitem__, column)))
+        scales.append(scale)
+    return columns, scales
+
+
+def _scaled_ints(tokens):
+    """Each distinct value token as an int, times the lcm of the tokens'
+    denominators, and that lcm. Tokens without '/' build no Fraction."""
+    if "/" not in "".join(tokens):
+        return dict(zip(tokens, map(int, tokens))), 1
+    return _scaled({t: Fraction(t) for t in tokens})
+
+
+def _scaled(values):
+    """Each Fraction of a mapping as an int, times the lcm of their
+    denominators, and that lcm: one player's kernel values and scale."""
+    scale = math.lcm(*(v.denominator for v in values.values()))
+    return {key: v.numerator * (scale // v.denominator) for key, v in values.items()}, scale
 
 
 def _payoff_lines(lines, names, index):

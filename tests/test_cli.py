@@ -81,6 +81,16 @@ def test_solve_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("bad", ["\u0663", "1/\u0662"])
+def test_solve_refuses_digits_of_other_scripts(tmp_path, capsys, bad):
+    path = tmp_path / "arabic.game"
+    path.write_text(f"players 2\nstrategies 1 a\nstrategies 2 x\npayoff a x {bad} 1\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 4: not an integer or p/q rational: {bad!r}\n"
+
+
 def test_solve_bad_property(capsys):
     code, _, err = run(capsys, "solve", PD, "--property", "zz")
     assert code == 2

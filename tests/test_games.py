@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from epigame import games
+from epigame.cli import main
 from epigame.games import (
     BudgetExceededError,
     CorrelatedBelief,
@@ -75,6 +77,12 @@ def test_parse_rational():
         parse_rational("0.5")
     with pytest.raises(GameFormatError):
         parse_rational("1/0")
+    # digits of other scripts are refused, in the numerator as in the denominator
+    for bad in ("\u0663", "1/\u0662"):
+        with pytest.raises(GameFormatError):
+            parse_rational(bad)
+        err = _bad(f"players 2\nstrategies 1 a\nstrategies 2 x\npayoff a x {bad} 1\n")
+        assert (str(err), err.line) == (f"line 4: not an integer or p/q rational: {bad!r}", 4)
 
 
 def test_index_by_name():
@@ -278,6 +286,36 @@ def test_loaded_game_is_independent_of_the_layout():
                  for p, vals in want.table.items()}
         assert Game(names, fresh).kernel == want.kernel
         assert load_game(game_to_text(got)).table == want.table
+
+
+def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, capsys):
+    """A loaded game is its kernel: pure solves never build the Fraction
+    table, an LP re-check does, and the table it builds is the line loop's."""
+    # B is a best response to no pure belief, but to the half-half one,
+    # which msd_l's LP finds and re-checks by expected payoffs
+    path = tmp_path / "hedge.game"
+    path.write_text("players 2\nstrategies 1 T M B\nstrategies 2 L R\n"
+                    "payoff T L 3 0\npayoff T R 0 0\npayoff M L 0 0\npayoff M R 3 0\n"
+                    "payoff B L 2 0\npayoff B R 2 0\n", encoding="utf-8")
+    loaded = []
+
+    def spy(game_path):
+        loaded.append(load_game_file(game_path))
+        return loaded[-1]
+
+    monkeypatch.setattr(games, "load_game_file", spy)
+    for prop, builds in (("sd_l", False), ("wd_l", False), ("br_l", False), ("msd_l", True)):
+        assert main(["solve", str(path), "--property", prop]) == 0
+        assert ("table" in vars(loaded[-1])) == builds, prop
+    capsys.readouterr()
+    for path in sorted(DATA.glob("*.game")):
+        text = path.read_text(encoding="utf-8")
+        names, index, _, lines = games._game_header(text)
+        want = Game(names, games._payoff_lines(lines, names, index))
+        got = load_game(text)
+        assert got.kernel == want.kernel
+        assert got.table == want.table
+        assert game_to_text(got) == game_to_text(want)
 
 
 # ---------- restrictions ----------

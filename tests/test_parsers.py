@@ -11,9 +11,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from epigame.checks import BUNDLED_DERIVATION
-from epigame import epistemic
+from epigame import epistemic, games
 from epigame.epistemic import ModelFormatError, parse_model
-from epigame.games import GameFormatError, load_game
+from epigame.games import Game, GameFormatError, load_game
 from epigame.logic import (
     LO_TEXTS,
     DerivationFormatError,
@@ -113,6 +113,50 @@ def test_load_game_raises_only_its_format_error(text):
         load_game(text)
     except GameFormatError:
         pass
+
+
+def _game_outcome(parse):
+    """What a game parse gives: its error's text and line, or the game."""
+    try:
+        game = parse()
+    except GameFormatError as err:
+        return "error", str(err), err.line
+    return game.strategy_names, game.table, game.kernel
+
+
+# Other spellings of the values in the game, and of values it lacks
+_SPELLINGS = ("2/4", "1/2", "+3", "3", "-0", "007", "6/2", "-3/6", "+0/5")
+
+
+@st.composite
+def _respelled_games(draw):
+    """The game with its payoff lines in a drawn order, some values spelled
+    otherwise and maybe one strategy renamed to another of its player's
+    (a repeated profile unless unchanged), then edited."""
+    head = [line for line in _GAME if not line.startswith("payoff")]
+    body = [line.split() for line in _GAME if line.startswith("payoff")]
+    if draw(st.integers(0, 3)) == 0:
+        names = [line.split()[2:] for line in head if line.startswith("strategies")]
+        j = draw(st.integers(0, len(names) - 1))
+        draw(st.sampled_from(body))[1 + j] = draw(st.sampled_from(names[j]))
+    for toks in draw(st.permutations(body)):
+        for k in range(len(toks) - 2, len(toks)):
+            toks[k] = draw(st.sampled_from((toks[k],) + _SPELLINGS))
+        head.append(" ".join(toks))
+    return draw(_edited(head, _GAME_WORDS + _SPELLINGS))
+
+
+@FUZZ
+@given(st.one_of(_edited(_GAME, _GAME_WORDS), _respelled_games()))
+def test_load_game_agrees_with_its_line_loop(text):
+    """The column reader declines what it cannot read; load_game then gives
+    the line loop's answer, so every game and error message is the loop's.
+    A game the reader builds from its kernel has the loop's table."""
+    def loop():
+        names, index, _, lines = games._game_header(text)
+        return Game(names, games._payoff_lines(lines, names, index))
+
+    assert _game_outcome(lambda: load_game(text)) == _game_outcome(loop)
 
 
 @FUZZ
