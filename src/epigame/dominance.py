@@ -10,15 +10,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from itertools import repeat
-from operator import and_, eq, ge, gt, sub
+from operator import and_, eq, ge, gt, mul, sub
 
-from .games import (
-    CorrelatedBelief,
-    MixedStrategy,
-    expected_payoff,
-    point_mass,
-)
-from .lp import LinearProgram, Optimal, solve
+from .games import MixedStrategy, expected_payoff, point_mass
+from .lp import LinearProgram, Optimal, common_denominator, solve
 
 
 class BeliefClassError(ValueError):
@@ -165,44 +160,57 @@ def _pearce(game, context, i, support, dominated, weak=False):
     non-empty row and is no pure best response (weak: no unique strict one)
     within support.
 
-    A pure dominator is its own witness. Otherwise one LP asks for a
-    correlated belief p over the contexts against which dominated does at
-    least as well as every strategy in support; with weak set, p = q + t
-    with q >= 0 and the LP maximises t. By Pearce's lemma there is such a
-    belief (weak: one with full support, t > 0) exactly when no mixture
-    dominates; it is re-checked by expected payoffs. Otherwise the support's
-    entries of the dual certificate, normalised, are the dominating mixture,
-    re-checked by strictly_dominates or weakly_dominates: Infeasible.ray when
-    there is no belief, the optimum's dual when t = 0. Both are nonnegative
-    there, as standard_form negates these '>=' rows.
+    A pure dominator is its own witness. Otherwise one LP on the int kernel
+    rows asks for a correlated belief p over the contexts against which
+    dominated does at least as well as every other strategy in support;
+    with weak set, p = q + t with q >= 0 and the LP maximises t. By Pearce's
+    lemma there is such a belief (weak: one with full support, t > 0)
+    exactly when no mixture dominates. Otherwise the entries of the dual
+    certificate on those strategies' rows are the dominating mixture:
+    Infeasible.ray when there is no belief, the optimum's dual when t = 0.
+    Both are nonnegative there, as standard_form negates these '>=' rows.
+    Either answer is re-checked in integers on the kernel rows before it is
+    used: the belief scaled to int weights, the mixture to int weights U
+    whose row sum_s U_s row_s must dominate (sum U) times dominated's row.
     """
     rows = context.rows(i)
     mine = rows[dominated]
-    dominates = weakly_dominates if weak else strictly_dominates
     row_dominates = row_weakly_dominates if weak else row_strictly_dominates
     for d in support:
         if row_dominates(rows[d], mine):
             return point_mass(game, i, d)
+    # dominated's own gap row would be 0 >= 0, whose dual and ray entries are 0
+    others = [r for r in support if r != dominated]
     m = len(mine)
     lp = LinearProgram(m + weak, [0] * m + [1] * weak)  # weak: the last column is t
-    for r in support:
+    for r in others:
         gap = list(map(sub, mine, rows[r]))
         lp.add(gap + [sum(gap)] * weak, ">=", 0)
     lp.add([1] * m + [m] * weak, "=", 1)
     res = solve(lp)
     if isinstance(res, Optimal) and (res.value or not weak):
-        t, profiles = res.value, context.opponent_profiles(i)
-        belief = CorrelatedBelief(game, i, {c: w + t for c, w in zip(profiles, res.point) if w + t})
-        value = expected_payoff(game, i, dominated, belief)
-        if any(value < expected_payoff(game, i, r, belief) for r in support):
+        numerators, total = common_denominator(res.point[:m] + (res.value,))
+        t = numerators[-1]
+        weights = [w + t for w in numerators[:-1]]  # p = q + t, times total
+        if any(w < 0 for w in weights) or sum(weights) != total:
+            raise AssertionError("LP belief is not a distribution")
+        value = _dot(weights, mine)
+        if any(value < _dot(weights, rows[r]) for r in others):
             raise AssertionError("LP belief does not support the strategy")
         return None
     ray = res.dual if isinstance(res, Optimal) else res.ray
-    total = sum(ray[:len(support)])
-    witness = MixedStrategy(game, i, {s: u / total for s, u in zip(support, ray) if u})
-    if not dominates(game, context, i, witness, dominated):
+    weights, _ = common_denominator(ray[:len(others)])
+    total = sum(weights)
+    if any(u < 0 for u in weights) or total <= 0:
+        raise AssertionError("LP mixture is not a distribution")
+    mixed = tuple(_dot(weights, column) for column in zip(*(rows[s] for s in others)))
+    if not row_dominates(mixed, tuple(total * x for x in mine)):
         raise AssertionError("LP mixture does not dominate")
-    return witness
+    return MixedStrategy(game, i, {s: Fraction(u, total) for s, u in zip(others, weights) if u})
+
+
+def _dot(weights, row):
+    return sum(map(mul, weights, row))
 
 
 def mixed_weakly_dominates_exists(game, context, i, support, dominated):

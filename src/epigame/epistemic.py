@@ -61,6 +61,15 @@ class EpistemicModel:
             raise ValueError("model has no possibility correspondences")
         return self.correspondences[i][w]
 
+    def blocks(self, i):
+        """P_i over all states, so that blocks(i)[w] is P(i, w). Like P it
+        refuses a model without correspondences, unless it has no state."""
+        if self.correspondences is None:
+            if self.state_names:
+                raise ValueError("model has no possibility correspondences")
+            return ()
+        return self.correspondences[i]
+
     @functools.cached_property
     def _state_indices(self):
         return {name: w for w, name in reversed(tuple(enumerate(self.state_names)))}
@@ -82,15 +91,16 @@ def validate(model, level):
     if model.correspondences is None:
         return [f"level {level} requires possibility correspondences"]
     for i in range(model.game.n):
+        blocks = model.blocks(i)
         introspective = set()  # blocks already seen to pass; failing ones are rechecked
         for w in model.states():
-            block = model.P(i, w)
+            block = blocks[w]
             if not block:
                 problems.append(f"P_{i + 1}({model.state_names[w]}) is empty")
                 continue
             if block not in introspective:
                 for w2 in block:
-                    if model.P(i, w2) != block:
+                    if blocks[w2] != block:
                         problems.append(
                             f"P_{i + 1} not introspective at {model.state_names[w]}: "
                             f"P_{i + 1}({model.state_names[w2]}) differs"
@@ -111,9 +121,11 @@ def validate(model, level):
 def box(model, event, player=None):
     """States where the player (or, by default, everyone) believes the event."""
     players = range(model.game.n) if player is None else [player]
-    return frozenset(
-        w for w in model.states() if all(model.P(i, w) <= event for i in players)
-    )
+    believed = model.all_event()
+    for i in players:  # keep the states whose P_i block lies inside the event
+        inside = map(operator.le, model.blocks(i), itertools.repeat(event))
+        believed = believed.intersection(itertools.compress(model.states(), inside))
+    return believed
 
 
 def common_box(model, event):
@@ -266,8 +278,8 @@ def rationality_event(model, prop):
     i = prop.player
     own = model.assignment[i]
     states_of = {}  # block -> the states holding it
-    for w in model.states():
-        states_of.setdefault(model.P(i, w), []).append(w)
+    for w, block in zip(model.states(), model.blocks(i)):
+        states_of.setdefault(block, []).append(w)
     cells = {}  # strategy images, or the opponents' -> (restriction, own strategies, states)
     for block, states in states_of.items():
         sets = _images(model, [block] * model.game.n)

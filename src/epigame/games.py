@@ -48,7 +48,8 @@ class Game:
     player, the lcm of that player's denominators, which keeps every
     decision. The pure predicates read the kernel. ``table``, from joint
     profiles to Fraction tuples, is the exact view that expected payoffs
-    (the LP re-checks, the grid) and game_to_text read. A loaded game is
+    (the grid search) and game_to_text read; the LP path re-checks its
+    beliefs and mixtures on the kernel. A loaded game is
     built from its kernel by ``from_columns`` and derives the table on first
     use; ``Game(strategy_names, table)`` goes the other way and derives the
     kernel from the table on first use.
@@ -458,17 +459,19 @@ def _payoff_columns(body, names, index):
     fails: every non-blank line is 'payoff', n known strategies and n
     rationals; no profile repeats and every profile is given.
 
-    The tokens are read as one flat list, cut into columns by stride. Each
-    line's own token list lives only to be counted, so large files do not
-    fill the collector's young generation. Each line's flat profile index
-    is computed from its strategy columns; lines out of profiles() order are
-    put in that order by it.
+    Each line is split once, counted and appended to one flat token list,
+    which is cut into columns by stride. No line's own token list outlives
+    its turn, so large files do not fill the collector's young generation.
+    Each line's flat profile index is computed from its strategy columns;
+    lines out of profiles() order are put in that order by it.
     """
     n, width, count = len(names), 1 + 2 * len(names), math.prod(map(len, names))
-    widths = list(map(len, map(str.split, body)))
+    tokens, widths = [], []
+    for toks in map(str.split, body):
+        widths.append(len(toks))
+        tokens += toks
     if widths.count(width) != count or widths.count(0) != len(body) - count:
         return None
-    tokens = " ".join(body).split()
     if tokens[::width].count("payoff") != count:
         return None
     flat = None  # each line's flat profile index

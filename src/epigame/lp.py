@@ -1,20 +1,25 @@
 """Exact rational linear programming via a two-phase primal simplex on integer rows.
 
 The one program solved is: maximize c . x subject to linear rows, x >= 0.
-`standard_form` negates each `>=` row into a `<=` row and keeps the rest.
-The tableau keeps every row, the reduced-cost row included, as Python ints:
-a positive multiple of the exact rational row, divided by the gcd of its
-entries after each pivot. Ratios are compared by cross-multiplication, and
-rationals appear only where the basic values and the dual vector are read
-out of the final tableau. Bland's rule (the lowest entering column, and the
-lowest basic index among tied ratios) keeps the pivoting finite on
-degenerate programs.
+Int coefficients, objective entries and right-hand sides stay ints; every
+other value becomes a Fraction. `standard_form` negates each `>=` row into a
+`<=` row and keeps the rest. The tableau keeps every row, the reduced-cost
+row included, as Python ints: a positive multiple of the exact rational row,
+divided by the gcd of its entries after each pivot. Ratios are compared by
+cross-multiplication. The final tableau is read in integers too: the point
+as numerators over one common denominator d, the lcm of the basic columns'
+pivot entries, and the dual as numerators over the reduced-cost row's scale
+e. Bland's rule (the lowest entering column, and the lowest basic index
+among tied ratios) keeps the pivoting finite on degenerate programs.
 
 Every optimum is certified before it is returned, without trusting the
-pivots: the point is checked against x >= 0, the rows and the objective
-(primal feasibility), and the dual vector is checked on the standard form:
-nonnegative on `<=` rows, u^T A >= c on every column, and u^T b equal to
-the claimed value (optimality, by weak duality).
+pivots, on those int numerators and the standard-form rows, so a program of
+ints is certified in integers: the point is checked against x >= 0, the
+rows (a . X rel rhs d) and the objective (primal feasibility), and the dual
+against the rows: nonnegative on `<=` rows, u^T A >= c e on every column,
+and u^T b d equal to the claimed value times e (optimality, by weak
+duality). On a program of ints, Fractions are built only for what Optimal
+and Infeasible return.
 
 An infeasible program comes with the dual of phase 1 as its certificate, a
 Farkas ray on the rows of the standard form (every `>=` row negated):
@@ -28,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,16 @@ class Unbounded:
 UNBOUNDED = Unbounded()
 
 
+def _exact(value):
+    """An int as it is; any other value as a Fraction."""
+    return value if type(value) is int else Fraction(value)
+
+
 class LinearProgram:
     """maximize objective . x subject to linear constraints and x >= 0."""
 
     def __init__(self, num_vars, objective):
-        objective = [Fraction(c) for c in objective]
+        objective = list(map(_exact, objective))
         if len(objective) != num_vars:
             raise ValueError("objective length does not match variable count")
         self.num_vars = num_vars
@@ -70,12 +78,12 @@ class LinearProgram:
         self.rows = []
 
     def add(self, coeffs, rel, rhs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(map(_exact, coeffs))
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length does not match variable count")
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        self.rows.append((coeffs, rel, Fraction(rhs)))
+        self.rows.append((coeffs, rel, _exact(rhs)))
 
 
 def standard_form(lp):
@@ -89,10 +97,18 @@ def _coprime(row):
     return row if g <= 1 else [a // g for a in row]
 
 
+def common_denominator(values):
+    """(numerators, denominator): rationals as int numerators over the lcm of
+    their denominators. A list of ints comes back as it is, over 1."""
+    if {int}.issuperset(map(type, values)):
+        return values, 1
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _integer_row(values):
     """The positive integer multiple of a row of rationals whose entries are coprime."""
-    scale = lcm(*(v.denominator for v in values))
-    return _coprime([v.numerator * (scale // v.denominator) for v in values])
+    return _coprime(common_denominator(values)[0])
 
 
 def _eliminate(row, prow, j):
@@ -113,15 +129,17 @@ def solve(lp):
     outcome = _simplex(rows, lp.objective)
     if not isinstance(outcome, tuple):
         return outcome
-    y, dual = outcome
-    point = y[:lp.num_vars]
-    value = sum(c * x for c, x in zip(lp.objective, point))
-    _certify(lp, rows, point, value, dual)
-    return Optimal(value, tuple(point), tuple(dual))
+    point, d, dual, e = outcome
+    value = sum(map(mul, lp.objective, point))
+    _certify(rows, lp.objective, point, d, value, dual, e)
+    return Optimal(Fraction(value, d), tuple(Fraction(x, d) for x in point),
+                   tuple(Fraction(u, e) for u in dual))
 
 
 def _simplex(rows, objective):
-    """Two-phase simplex on the standard-form rows: (y, dual), Infeasible(ray) or UNBOUNDED."""
+    """Two-phase simplex on the standard-form rows: (point, d, dual, e) with
+    the point point / d and the dual dual / e in int numerators,
+    Infeasible(ray) or UNBOUNDED."""
     ncols = len(objective)
     nslack = sum(1 for _, rel, _ in rows if rel == "<=")
     nart = sum(1 for _, rel, rhs in rows if rel == "=" or rhs < 0)
@@ -137,10 +155,10 @@ def _simplex(rows, objective):
     slack = ncols
     art = real
     for dense, rel, rhs in rows:
-        row = list(dense) + [ZERO] * (nslack + nart) + [rhs]
+        row = list(dense) + [0] * (nslack + nart) + [rhs]
         sign = -1 if rhs < 0 else 1
         if rel == "<=":
-            row[slack] = ONE
+            row[slack] = 1
             dual_col.append((slack, 1))
             slack += 1
         if sign < 0:
@@ -148,7 +166,7 @@ def _simplex(rows, objective):
         if rel == "<=" and sign > 0:
             basis.append(slack - 1)
         else:
-            row[art] = ONE
+            row[art] = 1
             basis.append(art)
             if rel == "=":
                 dual_col.append((art, sign))
@@ -167,7 +185,7 @@ def _simplex(rows, objective):
 
     def objective_row(costs):
         """Reduced costs, then -value, then the positive scale of both."""
-        z = _integer_row(list(costs) + [ZERO, ONE])
+        z = _integer_row(list(costs) + [0, 1])
         for row, b in zip(tableau, basis):
             if z[b]:
                 z = _eliminate(z, row, b)
@@ -194,7 +212,7 @@ def _simplex(rows, objective):
             z = pivot(leave, enter, z)
 
     if nart:
-        z = run_simplex(objective_row([ZERO] * real + [-ONE] * nart), width)
+        z = run_simplex(objective_row([0] * real + [-1] * nart), width)
         if z[-2]:
             # The phase-1 dual, where artificials cost -1: a row's ray entry is
             # read like its dual below, one scale added on an artificial.
@@ -214,42 +232,49 @@ def _simplex(rows, objective):
             del tableau[r]
             del basis[r]
 
-    z = run_simplex(objective_row(list(objective) + [ZERO] * (width - ncols)), real)
+    z = run_simplex(objective_row(list(objective) + [0] * (width - ncols)), real)
     if z is None:
         return UNBOUNDED
-    y = [ZERO] * width
-    for row, b in zip(tableau, basis):
-        y[b] = Fraction(row[-1], row[b])
-    dual = [Fraction(-sign * z[col], z[-1]) for col, sign in dual_col]
-    return y, dual
+    # A basic entry of a row is positive: pivot() makes it so, and later
+    # eliminations only multiply it by positive pivots.
+    basic = [(b, row) for row, b in zip(tableau, basis) if b < ncols]
+    d = lcm(*(row[b] for b, row in basic))
+    point = [0] * ncols
+    for b, row in basic:
+        point[b] = row[-1] * (d // row[b])
+    return point, d, [-sign * z[col] for col, sign in dual_col], z[-1]
 
 
-def _certify(lp, rows, point, value, dual):
-    """Exact check of a claimed optimum against lp and the dual on its standard-form rows.
+def _certify(rows, objective, point, d, value, dual, e):
+    """Exact check of the claimed optimum value / d at the point point / d
+    with the dual dual / e, all int numerators, on the standard-form rows and
+    the objective; in integers when those are ints.
 
-    Raises AssertionError when point has a negative coordinate or breaks a
-    row of lp, when value is not its objective, or when dual fails to prove
-    that nothing does better: dual must be nonnegative on the '<=' rows,
-    cover the objective on every column (u^T A >= c), and have u^T b equal
-    to value.
+    Raises AssertionError when d or e is not positive, when point has a
+    negative coordinate or breaks a row (a . point rel rhs d), when value is
+    not its objective, or when dual fails to prove that nothing does better:
+    dual must be nonnegative on the '<=' rows, cover the objective on every
+    column (u^T A >= c e), and have u^T b d equal to value e.
     """
+    if d <= 0 or e <= 0:
+        raise AssertionError("denominator is not positive")
     if any(x < 0 for x in point):
         raise AssertionError("solution has a negative coordinate")
-    for coeffs, rel, rhs in lp.rows:
-        lhs = sum(c * x for c, x in zip(coeffs, point))
-        ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
-        if not ok:
+    for dense, rel, rhs in rows:
+        lhs, bound = sum(map(mul, dense, point)), rhs * d
+        if not (lhs <= bound if rel == "<=" else lhs == bound):
             raise AssertionError("solution violates a constraint")
-    check = sum(c * x for c, x in zip(lp.objective, point))
-    if check != value:
+    if sum(map(mul, objective, point)) != value:
         raise AssertionError("objective value mismatch")
     if len(dual) != len(rows):
         raise AssertionError("dual has the wrong length")
-    for u, (_, rel, _) in zip(dual, rows):
+    cover = [0] * len(objective)  # u^T A, built from the rows the dual weighs
+    for u, (dense, rel, _) in zip(dual, rows):
         if rel == "<=" and u < 0:
             raise AssertionError("dual is negative on an inequality row")
-    for col, c in enumerate(lp.objective):
-        if sum(u * dense[col] for u, (dense, _, _) in zip(dual, rows)) < c:
-            raise AssertionError("dual does not cover the objective on a column")
-    if sum(u * rhs for u, (_, _, rhs) in zip(dual, rows)) != value:
+        if u:
+            cover = [a + u * b for a, b in zip(cover, dense)]
+    if any(a < c * e for a, c in zip(cover, objective)):
+        raise AssertionError("dual does not cover the objective on a column")
+    if sum(map(mul, dual, (rhs for _, _, rhs in rows))) * d != value * e:
         raise AssertionError("dual value differs from the primal value")

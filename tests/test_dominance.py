@@ -29,7 +29,7 @@ from epigame.games import (
     load_game_file,
     point_mass,
 )
-from epigame.lp import LinearProgram, Optimal, solve
+from epigame.lp import Infeasible, LinearProgram, Optimal, solve
 from epigame.optimality import builtin
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -359,6 +359,41 @@ def test_mwd_survival_is_a_full_support_pearce_belief(monkeypatch):
     assert all(q + t > 0 for q in res.point[:-1])
     assert not _lp_mixed_dominance(game, 0, [0, 1, 2], 0, list(full.opponent_profiles(0)),
                                    strict=False)
+
+
+def _tampered(monkeypatch, change):
+    """Make dominance's LP answer change(the true answer)."""
+    monkeypatch.setattr(dominance, "solve", lambda lp: change(solve(lp)))
+
+
+@pytest.mark.parametrize("point, message", [
+    ((1, 0, 0), "does not support the strategy"),  # r1 beats s on L
+    ((Fraction(1, 2), Fraction(1, 4), 0), "not a distribution"),
+    ((Fraction(3, 2), Fraction(-1, 2), 0), "not a distribution"),
+])
+def test_pearce_rechecks_its_belief_on_the_kernel_rows(monkeypatch, point, message):
+    # s is a best response to the even belief on L and C, and to no pure one
+    game = _row_game({"s": (2, 2, -5), "r1": (3, 0, 0), "r2": (0, 3, 0)})
+    full = game.full_restriction()
+    assert mixed_strictly_dominates_exists(game, full, 0, full.sets[0], 0) is None
+    _tampered(monkeypatch, lambda res: Optimal(res.value, tuple(map(Fraction, point)), res.dual))
+    with pytest.raises(AssertionError, match=message):
+        mixed_strictly_dominates_exists(game, full, 0, full.sets[0], 0)
+
+
+@pytest.mark.parametrize("ray, message", [
+    ([1, 0], "does not dominate"),  # T alone does not dominate B
+    ([-1, 2], "not a distribution"),
+    ([0, 0], "not a distribution"),
+])
+def test_pearce_rechecks_its_mixture_on_the_kernel_rows(monkeypatch, ray, message):
+    full = TBT.full_restriction()
+    B = TBT.index(0, "B")
+    assert mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B) is not None
+    # the ray's first entries weigh the support without B, in index order
+    _tampered(monkeypatch, lambda res: Infeasible(list(map(Fraction, ray)) + res.ray[2:]))
+    with pytest.raises(AssertionError, match=message):
+        mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B)
 
 
 def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):

@@ -798,3 +798,18 @@ def test_a_wrong_own_independence_declaration_shows():
                     assert not report.independent
                     assert report == satisfies_condition_A(honest)
     assert caught
+
+
+def test_block_readers_need_correspondences_once_a_state_exists():
+    """box, rationality_event and validate read each player's blocks once;
+    without correspondences they fail as P does, unless there is no state."""
+    bare = standard_model(PD.full_restriction())
+    for call in (lambda: box(bare, bare.all_event()), lambda: common_box(bare, bare.all_event()),
+                 lambda: rationality_event(bare, builtin(PD, "sd_l", 0))):
+        with pytest.raises(ValueError, match="model has no possibility correspondences"):
+            call()
+    assert validate(bare, "belief") == ["level belief requires possibility correspondences"]
+    empty = standard_model(PD.empty_restriction())
+    assert empty.num_states == 0 and empty.correspondences is None
+    assert box(empty, frozenset()) == common_box(empty, frozenset()) == frozenset()
+    assert rationality_event(empty, builtin(PD, "sd_l", 0)) == frozenset()

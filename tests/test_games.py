@@ -289,14 +289,25 @@ def test_loaded_game_is_independent_of_the_layout():
 
 
 def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, capsys):
-    """A loaded game is its kernel: pure solves never build the Fraction
-    table, an LP re-check does, and the table it builds is the line loop's."""
+    """A loaded game is its kernel: pure and LP solves never build the
+    Fraction table, a grid search does, and the table it builds is the line
+    loop's."""
     # B is a best response to no pure belief, but to the half-half one,
-    # which msd_l's LP finds and re-checks by expected payoffs
-    path = tmp_path / "hedge.game"
-    path.write_text("players 2\nstrategies 1 T M B\nstrategies 2 L R\n"
-                    "payoff T L 3 0\npayoff T R 0 0\npayoff M L 0 0\npayoff M R 3 0\n"
-                    "payoff B L 2 0\npayoff B R 2 0\n", encoding="utf-8")
+    # which the LP finds and re-checks on the kernel rows; W is dominated by
+    # the half-half mixture of T and M alone, which the LP's ray gives
+    hedge = tmp_path / "hedge.game"
+    hedge.write_text("players 2\nstrategies 1 T M B W\nstrategies 2 L R\n"
+                     "payoff T L 3 0\npayoff T R 0 0\npayoff M L 0 0\npayoff M R 3 0\n"
+                     "payoff B L 2 0\npayoff B R 2 0\npayoff W L 1 0\npayoff W R 1 0\n",
+                     encoding="utf-8")
+    # m is a best response to no pure belief and to the correlated half-half
+    # one; with three players only the grid decides the mixed class
+    grid = tmp_path / "grid.game"
+    lines = ["players 3", "strategies 1 a b m", "strategies 2 x y", "strategies 3 u v"]
+    for s, row in {"a": (3, 3, 0, 0), "b": (0, 0, 3, 3), "m": (2, 2, 2, 2)}.items():
+        for (x, u), value in zip(itertools.product("xy", "uv"), row):
+            lines.append(f"payoff {s} {x} {u} {value} 0 0")
+    grid.write_text("\n".join(lines) + "\n", encoding="utf-8")
     loaded = []
 
     def spy(game_path):
@@ -304,9 +315,14 @@ def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, c
         return loaded[-1]
 
     monkeypatch.setattr(games, "load_game_file", spy)
-    for prop, builds in (("sd_l", False), ("wd_l", False), ("br_l", False), ("msd_l", True)):
-        assert main(["solve", str(path), "--property", prop]) == 0
-        assert ("table" in vars(loaded[-1])) == builds, prop
+    for path, args, builds in (
+        (hedge, ["sd_l"], False), (hedge, ["wd_l"], False), (hedge, ["br_l"], False),
+        (hedge, ["msd_l"], False), (hedge, ["mwd_l"], False), (hedge, ["brc_l"], False),
+        (hedge, ["br_l", "--belief-class", "correlated"], False),
+        (grid, ["br_l", "--belief-class", "mixed", "--grid-denominator", "2"], True),
+    ):
+        assert main(["solve", str(path), "--property", *args]) == 0
+        assert ("table" in vars(loaded[-1])) == builds, args
     capsys.readouterr()
     for path in sorted(DATA.glob("*.game")):
         text = path.read_text(encoding="utf-8")

@@ -147,7 +147,10 @@ def _vertex_optimum(lp):
     return best
 
 
-_coeff = st.integers(-3, 3)
+# ints and Fractions mixed, so both kinds of row (and rows of both) are solved
+_coeff = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+_rhs = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-8, 8), st.integers(1, 2)))
 
 
 @st.composite
@@ -159,7 +162,7 @@ def _boxed_lps(draw):
     for _ in range(draw(st.integers(0, 3))):
         coeffs = draw(st.lists(_coeff, min_size=num_vars, max_size=num_vars))
         rel = draw(st.sampled_from(("<=", ">=", "=")))
-        lp.add(coeffs, rel, draw(st.integers(-4, 4)))
+        lp.add(coeffs, rel, draw(_rhs))
     return lp
 
 
@@ -238,24 +241,45 @@ def _two_row_lp():
     return lp
 
 
+# _certify reads in integers: the point (8/5, 6/5) with value 14/5 is the
+# point (8, 6) and value 14 over d = 5, the dual (2/5, 1/5) is (2, 1) over e = 5
+
+
 def test_certificate_accepts_the_optimum_with_its_dual():
     lp = _two_row_lp()
-    point = (Fraction(8, 5), Fraction(6, 5))
-    _certify(lp, standard_form(lp), point, Fraction(14, 5), [Fraction(2, 5), Fraction(1, 5)])
+    rows = standard_form(lp)
+    _certify(rows, lp.objective, (8, 6), 5, 14, [2, 1], 5)
     # the same optimum with a dual that proves a looser bound is refused
     with pytest.raises(AssertionError):
-        _certify(lp, standard_form(lp), point, Fraction(14, 5), [Fraction(1), Fraction(0)])
+        _certify(rows, lp.objective, (8, 6), 5, 14, [1, 0], 1)
 
 
 def test_certificate_rejects_a_feasible_suboptimal_point_with_any_dual():
     lp = _two_row_lp()
     rows = standard_form(lp)
-    point = (Fraction(1), Fraction(1))  # feasible, objective 2 < 14/5
-    grid = [Fraction(k, 5) for k in range(-5, 11)]
-    duals = [[Fraction(2, 5), Fraction(1, 5)]] + [list(u) for u in itertools.product(grid, repeat=2)]
+    # the point (1, 1) is feasible, objective 2 < 14/5; the grid is the duals k/5
+    duals = [[2, 1]] + [list(u) for u in itertools.product(range(-5, 11), repeat=2)]
     for dual in duals:
         with pytest.raises(AssertionError):
-            _certify(lp, rows, point, Fraction(2), dual)
+            _certify(rows, lp.objective, (1, 1), 1, 2, dual, 5)
+
+
+def test_certificate_refuses_a_point_that_breaks_a_row():
+    # (2, 2) has objective 4, and the dual (1, 0) covers both columns with
+    # u.b = 4, so only the row check sees that x + 2y = 6 exceeds 4
+    lp = _two_row_lp()
+    with pytest.raises(AssertionError, match="violates a constraint"):
+        _certify(standard_form(lp), lp.objective, (2, 2), 1, 4, [1, 0], 1)
+
+
+def test_certificate_needs_positive_denominators():
+    # over e = -1 the zero dual covers c e = (-1, -1) and has u.b d = 0 = value
+    # e, so only the sign of e stops it from proving the suboptimal origin
+    lp = _two_row_lp()
+    rows = standard_form(lp)
+    for d, e in ((1, -1), (1, 0), (-1, 1), (0, 1)):
+        with pytest.raises(AssertionError, match="denominator is not positive"):
+            _certify(rows, lp.objective, (0, 0), d, 0, [0, 0], e)
 
 
 def test_certificate_refuses_a_negative_coordinate():
@@ -267,9 +291,9 @@ def test_certificate_refuses_a_negative_coordinate():
     rows = standard_form(lp)
     assert rows == [([-1], "<=", 5)]
     with pytest.raises(AssertionError, match="negative coordinate"):
-        _certify(lp, rows, (Fraction(-5),), Fraction(5), [Fraction(1)])
+        _certify(rows, lp.objective, (-5,), 1, 5, [1], 1)
     assert solve(lp) == Optimal(Fraction(0), (Fraction(0),))
-    _certify(lp, rows, (Fraction(0),), Fraction(0), [Fraction(0)])
+    _certify(rows, lp.objective, (0,), 1, 0, [0], 1)
 
 
 def test_certificate_needs_a_nonnegative_dual_on_inequality_rows():
@@ -278,6 +302,27 @@ def test_certificate_needs_a_nonnegative_dual_on_inequality_rows():
     lp = LinearProgram(1, [-1])
     lp.add([1], "<=", 0)
     rows = standard_form(lp)
-    _certify(lp, rows, (Fraction(0),), Fraction(0), [Fraction(0)])
+    _certify(rows, lp.objective, (0,), 1, 0, [0], 1)
     with pytest.raises(AssertionError, match="negative on an inequality row"):
-        _certify(lp, rows, (Fraction(0),), Fraction(0), [Fraction(-1)])
+        _certify(rows, lp.objective, (0,), 1, 0, [-1], 1)
+
+
+def test_an_integer_program_builds_only_the_fractions_it_returns(monkeypatch):
+    # every row and the objective are ints: the simplex, its read-out and
+    # the certificate stay in ints, and only the value, the two coordinates
+    # and the two duals become Fractions
+    lp = _two_row_lp()
+    assert all(type(v) is int for coeffs, _, rhs in lp.rows for v in (*coeffs, rhs))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    res = solve(lp)
+    monkeypatch.undo()
+    assert len(built) == 1 + 2 + 2
+    assert res == Optimal(Fraction(14, 5), (Fraction(8, 5), Fraction(6, 5)))
+    assert res.dual == (Fraction(2, 5), Fraction(1, 5))
