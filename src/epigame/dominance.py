@@ -63,11 +63,6 @@ def _pure_best_response(rows, s_i, rivals, strict=False):
     return any(map(gt if strict else ge, mine, best))
 
 
-def _column_max(rival_rows):
-    """The context-wise maximum of one or more rows."""
-    return rival_rows[0] if len(rival_rows) == 1 else tuple(map(max, *rival_rows))
-
-
 def _reached_alone(rival_rows, best):
     """Per context, whether exactly one of the rows reaches best there."""
     return tuple(map(eq, map(tuple.count, zip(*rival_rows), best), repeat(1)))
@@ -77,18 +72,18 @@ def _best_responders(rows, rivals, candidates, strict=False):
     """Split candidates into those at least as good as every rival (strict:
     better than every other rival) in some context, and the rest.
 
-    The set-wise form of _pure_best_response: the rivals' context-wise maximum
-    is built once for all candidates. With no rivals, a candidate qualifies
-    wherever it has a context. Returns two lists.
+    The set-wise form of _pure_best_response for the cut rows of a
+    restriction and a frozenset of rivals: the rivals' context-wise maximum
+    is built once per cut and rival set. With no rivals, a candidate
+    qualifies wherever it has a context. Returns two lists.
     """
     hits, rest = [], []
     if not rivals:
         for s in candidates:
             (hits if rows[s] else rest).append(s)
         return hits, rest
-    rival_rows = list(map(rows.__getitem__, rivals))
-    best = _column_max(rival_rows)
-    alone = _reached_alone(rival_rows, best) if strict else None
+    best = rows.column_max(rivals)
+    alone = _reached_alone(list(map(rows.__getitem__, rivals)), best) if strict else None
     for s in candidates:
         row = rows[s]
         if not strict:
@@ -102,7 +97,8 @@ def _best_responders(rows, rivals, candidates, strict=False):
 
 
 def undominated(rows, rivals, candidates, weak=False):
-    """The candidates that no rival strictly (weak: weakly) dominates.
+    """The candidates that no rival strictly (weak: weakly) dominates, on the
+    cut rows of a restriction and for a frozenset of rivals.
 
     A candidate at least as good as every rival in some context has no strict
     dominator among them; one as good as every rival in every context, or
@@ -110,10 +106,10 @@ def undominated(rows, rivals, candidates, weak=False):
     others are scanned against every rival with row_strictly_dominates (weak:
     row_weakly_dominates).
     """
-    rival_rows = list(map(rows.__getitem__, rivals))
-    if not rival_rows:
+    if not rivals:
         return candidates
-    best = _column_max(rival_rows)
+    rival_rows = list(map(rows.__getitem__, rivals))
+    best = rows.column_max(rivals)
     dominates = row_weakly_dominates if weak else row_strictly_dominates
     alone = None  # built when a candidate first needs it
     kept = []

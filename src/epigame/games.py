@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -53,6 +53,10 @@ class Game:
     built from its kernel by ``from_columns`` and derives the table on first
     use; ``Game(strategy_names, table)`` goes the other way and derives the
     kernel from the table on first use.
+
+    Like ``kernel`` and ``table``, the game keeps one set of cut rows per
+    (player, opponents' sets), which every restriction with that opponents'
+    part hands out (see ``Restriction.rows``).
     """
 
     def __init__(self, strategy_names, table):
@@ -94,6 +98,11 @@ class Game:
             scaled, _ = _scaled(dict(zip(map(id, column), column)))
             kernel.append(_kernel_rows(list(map(scaled.__getitem__, map(id, column))), counts, i))
         return tuple(kernel)
+
+    @functools.cached_property
+    def _cuts(self):
+        # per player: opponents' sets -> _CutRows
+        return tuple({} for _ in self.strategy_names)
 
     @property
     def n(self):
@@ -155,7 +164,6 @@ class Restriction:
 
     game: Game
     sets: tuple[frozenset, ...]
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sets) != self.game.n:
@@ -190,14 +198,27 @@ class Restriction:
         return itertools.product(*parts)
 
     def rows(self, i):
-        """Player i's kernel rows by own strategy, cut to opponent_profiles(i)."""
-        if i not in self._rows:
-            index, count = [0], self.game.strategy_count
-            for j in range(self.game.n):
-                if j != i:
+        """Player i's kernel rows by own strategy, cut to opponent_profiles(i).
+
+        The rows depend on the opponents' sets alone, so the game keeps one
+        _CutRows per (i, opponents' sets): every restriction with that
+        opponents' part hands out the same object, with the rows, column
+        maxima and verdicts it has gathered.
+        """
+        others = self.sets[:i] + self.sets[i + 1 :]
+        cuts = self.game._cuts[i]
+        cut = cuts.get(others)
+        if cut is None:
+            count = self.game.strategy_count
+            opponents = [j for j in range(self.game.n) if j != i]
+            if all(len(self.sets[j]) == count(j) for j in opponents):
+                index = None  # every opponent part is full
+            else:
+                index = [0]
+                for j in opponents:
                     index = [x * count(j) + s for x in index for s in self.strategies(j)]
-            self._rows[i] = _CutRows(self.game.kernel[i], index)
-        return self._rows[i]
+            cut = cuts[others] = _CutRows(self.game.kernel[i], index)
+        return cut
 
     def describe(self):
         g = self.game
@@ -209,14 +230,36 @@ class Restriction:
 
 
 class _CutRows(dict):
-    """Kernel rows cut to flat opponent-profile indices, each on first use."""
+    """Kernel rows cut to flat opponent-profile indices, each on first use
+    (index None: the kernel rows uncut). It also keeps, per rival frozenset,
+    the rivals' context-wise maximum (column_max), and, per global builtin
+    that reads nothing but these rows and its owner's whole set, the
+    strategies asked about and those it keeps (verdicts, filled by
+    optimality.builtin)."""
+
+    # the game keeps every cut it hands out: no attribute dict per cut
+    __slots__ = ("kernel_rows", "index", "maxima", "verdicts")
 
     def __init__(self, kernel_rows, index):
         self.kernel_rows, self.index = kernel_rows, index
+        self.maxima = {}
+        self.verdicts = {}
 
     def __missing__(self, s):
-        row = self[s] = tuple(map(self.kernel_rows[s].__getitem__, self.index))
+        row = self.kernel_rows[s]
+        if self.index is not None:
+            row = tuple(map(row.__getitem__, self.index))
+        self[s] = row
         return row
+
+    def column_max(self, rivals):
+        """The context-wise maximum of the rows of a non-empty frozenset of
+        rivals, built once per rival set."""
+        best = self.maxima.get(rivals)
+        if best is None:
+            rows = list(map(self.__getitem__, rivals))
+            best = self.maxima[rivals] = rows[0] if len(rows) == 1 else tuple(map(max, *rows))
+        return best
 
 
 def _kernel_rows(flat, counts, i):

@@ -642,10 +642,15 @@ def _compile_lo(model, formula):
     assignment of states to variables (a dict, restored after the run) and an
     event X.
 
-    One closure per node. A comparison x >=^i_z y reads player i's kernel rows
-    of the strategies i plays at x and y at the flat index of the opponents'
-    profile at z; the kernel scales each player's payoffs by a positive
-    factor, so the comparison is exact. Unbound variables raise where the
+    One closure per node, called with env, X and the model's states in X in
+    ascending order, which run lists once. A comparison x >=^i_z y reads
+    player i's kernel rows of the strategies i plays at x and y at the flat
+    index of the opponents' profile at z; the kernel scales each player's
+    payoffs by a positive factor, so the comparison is exact. A bounded
+    quantifier, exists v in X phi (and forall v in X phi, which parses to
+    !exists v !!(v in X & !phi)), loops over the states in X alone: the
+    states outside X fail its membership test before phi is reached. Other
+    quantifiers loop over every state. Unbound variables raise where the
     evaluation reaches them.
     """
     game = model.game
@@ -664,7 +669,7 @@ def _compile_lo(model, formula):
         if isinstance(f, Member):
             var = f.var
 
-            def member(env, X):
+            def member(env, X, inside):
                 try:
                     return env[var] in X
                 except KeyError:
@@ -676,7 +681,7 @@ def _compile_lo(model, formula):
             rows, own, ctx = game.kernel[f.player], model.assignment[f.player], contexts(f.player)
             left, mid, right = f.left, f.ctx, f.right
 
-            def cmp(env, X):
+            def cmp(env, X, inside):
                 try:
                     c = ctx[env[mid]]
                     return rows[own[env[left]]][c] >= rows[own[env[right]]][c]
@@ -687,19 +692,23 @@ def _compile_lo(model, formula):
             return cmp
         if isinstance(f, NotO):
             sub = compile_node(f.sub)
-            return lambda env, X: not sub(env, X)
+            return lambda env, X, inside: not sub(env, X, inside)
         if isinstance(f, AndO):
             left, right = compile_node(f.left), compile_node(f.right)
-            return lambda env, X: left(env, X) and right(env, X)
+            return lambda env, X, inside: left(env, X, inside) and right(env, X, inside)
         if isinstance(f, ExistsO):
-            var, body = f.var, compile_node(f.body)
+            var, body = f.var, f.body
+            while isinstance(body, NotO) and isinstance(body.sub, NotO):
+                body = body.sub.sub
+            bounded = isinstance(body, AndO) and body.left == Member(var)
+            body = compile_node(body.right if bounded else body)
 
-            def exists(env, X):
+            def exists(env, X, inside):
                 saved = env.get(var, _UNBOUND)
                 found = False
-                for w in states:
+                for w in inside if bounded else states:
                     env[var] = w
-                    if body(env, X):
+                    if body(env, X, inside):
                         found = True
                         break
                 if saved is _UNBOUND:
@@ -711,7 +720,8 @@ def _compile_lo(model, formula):
             return exists
         raise TypeError(f"not a formula: {f!r}")
 
-    return compile_node(formula)
+    root = compile_node(formula)
+    return lambda env, X: root(env, X, [w for w in states if w in X])
 
 
 def eval_lo(model, f, assignment, X):

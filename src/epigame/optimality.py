@@ -84,7 +84,7 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
         )
     full = game.full_restriction()
     local = name.endswith("_l")
-    everyone = game.strategies(i)
+    everyone = full.sets[i]
 
     if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
         weak = name[0] == "w"
@@ -98,8 +98,11 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
             return not any(map(relation, rivals, itertools.repeat(rows[s])))
 
         def rule(G, candidates):
-            return dominance.undominated(G.rows(i), G.sets[i] if local else everyone,
-                                         candidates, weak)
+            rows = G.rows(i)
+            if local:
+                return dominance.undominated(rows, G.sets[i], candidates, weak)
+            return _decided_once(rows, name, candidates,
+                                 lambda fresh: dominance.undominated(rows, everyone, fresh, weak))
 
     elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
         weak = name.startswith("mwd")
@@ -132,6 +135,9 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
             )
 
         def rule(G, candidates):
+            if comparison_full and cls == "pure":
+                return _decided_once(G.rows(i), name, candidates,
+                                     lambda fresh: dominance.best_responses(game, full, G, i, fresh))
             comparison = full if comparison_full else G
             return dominance.best_responses(
                 game, comparison, G, i, candidates, cls, grid_denominator
@@ -139,6 +145,22 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
 
     return OptimalityProperty(name, i, game, evaluator, monotone=name in MONOTONE_BUILTINS,
                               own_independent=name.endswith("_g"), rule=rule)
+
+
+def _decided_once(rows, name, candidates, decide):
+    """The candidates at which a global pure builtin holds, given the cut
+    rows of the restriction. Such a builtin reads the rows and its owner's
+    whole set and nothing else, so the strategies asked about and those kept
+    are stored on the rows under the builtin's name, and decide(strategies)
+    runs only for the candidates that no restriction with the same
+    opponents' part has asked about yet."""
+    candidates = frozenset(candidates)
+    asked, kept = rows.verdicts.get(name, (frozenset(), frozenset()))
+    fresh = candidates - asked
+    if fresh:
+        asked, kept = asked | fresh, kept.union(decide(fresh))
+        rows.verdicts[name] = asked, kept
+    return kept & candidates
 
 
 def profile_named(game, names, belief_class=None, grid_denominator=None):

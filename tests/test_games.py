@@ -361,6 +361,42 @@ def test_restriction_validation():
         Restriction(PD, (frozenset([-1]), frozenset([9])))
 
 
+def _three_player_game():
+    """A 2x2x2 game with distinct payoffs, so every cut row differs."""
+    text = "players 3\nstrategies 1 a b\nstrategies 2 c d\nstrategies 3 e f\n"
+    for k, profile in enumerate(itertools.product("ab", "cd", "ef")):
+        text += f"payoff {' '.join(profile)} {k} {2 * k - 7} {k * k % 5}\n"
+    return load_game(text)
+
+
+def test_restrictions_with_equal_opponents_sets_share_their_cut_rows():
+    """The game keeps one cut per (player, opponents' sets): restrictions that
+    differ only in the player's own part hand out the same object, whether
+    or not their sets are the same frozenset objects, and restrictions whose
+    opponents' parts differ hand out different ones."""
+    game = _three_player_game()
+    lattice = list(all_restrictions(game))
+    for i in range(game.n):
+        cut_of = {}  # opponents' sets -> the cut handed out
+        for G in lattice:
+            others = G.sets[:i] + G.sets[i + 1 :]
+            cut = cut_of.setdefault(others, G.rows(i))
+            assert G.rows(i) is cut
+            rebuilt = Restriction(game, tuple(frozenset(part) for part in G.sets))
+            assert rebuilt.rows(i) is cut
+        assert len(cut_of) == 4 ** (game.n - 1)
+        assert len({id(cut) for cut in cut_of.values()}) == len(cut_of)
+    full = game.full_restriction()
+    assert full.rows(0) is not full.rows(1)
+    # with every opponent part full the rows are the kernel rows themselves
+    for i in range(game.n):
+        sets = tuple(frozenset() if j == i else part for j, part in enumerate(full.sets))
+        G = Restriction(game, sets)
+        assert all(G.rows(i)[s] is game.kernel[i][s] for s in game.strategies(i))
+    G = game.restriction([["a"], ["c"], ["e", "f"]])
+    assert G.rows(0)[1] == (game.kernel[0][1][0], game.kernel[0][1][1])
+
+
 def test_empty_and_full():
     assert PD.empty_restriction().is_empty()
     assert PD.full_restriction().is_full()

@@ -515,6 +515,44 @@ def test_compiled_conditions_equal_the_walker_on_random_formulas():
                     ), (f, assignment, X)
 
 
+def test_bounded_quantifiers_range_over_the_states_in_X():
+    """A bounded quantifier binds only the model's states in X: a state of X
+    the model lacks is never bound, an empty X binds nothing, so a body that
+    would raise is not reached, and a free variable bound to a state outside
+    X is read as any other."""
+    rng = random.Random(47)
+    for _ in range(10):
+        game = _rational_game(rng, rng.randint(2, 3))
+        model = _model_with_repeated_profiles(rng, game)
+        states = list(model.states())
+        lacking = frozenset({-1, model.num_states, model.num_states + 5})
+        events = [frozenset(), lacking] + [
+            frozenset(rng.sample(states, rng.randint(1, len(states)))) | lacking
+            for _ in range(2)]
+        for _ in range(12):
+            f = _random_lo(rng, game)
+            for assignment in itertools.product(states, repeat=len(_LO_VARS)):
+                assignment = dict(zip(_LO_VARS, assignment))
+                X = rng.choice(events)
+                assert _outcome(eval_lo, model, f, assignment, X) == _outcome(
+                    _walker_eval_lo, model, f, assignment, X), (f, assignment, X)
+
+    model = standard_model(PD.full_restriction())  # states CC, CD, DC, DD
+    some = parse_lo("exists z in X z in X")
+    every = parse_lo("forall z in X u in X")
+    assert eval_lo(model, some, {}, frozenset({7})) is False
+    assert eval_lo(model, some, {}, frozenset({7, 2})) is True
+    assert eval_lo(model, every, {}, frozenset()) is True
+    assert eval_lo(model, every, {}, frozenset({9})) is True
+    with pytest.raises(LogicEvalError, match="^unbound variable 'u'$"):
+        eval_lo(model, every, {}, frozenset({9, 1}))
+    # x plays D (state DD, outside X), which is at least as good as C at CC
+    f = parse_lo("exists z in X x >=^1_z y")
+    for x, y, X in ((3, 0, frozenset({0})), (0, 3, frozenset({0})), (0, 3, frozenset())):
+        assert eval_lo(model, f, {"x": x, "y": y}, X) == _walker_eval_lo(
+            model, f, {"x": x, "y": y}, X) == (x == 3 and bool(X))
+
+
 def test_compiled_optimality_conditions_equal_the_walker():
     rng = random.Random(43)
     for _ in range(10):

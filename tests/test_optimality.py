@@ -7,7 +7,7 @@ import pytest
 
 from epigame.checks import CheckConfig, random_game
 from epigame.dominance import strictly_dominates, weakly_dominates
-from epigame.games import all_restrictions, load_game_file
+from epigame.games import Restriction, all_restrictions, game_to_text, load_game, load_game_file
 from epigame.logic import (
     LO_TEXTS,
     check_positive_lo,
@@ -295,6 +295,57 @@ def test_survivors_equal_holds():
                     assert prop.survivors(G, G.sets[i]) == got & G.sets[i]
                     checked += 1
     assert checked > 15000
+
+
+def test_shared_verdicts_are_the_holds_filter_in_any_order():
+    """sd_g, wd_g and pure br_g keep their verdicts on the game's cut rows,
+    which the restrictions with the same opponents' part share. Visited in
+    a shuffled order, interleaved with each other and with sd_l, and asked
+    about the own part or about any set of the owner's strategies,
+    survivors stays the holds filter. A verdict shared across opponents'
+    parts, or between sd_g and wd_g, shows here."""
+    rng = random.Random(1818)
+    checked = 0
+    for game in _gate_games():
+        game = load_game(game_to_text(game))  # no verdicts kept from other tests
+        props = [builtin(game, name, i)
+                 for i in range(game.n) for name in ("sd_g", "wd_g", "br_g", "sd_l")]
+        visits = [(G, prop) for G in all_restrictions(game) for prop in props]
+        rng.shuffle(visits)
+        for G, prop in visits:
+            everyone = list(game.strategies(prop.player))
+            candidates = (G.sets[prop.player] if rng.random() < 0.5
+                          else frozenset(rng.sample(everyone, rng.randint(1, len(everyone)))))
+            assert prop.survivors(G, candidates) == {
+                s for s in candidates if prop.holds(s, G)}, (prop, G.describe())
+            checked += 1
+    assert checked > 4000
+
+
+def test_the_oracles_do_not_read_the_shared_verdicts():
+    """A poisoned sd_g verdict on one cut shows in survivors on every
+    restriction with that opponents' part and on no other, while holds and
+    the oracles built on it (value_table, the condition A and monotonicity
+    checks) still report the evaluator's values."""
+    game, clean = load_game(game_to_text(PD)), load_game(game_to_text(PD))
+    prop = builtin(game, "sd_g", 0)
+    reference = builtin(clean, "sd_g", 0)
+    cut = game.restriction([["C"], ["C"]]).rows(0)
+    assert prop.survivors(game.restriction([["C", "D"], ["C"]]), frozenset({C, D})) == {D}
+    cut.verdicts["sd_g"] = (frozenset({C, D}), frozenset({C, D}))  # C is dominated there
+    for own in ([], ["C"], ["D"], ["C", "D"]):
+        G = game.restriction([own, ["C"]])
+        assert prop.survivors(G, frozenset({C, D})) == {C, D}
+        assert prop.holds(C, G) is False
+    assert prop.survivors(game.full_restriction(), frozenset({C, D})) == {D}
+    table = value_table(prop)
+    assert table == value_table(reference)
+    assert all(value == prop.evaluator(s, Restriction(game, sets))
+               for (s, sets), value in table.items())
+    assert satisfies_condition_A(prop) == satisfies_condition_A(reference)
+    assert satisfies_condition_A(prop).independent
+    # read through survivors, the poison would hold C on {C} and lose it on {C,D}
+    assert is_monotonic_on(prop).monotonic
 
 
 def test_survivors_refuses_as_holds_does():

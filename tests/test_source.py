@@ -99,3 +99,26 @@ def test_holds_is_called_only_by_the_oracles():
         ("optimality.py", "satisfies_singleton_truth"),
         ("optimality.py", "value_table"),
     ]
+
+
+def test_own_independent_is_read_only_where_it_is_trusted():
+    """Condition A's declaration is trusted by the rationality event and the
+    rationality announcements' screening alone; the verdicts the global
+    builtins share are kept on the cut rows of the opponents' part, so no
+    memo, holds, survivors or oracle reads the declaration."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}  # line -> the innermost function around it
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        found += [
+            (path.name, owner.get(node.lineno))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "own_independent"
+        ]
+    assert sorted(found) == [
+        ("announcements.py", "iterate_rationality_announcements"),
+        ("epistemic.py", "rationality_event"),
+    ]
