@@ -26,10 +26,11 @@ def _check_events(model, events):
     events = tuple(frozenset(e) for e in events)
     if len(events) != model.game.n:
         raise ValueError("need one announced event per player")
+    num_states = model.num_states
     for e in events:
-        for w in e:
-            if not 0 <= w < model.num_states:
-                raise ValueError(f"state {w!r} is not in the model")
+        if e and not (0 <= min(e) and max(e) < num_states):
+            bad = next(w for w in e if not 0 <= w < num_states)
+            raise ValueError(f"state {bad!r} is not in the model")
     return events
 
 

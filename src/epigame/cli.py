@@ -127,18 +127,20 @@ def _cmd_solve(args):
         print("warning: with 3 or more players, --belief-class mixed eliminations "
               "come from a grid search and are not proven", file=sys.stderr)
     trace = operators.iterate_to_outcome(profile)
-    payload = {
-        "property": [p.name for p in profile],
-        "stages": [
-            [sorted(game.name(i, s) for s in part) for i, part in enumerate(G.sets)]
-            for G in trace.stages
-        ],
-        "outcome": [
-            sorted(game.name(i, s) for s in part)
-            for i, part in enumerate(trace.outcome.sets)
-        ],
-        "closure_ordinal": trace.closure_ordinal,
-    }
+    payload = None  # the names of every stage, built only when printed
+    if args.format == "json-lines":
+        payload = {
+            "property": [p.name for p in profile],
+            "stages": [
+                [sorted(game.name(i, s) for s in part) for i, part in enumerate(G.sets)]
+                for G in trace.stages
+            ],
+            "outcome": [
+                sorted(game.name(i, s) for s in part)
+                for i, part in enumerate(trace.outcome.sets)
+            ],
+            "closure_ordinal": trace.closure_ordinal,
+        }
     lines = [f"property: {','.join(p.name for p in profile)}"]
     if args.trace:
         lines.extend(operators.serialize_trace(trace).splitlines())

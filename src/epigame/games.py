@@ -212,12 +212,13 @@ class Restriction:
             count = self.game.strategy_count
             opponents = [j for j in range(self.game.n) if j != i]
             if all(len(self.sets[j]) == count(j) for j in opponents):
-                index = None  # every opponent part is full
+                gather = None  # every opponent part is full
             else:
                 index = [0]
                 for j in opponents:
                     index = [x * count(j) + s for x in index for s in self.strategies(j)]
-            cut = cuts[others] = _CutRows(self.game.kernel[i], index)
+                gather = _gather(index)
+            cut = cuts[others] = _CutRows(self.game.kernel[i], gather)
         return cut
 
     def describe(self):
@@ -230,25 +231,24 @@ class Restriction:
 
 
 class _CutRows(dict):
-    """Kernel rows cut to flat opponent-profile indices, each on first use
-    (index None: the kernel rows uncut). It also keeps, per rival frozenset,
-    the rivals' context-wise maximum (column_max), and, per global builtin
-    that reads nothing but these rows and its owner's whole set, the
-    strategies asked about and those it keeps (verdicts, filled by
-    optimality.builtin)."""
+    """Kernel rows cut by gather, each on first use (gather None: the kernel
+    rows uncut). It also keeps, per rival frozenset, the rivals'
+    context-wise maximum (column_max), and, per global builtin that reads
+    nothing but these rows and its owner's whole set, the strategies asked
+    about and those it keeps (verdicts, filled by optimality.builtin)."""
 
     # the game keeps every cut it hands out: no attribute dict per cut
-    __slots__ = ("kernel_rows", "index", "maxima", "verdicts")
+    __slots__ = ("kernel_rows", "gather", "maxima", "verdicts")
 
-    def __init__(self, kernel_rows, index):
-        self.kernel_rows, self.index = kernel_rows, index
+    def __init__(self, kernel_rows, gather):
+        self.kernel_rows, self.gather = kernel_rows, gather
         self.maxima = {}
         self.verdicts = {}
 
     def __missing__(self, s):
         row = self.kernel_rows[s]
-        if self.index is not None:
-            row = tuple(map(row.__getitem__, self.index))
+        if self.gather is not None:
+            row = self.gather(row)
         self[s] = row
         return row
 
@@ -260,6 +260,15 @@ class _CutRows(dict):
             rows = list(map(self.__getitem__, rivals))
             best = self.maxima[rivals] = rows[0] if len(rows) == 1 else tuple(map(max, *rows))
         return best
+
+
+def _gather(index):
+    """One call that takes the entries at the flat indices from a row, as a
+    tuple: itemgetter gives a bare entry for one index and needs at least
+    one, so one index or none is a slice."""
+    if len(index) > 1:
+        return operator.itemgetter(*index)
+    return operator.itemgetter(slice(index[0], index[0] + 1) if index else slice(0))
 
 
 def _kernel_rows(flat, counts, i):
@@ -444,12 +453,13 @@ def load_game(text):
     players <n>, then one strategies line per player, then one payoff line
     per joint profile. '#' starts a comment.
 
-    The payoff block is checked column by column and read straight into the
-    integer kernel; only when a check fails does the line loop run, which
-    names the first faulty line.
+    A payoff block in profiles() order, the order every writer emits, is
+    checked column by column and read straight into the integer kernel. The
+    line loop reads any other layout, and names the first faulty line when
+    a check fails.
     """
     names, index, body, lines = _game_header(text)
-    columns = _payoff_columns(body, names, index)
+    columns = _payoff_columns(body, names)
     if columns is None:
         return Game(names, _payoff_lines(lines, names, index))
     return Game.from_columns(names, *columns)
@@ -496,17 +506,19 @@ def _game_header(text):
     return tuple(names), index, raw[lineno:], lines
 
 
-def _payoff_columns(body, names, index):
+def _payoff_columns(body, names):
     """Each player's scaled int payoffs in profiles() order and their
     scales, from the text lines after the header; or None if any check
-    fails: every non-blank line is 'payoff', n known strategies and n
-    rationals; no profile repeats and every profile is given.
+    fails: every non-blank line is 'payoff', n strategies and n rationals,
+    and the lines give the profiles in profiles() order.
 
     Each line is split once, counted and appended to one flat token list,
     which is cut into columns by stride. No line's own token list outlives
     its turn, so large files do not fill the collector's young generation.
-    Each line's flat profile index is computed from its strategy columns;
-    lines out of profiles() order are put in that order by it.
+    Player j's strategy column must equal each of the player's names
+    repeated once per profile of the later players, the whole run cycled:
+    that proves every name known and every profile given once. Any other
+    layout is left to the line loop, which reads any order.
     """
     n, width, count = len(names), 1 + 2 * len(names), math.prod(map(len, names))
     tokens, widths = [], []
@@ -517,24 +529,18 @@ def _payoff_columns(body, names, index):
         return None
     if tokens[::width].count("payoff") != count:
         return None
-    flat = None  # each line's flat profile index
     stride = count
-    for j, (part, ix) in enumerate(zip(names, index)):
+    for j, part in enumerate(names):
+        cycles = count // stride
         stride //= len(part)
-        column = list(map({nm: s * stride for nm, s in ix.items()}.get, tokens[1 + j :: width]))
-        if None in column:
+        run = part if stride == 1 else itertools.chain.from_iterable(
+            map(itertools.repeat, part, itertools.repeat(stride)))
+        if tokens[1 + j :: width] != list(run) * cycles:
             return None
-        flat = column if flat is None else list(map(operator.add, flat, column))
-    in_order = flat == list(range(count))  # then no index repeats
-    if not in_order and len(set(flat)) != count:
-        return None
     value_columns = [tokens[1 + n + j :: width] for j in range(n)]
     distinct = list(map(set, value_columns))
     if not all(map(_RATIONAL_RE.match, set().union(*distinct))):
         return None
-    if not in_order:
-        order = sorted(range(count), key=flat.__getitem__)
-        value_columns = [list(map(column.__getitem__, order)) for column in value_columns]
     columns, scales = [], []
     for column, values in zip(value_columns, distinct):
         scaled, scale = _scaled_ints(values)

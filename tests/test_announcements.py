@@ -78,6 +78,13 @@ def test_effect_validates_events():
         effect(model, (model.all_event(),))
     with pytest.raises(ValueError):
         effect(model, (frozenset({9}), model.all_event()))
+    # the message names the one state outside 0..num_states-1, at either end
+    for bad in (-1, model.num_states, 9):
+        for check in (effect, announced_restriction):
+            with pytest.raises(ValueError, match=rf"^state {bad} is not in the model$"):
+                check(model, (model.all_event(), frozenset({0, bad, 2})))
+    assert effect(model, (frozenset(), model.all_event())).num_states == 0
+    assert effect(model, (frozenset({0, 3}), frozenset({3}))).state_names == ("D,D",)
 
 
 def test_announced_restriction_and_miss_flag():

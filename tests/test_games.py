@@ -1,6 +1,7 @@
 """Game files, the restriction lattice, and expected payoffs."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -236,8 +237,9 @@ def test_comments_blank_lines_and_crlf_keep_line_numbers():
 
 
 def _game_texts(rng, names):
-    """One game written twice: ordered with plain tokens, and shuffled with
-    comments, tabs, blank lines, CRLF and other spellings of each value."""
+    """One game written three times: in profile order with plain tokens; in
+    profile order with comments, tabs, blank lines, CRLF and other spellings
+    of each value; and like the second, with the payoff lines shuffled."""
     values = {}
     for profile in itertools.product(*map(range, map(len, names))):
         values[profile] = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
@@ -261,31 +263,55 @@ def _game_texts(rng, names):
     body = ["payoff\t" + "\t ".join(cells(p) + [spelled(v) for v in vals])
             + (" # a note" if rng.random() < 0.3 else "")
             for p, vals in values.items()]
-    rng.shuffle(body)
-    for _ in range(4):
-        body.insert(rng.randrange(len(body) + 1), rng.choice(("", "   ", "# a comment")))
-    shuffled = ["# shuffled", *head, "", *body]
-    return "\n".join(ordered) + "\n", "\r\n".join(shuffled) + "\r\n"
+    shuffled = list(body)
+    while shuffled == body:  # any other order leaves profile order
+        rng.shuffle(shuffled)
+
+    def decorated(lines):
+        lines = list(lines)
+        for _ in range(4):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "   ", "# a comment")))
+        return "\r\n".join(["# a game", *head, "", *lines]) + "\r\n"
+
+    return "\n".join(ordered) + "\n", decorated(body), decorated(shuffled)
 
 
-def test_loaded_game_is_independent_of_the_layout():
+def test_loaded_game_is_independent_of_the_layout(monkeypatch):
+    """A block in profile order, however it is spelled, is read by the
+    column reader alone; a shuffled block goes to the line loop, and both
+    give the same game."""
+    looped = []
+    loop = games._payoff_lines
+
+    def spy(lines, names, index):
+        looped.append(names)
+        return loop(lines, names, index)
+
+    monkeypatch.setattr(games, "_payoff_lines", spy)
     rng = random.Random(2909)
     for names in (
         (("payoff", "b", "c"), ("x", "y")),
         (("a", "b"), ("payoff", "y", "z", "w")),
         (("a", "b"), ("x", "payoff"), ("u", "v", "w")),
     ):
-        ordered, shuffled = _game_texts(rng, names)
-        want, got = load_game(ordered), load_game(shuffled)
-        assert want.strategy_names == got.strategy_names == names
-        assert want.table == got.table
-        assert want.kernel == got.kernel
+        ordered, spelled, shuffled = _game_texts(rng, names)
+        want, respelled = load_game(ordered), load_game(spelled)
+        assert looped == []
+        got = load_game(shuffled)
+        assert looped == [names]
+        looped.clear()
+        for game in (respelled, got):
+            assert want.strategy_names == game.strategy_names == names
+            assert want.table == game.table
+            assert want.kernel == game.kernel
+            assert game_to_text(game) == game_to_text(want)
         # a game built in code, with one Fraction object per cell, has the
         # same kernel as the parsed one, which shares one per token
         fresh = {p: tuple(Fraction(v.numerator, v.denominator) for v in vals)
                  for p, vals in want.table.items()}
         assert Game(names, fresh).kernel == want.kernel
         assert load_game(game_to_text(got)).table == want.table
+        assert looped == []
 
 
 def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, capsys):
@@ -395,6 +421,47 @@ def test_restrictions_with_equal_opponents_sets_share_their_cut_rows():
         assert all(G.rows(i)[s] is game.kernel[i][s] for s in game.strategies(i))
     G = game.restriction([["a"], ["c"], ["e", "f"]])
     assert G.rows(0)[1] == (game.kernel[0][1][0], game.kernel[0][1][1])
+
+
+def _reference_rows(G, i):
+    """Player i's kernel rows at G, gathered one flat index at a time."""
+    game = G.game
+    opponents = [j for j in range(game.n) if j != i]
+    flat = []
+    for ctx in G.opponent_profiles(i):
+        k = 0
+        for j, s in zip(opponents, ctx):
+            k = k * game.strategy_count(j) + s
+        flat.append(k)
+    return [tuple(game.kernel[i][s][k] for k in flat) for s in game.strategies(i)]
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 3, 2)])
+def test_cut_rows_gather_the_opponent_profiles_of_each_restriction(sizes):
+    """On every restriction, each cut row is the kernel row read at the
+    flat index of each opponent profile, as a tuple: also with an empty
+    opponent part (no context) and one-element parts (one context)."""
+    rng = random.Random(sum(sizes))
+    names = tuple(tuple(f"s{k}" for k in range(size)) for size in sizes)
+    count = math.prod(sizes)
+    game = Game.from_columns(
+        names, [[rng.randint(-9, 9) for _ in range(count)] for _ in sizes], [1] * len(sizes))
+    contexts = set()
+    for G in all_restrictions(game):
+        for i in range(game.n):
+            cut, want = G.rows(i), _reference_rows(G, i)
+            assert [cut[s] for s in game.strategies(i)] == want
+            for s in game.strategies(i):
+                assert type(cut[s]) is tuple
+                assert len(cut[s]) == len(list(G.opponent_profiles(i)))
+            contexts.add(len(want[0]))
+    assert {0, 1} <= contexts
+    # a one-context cut: its column maxima are 1-tuples
+    G = game.restriction([{0}] * game.n)
+    cut = G.rows(0)
+    column = [game.kernel[0][s][0] for s in game.strategies(0)]
+    assert cut.column_max(frozenset({1})) == (column[1],)
+    assert cut.column_max(frozenset(game.strategies(0))) == (max(column),)
 
 
 def test_empty_and_full():
