@@ -367,7 +367,7 @@ def main(argv=None):
         DerivationFormatError,
         games.BudgetExceededError,
         optimality.NonMonotonicPropertyError,
-        FileNotFoundError,
+        OSError,
         ValueError,
         KeyError,
     ) as exc:

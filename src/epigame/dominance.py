@@ -54,15 +54,6 @@ def weakly_dominates(game, context, i, dominator, dominated):
     return row_weakly_dominates(*_rows(context, i, dominator, dominated))
 
 
-def _pure_best_response(rows, s_i, rivals, strict=False):
-    """Is s_i at least as good as (strict: better than) every rival in some context?"""
-    mine = rows[s_i]
-    if not rivals:
-        return bool(mine)
-    best = rows[rivals[0]] if len(rivals) == 1 else map(max, *(rows[s] for s in rivals))
-    return any(map(gt if strict else ge, mine, best))
-
-
 def _reached_alone(rival_rows, best):
     """Per context, whether exactly one of the rows reaches best there."""
     return tuple(map(eq, map(tuple.count, zip(*rival_rows), best), repeat(1)))
@@ -70,10 +61,12 @@ def _reached_alone(rival_rows, best):
 
 def _best_responders(rows, rivals, candidates, strict=False):
     """Split candidates into those at least as good as every rival (strict:
-    better than every other rival) in some context, and the rest.
+    better than every other rival) in some context, and the rest, on the
+    cut rows of a restriction and for a frozenset of rivals.
 
-    The set-wise form of _pure_best_response for the cut rows of a
-    restriction and a frozenset of rivals: the rivals' context-wise maximum
+    The one pure prefilter of every decision here. By the pure half of
+    Pearce's lemma a hit is a best response, and no mixture over the rivals
+    strictly (strict: weakly) dominates it. The rivals' context-wise maximum
     is built once per cut and rival set. With no rivals, a candidate
     qualifies wherever it has a context. Returns two lists.
     """
@@ -83,15 +76,19 @@ def _best_responders(rows, rivals, candidates, strict=False):
             (hits if rows[s] else rest).append(s)
         return hits, rest
     best = rows.column_max(rivals)
-    alone = _reached_alone(list(map(rows.__getitem__, rivals)), best) if strict else None
+    alone = None  # built when a candidate first needs it
     for s in candidates:
         row = rows[s]
         if not strict:
             hit = any(map(ge, row, best))
-        elif s in rivals:  # alone at the maximum, where every other rival is below
+        elif s not in rivals:
+            hit = any(map(gt, row, best))
+        elif any(map(eq, row, best)):  # alone at the maximum, where every other rival is below
+            if alone is None:
+                alone = _reached_alone(list(map(rows.__getitem__, rivals)), best)
             hit = any(map(and_, map(eq, row, best), alone))
         else:
-            hit = any(map(gt, row, best))
+            hit = False
         (hits if hit else rest).append(s)
     return hits, rest
 
@@ -100,35 +97,18 @@ def undominated(rows, rivals, candidates, weak=False):
     """The candidates that no rival strictly (weak: weakly) dominates, on the
     cut rows of a restriction and for a frozenset of rivals.
 
-    A candidate at least as good as every rival in some context has no strict
-    dominator among them; one as good as every rival in every context, or
-    better than every other rival in some context, has no weak dominator. The
-    others are scanned against every rival with row_strictly_dominates (weak:
-    row_weakly_dominates).
+    _best_responders keeps its hits; only the rest are scanned against every
+    rival with row_strictly_dominates (weak: row_weakly_dominates). The scan
+    also keeps, under weak, a row equal to the rivals' maximum: no rival
+    exceeds it anywhere.
     """
     if not rivals:
         return candidates
-    rival_rows = list(map(rows.__getitem__, rivals))
-    best = rows.column_max(rivals)
-    dominates = row_weakly_dominates if weak else row_strictly_dominates
-    alone = None  # built when a candidate first needs it
-    kept = []
-    for s in candidates:
-        row = rows[s]
-        if not weak:
-            safe = any(map(ge, row, best))
-        elif row == best:
-            safe = True
-        elif s not in rivals:
-            safe = any(map(gt, row, best))
-        elif any(map(eq, row, best)):  # at the maximum somewhere: alone there?
-            if alone is None:
-                alone = _reached_alone(rival_rows, best)
-            safe = any(map(and_, map(eq, row, best), alone))
-        else:
-            safe = False
-        if safe or not any(map(dominates, rival_rows, repeat(row))):
-            kept.append(s)
+    kept, rest = _best_responders(rows, rivals, candidates, strict=weak)
+    if rest:
+        rival_rows = list(map(rows.__getitem__, rivals))
+        dominates = row_weakly_dominates if weak else row_strictly_dominates
+        kept += [s for s in rest if not any(map(dominates, rival_rows, repeat(rows[s])))]
     return kept
 
 
@@ -138,23 +118,23 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     Returns the witness MixedStrategy or None. A pure best response within
     support is undominated; otherwise _pearce decides.
     """
-    support = sorted(support)
-    if not support:
+    rivals = frozenset(support)
+    if not rivals:
         raise ValueError("empty support")
     rows = context.rows(i)
     if not rows[dominated]:
-        return point_mass(game, i, support[0])
+        return point_mass(game, i, min(rivals))
     # No mixture over support beats dominated where it is a pure best response.
-    if _pure_best_response(rows, dominated, support):
+    if _best_responders(rows, rivals, (dominated,))[0]:
         return None
-    return _pearce(game, context, i, support, dominated)
+    return _pearce(game, rows, i, sorted(rivals), dominated)
 
 
-def _pearce(game, context, i, support, dominated, weak=False):
+def _pearce(game, rows, i, support, dominated, weak=False):
     """A mixture over the sorted support strictly (weak: weakly) dominating
-    dominated, or None. The caller has checked that dominated has a
-    non-empty row and is no pure best response (weak: no unique strict one)
-    within support.
+    dominated on player i's cut rows, or None. The caller has checked that
+    dominated has a non-empty row and is no pure best response (weak: no
+    unique strict one) within support.
 
     A pure dominator is its own witness. Otherwise one LP on the int kernel
     rows asks for a correlated belief p over the contexts against which
@@ -169,7 +149,6 @@ def _pearce(game, context, i, support, dominated, weak=False):
     used: the belief scaled to int weights, the mixture to int weights U
     whose row sum_s U_s row_s must dominate (sum U) times dominated's row.
     """
-    rows = context.rows(i)
     mine = rows[dominated]
     row_dominates = row_weakly_dominates if weak else row_strictly_dominates
     for d in support:
@@ -215,33 +194,32 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
     A strict, unique best response within support is undominated; otherwise
     _pearce decides.
     """
-    support = sorted(support)
-    if not support:
+    rivals = frozenset(support)
+    if not rivals:
         raise ValueError("empty support")
     rows = context.rows(i)
     if not rows[dominated]:
         return None
     # Where dominated is the unique best response within support, a mixture
     # at least as good must be dominated itself, which is better nowhere.
-    if _pure_best_response(rows, dominated, [s for s in support if s != dominated], strict=True):
+    if _best_responders(rows, rivals, (dominated,), strict=True)[0]:
         return None
-    return _pearce(game, context, i, support, dominated, weak=True)
+    return _pearce(game, rows, i, sorted(rivals), dominated, weak=True)
 
 
-def mixed_undominated(game, context, i, support, candidates, weak=False):
+def mixed_undominated(game, rows, i, support, candidates, weak=False):
     """The candidates that no mixture over support strictly (weak: weakly)
-    dominates: mixed_strictly_dominates_exists (weak:
+    dominates, on player i's cut rows: mixed_strictly_dominates_exists (weak:
     mixed_weakly_dominates_exists) for all of them at once, with the pure
     prefilter built once and _pearce only for the candidates it leaves open.
     """
     if not support:
         raise ValueError("empty support")
-    rows = context.rows(i)
     kept, rest = _best_responders(rows, support, candidates, strict=weak)
     support = sorted(support)
     # with no context, strict domination is vacuous and weak domination impossible
     kept += [s for s in rest
-             if (_pearce(game, context, i, support, s, weak) is None if rows[s] else weak)]
+             if (_pearce(game, rows, i, support, s, weak) is None if rows[s] else weak)]
     return kept
 
 
@@ -279,31 +257,31 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
     way; only the grid searches further.
     """
     belief_class = _belief_class(game, belief_class, grid_denominator)
-    rivals = comparison.strategies(i)
     rows = beliefs_in.rows(i)
     if not rows[s_i]:  # no opponent profile to hold a belief about
         return False
-    if _pure_best_response(rows, s_i, rivals):
+    if _best_responders(rows, comparison.sets[i], (s_i,))[0]:
         return True
-    if belief_class == "pure" or _pearce(game, beliefs_in, i, rivals, s_i) is not None:
+    rivals = comparison.strategies(i)
+    if belief_class == "pure" or _pearce(game, rows, i, rivals, s_i) is not None:
         return False
     return belief_class == "correlated" or _grid_best_response(
         game, beliefs_in, i, s_i, rivals, grid_denominator)
 
 
-def best_responses(game, comparison, beliefs_in, i, candidates, belief_class="pure",
+def best_responses(game, beliefs_in, rows, i, rivals, candidates, belief_class="pure",
                    grid_denominator=None):
-    """The candidates that is_best_response accepts, decided together: the
-    pure best responses from one column maximum, then _pearce (and the grid)
-    only for the others."""
+    """The candidates that is_best_response accepts against the frozenset of
+    rivals, given beliefs_in and player i's cut rows on it, decided together:
+    the pure best responses from one column maximum, then _pearce (and the
+    grid) only for the others."""
     belief_class = _belief_class(game, belief_class, grid_denominator)
-    rows = beliefs_in.rows(i)
-    kept, rest = _best_responders(rows, comparison.sets[i], candidates)
+    kept, rest = _best_responders(rows, rivals, candidates)
     if belief_class == "pure" or not rest:
         return kept
-    rivals = comparison.strategies(i)
+    rivals = sorted(rivals)
     for s in rest:
-        if rows[s] and _pearce(game, beliefs_in, i, rivals, s) is None and (
+        if rows[s] and _pearce(game, rows, i, rivals, s) is None and (
             belief_class == "correlated"
             or _grid_best_response(game, beliefs_in, i, s, rivals, grid_denominator)
         ):

@@ -269,29 +269,22 @@ def rationality_event(model, prop):
     """States where the property holds for the owner's strategy given their beliefs.
 
     G_{P_i(w)} depends only on the block, so the states are grouped by block
-    into cells, one per distinct strategy image. A property declaring
-    condition A (own_independent) ignores the owner's own image, so its cells
-    are keyed by the opponents' images alone and the first restriction seen
-    stands for the cell. Each cell asks the property once, for the own
-    strategies played at its states.
+    into cells, one per distinct strategy image, and each cell asks the
+    property once, for the own strategies played at its states.
     """
     i = prop.player
     own = model.assignment[i]
     states_of = {}  # block -> the states holding it
     for w, block in zip(model.states(), model.blocks(i)):
         states_of.setdefault(block, []).append(w)
-    cells = {}  # strategy images, or the opponents' -> (restriction, own strategies, states)
+    cells = {}  # strategy images -> (own strategies, states)
     for block, states in states_of.items():
-        sets = _images(model, [block] * model.game.n)
-        key = sets[:i] + sets[i + 1 :] if prop.own_independent else sets
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = (Restriction(model.game, sets), set(), [])
-        cell[1].update(map(own.__getitem__, states))
-        cell[2].extend(states)
+        cell = cells.setdefault(_images(model, [block] * model.game.n), (set(), []))
+        cell[0].update(map(own.__getitem__, states))
+        cell[1].extend(states)
     out = []
-    for G, asked, states in cells.values():
-        kept = prop.survivors(G, frozenset(asked))
+    for sets, (asked, states) in cells.items():
+        kept = prop.survivors(Restriction(model.game, sets), frozenset(asked))
         out += itertools.compress(states, map(kept.__contains__, map(own.__getitem__, states)))
     return frozenset(out)
 

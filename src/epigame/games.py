@@ -168,7 +168,15 @@ class Restriction:
     def __post_init__(self):
         if len(self.sets) != self.game.n:
             raise ValueError("restriction arity does not match game")
-        if not all(map(frozenset.issuperset, self.game._index_sets, self.sets)):
+        # the parts key the game's cuts and verdicts, so they must be hashable:
+        # frozenset.issubset refuses a part of any other type
+        try:
+            inside = all(map(frozenset.issubset, self.sets, self.game._index_sets))
+        except TypeError:
+            inside = None
+        if inside is None or type(self.sets) is not tuple:
+            raise ValueError("restriction parts must be a tuple of frozensets")
+        if not inside:
             for i, part in enumerate(self.sets):  # names the first bad index
                 for s in part:
                     if not 0 <= s < self.game.strategy_count(i):
@@ -234,8 +242,8 @@ class _CutRows(dict):
     """Kernel rows cut by gather, each on first use (gather None: the kernel
     rows uncut). It also keeps, per rival frozenset, the rivals'
     context-wise maximum (column_max), and, per global builtin that reads
-    nothing but these rows and its owner's whole set, the strategies asked
-    about and those it keeps (verdicts, filled by optimality.builtin)."""
+    nothing of its owner's own part, the strategies asked about and those
+    it keeps (verdicts, filled by optimality.builtin)."""
 
     # the game keeps every cut it hands out: no attribute dict per cut
     __slots__ = ("kernel_rows", "gather", "maxima", "verdicts")

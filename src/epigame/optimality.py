@@ -77,15 +77,16 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
         raise ValueError(f"unknown property {name!r}")
     if belief_class is not None and name not in ("br_l", "br_g"):
         raise ValueError(f"{name} does not take a belief class")
-    if grid_denominator is not None and grid_denominator < 1:
-        # refused for every property, not only where a best response reads it
-        raise dominance.BeliefClassError(
-            f"grid denominator must be at least 1, got {grid_denominator}"
-        )
+    # a grid denominator below 1 is refused for every property, not only
+    # where a best response reads it
+    dominance._belief_class(game, "pure", grid_denominator)
     full = game.full_restriction()
     local = name.endswith("_l")
     everyone = full.sets[i]
+    key = name  # the verdicts a global builtin keeps on the cut rows
 
+    # decide(G, rows, rivals, candidates): the candidates kept against the
+    # rivals, given player i's cut rows on G
     if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
         weak = name[0] == "w"
         relation = (
@@ -97,12 +98,8 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
             rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
             return not any(map(relation, rivals, itertools.repeat(rows[s])))
 
-        def rule(G, candidates):
-            rows = G.rows(i)
-            if local:
-                return dominance.undominated(rows, G.sets[i], candidates, weak)
-            return _decided_once(rows, name, candidates,
-                                 lambda fresh: dominance.undominated(rows, everyone, fresh, weak))
+        def decide(G, rows, rivals, candidates):
+            return dominance.undominated(rows, rivals, candidates, weak)
 
     elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
         weak = name.startswith("mwd")
@@ -118,48 +115,50 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
                 return True
             return search(game, G, i, support, s) is None
 
-        def rule(G, candidates):
-            support = G.sets[i] if local else everyone
-            if not support:
+        def decide(G, rows, rivals, candidates):
+            if not rivals:
                 return candidates
-            return dominance.mixed_undominated(game, G, i, support, candidates, weak)
+            return dominance.mixed_undominated(game, rows, i, rivals, candidates, weak)
 
     else:  # br_l, br_g, brc_l
-        comparison_full = name == "br_g"
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
+        key = (name, cls, grid_denominator)
 
         def evaluator(s, G):
-            comparison = full if comparison_full else G
             return dominance.is_best_response(
-                game, comparison, G, i, s, cls, grid_denominator
+                game, G if local else full, G, i, s, cls, grid_denominator
             )
 
-        def rule(G, candidates):
-            if comparison_full and cls == "pure":
-                return _decided_once(G.rows(i), name, candidates,
-                                     lambda fresh: dominance.best_responses(game, full, G, i, fresh))
-            comparison = full if comparison_full else G
+        def decide(G, rows, rivals, candidates):
             return dominance.best_responses(
-                game, comparison, G, i, candidates, cls, grid_denominator
+                game, G, rows, i, rivals, candidates, cls, grid_denominator
             )
+
+    def rule(G, candidates):
+        rows = G.rows(i)
+        if local:
+            return decide(G, rows, G.sets[i], candidates)
+        return _decided_once(rows, key, candidates,
+                             lambda fresh: decide(G, rows, everyone, fresh))
 
     return OptimalityProperty(name, i, game, evaluator, monotone=name in MONOTONE_BUILTINS,
                               own_independent=name.endswith("_g"), rule=rule)
 
 
-def _decided_once(rows, name, candidates, decide):
-    """The candidates at which a global pure builtin holds, given the cut
-    rows of the restriction. Such a builtin reads the rows and its owner's
-    whole set and nothing else, so the strategies asked about and those kept
-    are stored on the rows under the builtin's name, and decide(strategies)
-    runs only for the candidates that no restriction with the same
-    opponents' part has asked about yet."""
+def _decided_once(rows, key, candidates, decide):
+    """The candidates at which a global builtin holds, given the cut rows of
+    the restriction. Such a builtin reads the rows, the opponents' part and
+    its owner's whole set and nothing of the owner's own part (condition A
+    by construction), so the strategies asked about and those kept are
+    stored on the rows under key, and decide(strategies) runs only for the
+    candidates that no restriction with the same opponents' part has asked
+    about yet."""
     candidates = frozenset(candidates)
-    asked, kept = rows.verdicts.get(name, (frozenset(), frozenset()))
+    asked, kept = rows.verdicts.get(key, (frozenset(), frozenset()))
     fresh = candidates - asked
     if fresh:
         asked, kept = asked | fresh, kept.union(decide(fresh))
-        rows.verdicts[name] = asked, kept
+        rows.verdicts[key] = asked, kept
     return kept & candidates
 
 

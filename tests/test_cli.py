@@ -81,6 +81,19 @@ def test_solve_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{data}"],
+    ["eval", "{data}", "--formula", "rat"],
+    ["derive", "{data}"],
+    ["announce", PD, "--emit-model", "{tmp}"],
+])
+def test_a_directory_path_is_one_error_line(tmp_path, capsys, argv):
+    argv = [arg.format(data=DATA, tmp=tmp_path) for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad", ["\u0663", "1/\u0662"])
 def test_solve_refuses_digits_of_other_scripts(tmp_path, capsys, bad):
     path = tmp_path / "arabic.game"

@@ -434,17 +434,17 @@ def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
 
 
 def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
-    """is_best_response and mixed_strictly_dominates_exists each run their own
-    pure best-response prefilter and then share the Pearce step, which does
-    not run it again."""
+    """is_best_response and mixed_strictly_dominates_exists each run the one
+    pure best-response prefilter, _best_responders, on their one strategy
+    and then share the Pearce step, which does not run it again."""
     calls = []
-    prefilter = dominance._pure_best_response
+    prefilter = dominance._best_responders
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return prefilter(*args, **kwargs)
+    def counted(rows, rivals, candidates, *args, **kwargs):
+        calls.append(tuple(candidates))
+        return prefilter(rows, rivals, candidates, *args, **kwargs)
 
-    monkeypatch.setattr(dominance, "_pure_best_response", counted)
+    monkeypatch.setattr(dominance, "_best_responders", counted)
     survivor = _weakly_dominated_best_response_game()
     # s in the survivor game reaches the LP; B in threebytwo is eliminated by it
     cases = [(survivor, 0, True), (TBT, TBT.index(0, "B"), False)]
@@ -457,10 +457,10 @@ def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
         full = game.full_restriction()
         del calls[:]
         answer = is_best_response(game, full, full, 0, s, "correlated")
-        assert len(calls) == 1
+        assert calls == [(s,)]
         del calls[:]
         found = mixed_strictly_dominates_exists(game, full, 0, full.sets[0], s)
-        assert len(calls) == 1
+        assert calls == [(s,)]
         assert answer == (found is None)
         if survives is not None:
             assert answer == survives
@@ -546,8 +546,9 @@ def test_kernel_decisions_equal_fraction_arithmetic():
                         assert is_best_response(game, comparison, G, i, s, "pure") == (
                             _ref_best_response(game, G, i, s, rivals, strict=False))
                         others = [r for r in rivals if r != s]
-                        assert dominance._pure_best_response(G.rows(i), s, others, strict=True) == (
-                            _ref_best_response(game, G, i, s, others, strict=True))
+                        hits, _ = dominance._best_responders(G.rows(i), comparison.sets[i], [s],
+                                                             strict=True)
+                        assert bool(hits) == _ref_best_response(game, G, i, s, others, strict=True)
     assert checked > 10000
 
 

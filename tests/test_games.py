@@ -385,6 +385,12 @@ def test_restriction_validation():
         Restriction(PD, (frozenset([0, 1]), frozenset([1, 7])))
     with pytest.raises(ValueError, match="^strategy index -1 out of range for player 1$"):
         Restriction(PD, (frozenset([-1]), frozenset([9])))
+    # parts that cannot key the game's cuts are refused, not failed on later
+    for bad in (({0}, {1}), (frozenset([0]), {1}), [frozenset([0]), frozenset([1])],
+                ([0], frozenset([1]))):
+        with pytest.raises(ValueError, match="^restriction parts must be a tuple of frozensets$"):
+            Restriction(PD, bad)
+    assert PD.restriction([{0}, [1]]).sets == (frozenset([0]), frozenset([1]))
 
 
 def _three_player_game():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from epigame import dominance
 from epigame.checks import CheckConfig, random_game
 from epigame.dominance import strictly_dominates, weakly_dominates
 from epigame.games import Restriction, all_restrictions, game_to_text, load_game, load_game_file
@@ -346,6 +347,46 @@ def test_the_oracles_do_not_read_the_shared_verdicts():
     assert satisfies_condition_A(prop).independent
     # read through survivors, the poison would hold C on {C} and lose it on {C,D}
     assert is_monotonic_on(prop).monotonic
+
+
+def test_lp_backed_global_builtins_decide_each_strategy_once(monkeypatch):
+    """msd_g, mwd_g and correlated br_g keep their verdicts on the cut rows
+    as well: once one restriction has asked about every strategy, a second
+    with the same opponents' part submits no LP, and survivors there is
+    still the holds filter. Pure and correlated br_g never share verdicts:
+    the middle strategy M below is a correlated best response and no pure
+    one, whichever of the two asks first."""
+    submitted = []
+    solve = dominance.solve
+    monkeypatch.setattr(dominance, "solve", lambda lp: submitted.append(lp) or solve(lp))
+    first_lps = 0
+    for game in _gate_games():
+        game = load_game(game_to_text(game))  # no verdicts kept from other tests
+        for i in range(game.n):
+            everyone = frozenset(game.strategies(i))
+            props = [builtin(game, "msd_g", i), builtin(game, "mwd_g", i),
+                     builtin(game, "br_g", i, belief_class="correlated")]
+            seen = set()  # opponents' parts already asked about
+            for G in all_restrictions(game):
+                others = G.sets[:i] + G.sets[i + 1 :]
+                for prop in props:
+                    del submitted[:]
+                    got = prop.survivors(G, everyone)
+                    if others in seen:
+                        assert submitted == [], (prop, G.describe())
+                    first_lps += len(submitted)
+                    assert got == {s for s in everyone if prop.holds(s, G)}, (prop, G.describe())
+                seen.add(others)
+    assert first_lps > 0
+    text = ("players 2\nstrategies 1 T M B\nstrategies 2 L R\n"
+            "payoff T L 3 0\npayoff T R 0 0\npayoff M L 2 0\npayoff M R 2 0\n"
+            "payoff B L 0 0\npayoff B R 3 0\n")
+    for order in (("pure", "correlated"), ("correlated", "pure")):
+        game = load_game(text)
+        full = game.full_restriction()
+        kept = {cls: builtin(game, "br_g", 0, belief_class=cls).survivors(full, full.sets[0])
+                for cls in order}
+        assert kept == {"pure": {0, 2}, "correlated": {0, 1, 2}}
 
 
 def test_survivors_refuses_as_holds_does():

@@ -102,10 +102,11 @@ def test_holds_is_called_only_by_the_oracles():
 
 
 def test_own_independent_is_read_only_where_it_is_trusted():
-    """Condition A's declaration is trusted by the rationality event and the
-    rationality announcements' screening alone; the verdicts the global
-    builtins share are kept on the cut rows of the opponents' part, so no
-    memo, holds, survivors or oracle reads the declaration."""
+    """Condition A's declaration is trusted by the rationality announcements'
+    screening alone; the verdicts the global builtins share are kept on the
+    cut rows of the opponents' part, and the rationality event keys its
+    cells by the whole strategy image, so no memo, event, holds, survivors
+    or oracle reads the declaration."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -120,5 +121,4 @@ def test_own_independent_is_read_only_where_it_is_trusted():
         ]
     assert sorted(found) == [
         ("announcements.py", "iterate_rationality_announcements"),
-        ("epistemic.py", "rationality_event"),
     ]
