@@ -16,7 +16,6 @@ import sys
 import time
 
 from . import announcements, checks, epistemic, games, logic, operators, optimality
-from .logic import DerivationFormatError, LogicEvalError, LogicParseError
 
 
 @functools.cache  # parse_args keeps no state between calls
@@ -107,12 +106,14 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _portable_game_path(game_path, base_dir, out_path):
-    """A game reference that resolves from the emitted model's directory."""
-    resolved = game_path
-    if not os.path.isabs(resolved):
-        resolved = os.path.join(base_dir, resolved)
-    return os.path.relpath(os.path.abspath(resolved), os.path.dirname(os.path.abspath(out_path)) or ".")
+def _write_model(out_path, model, game_path, base_dir, level):
+    """Write the model to out_path, with a game reference that resolves from
+    out_path's directory. Commands call it before they print, so a failed
+    write leaves no answer on stdout."""
+    ref = os.path.relpath(os.path.join(base_dir, game_path),
+                          os.path.dirname(os.path.abspath(out_path)))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(epistemic.model_to_text(model, ref, level))
 
 
 # ---------- commands ----------
@@ -187,11 +188,9 @@ def _announce_game(args):
     for k, model in enumerate(trace.models):
         lines.append(f"round {k} states: {' '.join(model.state_names) or '(none)'}")
     lines.append(f"terminal restriction: {induced.describe()}")
-    _emit(args, payload, lines)
     if args.emit_model:
-        ref = _portable_game_path(args.path, ".", args.emit_model)
-        with open(args.emit_model, "w", encoding="utf-8") as fh:
-            fh.write(epistemic.model_to_text(terminal, ref, level))
+        _write_model(args.emit_model, terminal, args.path, ".", level)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -233,16 +232,13 @@ def _announce_model(args):
                 "warning: no state survives, so the result is not a model "
                 "of the announced restriction"
             )
-    _emit(args, payload, lines)
     if args.emit_model:
         level = loaded.level
         if epistemic.validate(result, level):
             level = "bare"
-        ref = _portable_game_path(
-            loaded.game_path, os.path.dirname(args.path) or ".", args.emit_model
-        )
-        with open(args.emit_model, "w", encoding="utf-8") as fh:
-            fh.write(epistemic.model_to_text(result, ref, level))
+        _write_model(args.emit_model, result, loaded.game_path,
+                     os.path.dirname(args.path) or ".", level)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -359,18 +355,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (
-        games.GameFormatError,
-        epistemic.ModelFormatError,
-        LogicParseError,
-        LogicEvalError,
-        DerivationFormatError,
-        games.BudgetExceededError,
-        optimality.NonMonotonicPropertyError,
-        OSError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (games.BudgetExceededError, OSError, ValueError, KeyError) as exc:
+        # Every format, parse, evaluation and property error is a ValueError.
         # str() of a KeyError is the repr of its message, quotes included.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

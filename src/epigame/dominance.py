@@ -118,16 +118,30 @@ def mixed_strictly_dominates_exists(game, context, i, support, dominated):
     Returns the witness MixedStrategy or None. A pure best response within
     support is undominated; otherwise _pearce decides.
     """
+    return _mixed_dominator(game, context, i, support, dominated, weak=False)
+
+
+def mixed_weakly_dominates_exists(game, context, i, support, dominated):
+    """Search for a weakly dominating mixture over support; None if there is none.
+
+    A strict, unique best response within support is undominated; otherwise
+    _pearce decides.
+    """
+    return _mixed_dominator(game, context, i, support, dominated, weak=True)
+
+
+def _mixed_dominator(game, context, i, support, dominated, weak):
+    """The search both mixed_*_dominates_exists run; weak picks the relation."""
     rivals = frozenset(support)
     if not rivals:
         raise ValueError("empty support")
     rows = context.rows(i)
-    if not rows[dominated]:
-        return point_mass(game, i, min(rivals))
-    # No mixture over support beats dominated where it is a pure best response.
-    if _best_responders(rows, rivals, (dominated,))[0]:
+    if not rows[dominated]:  # with no context, strict domination is vacuous
+        return None if weak else point_mass(game, i, min(rivals))
+    # No mixture over support beats dominated where it is a pure (weak: unique) best response.
+    if _best_responders(rows, rivals, (dominated,), strict=weak)[0]:
         return None
-    return _pearce(game, rows, i, sorted(rivals), dominated)
+    return _pearce(game, rows, i, sorted(rivals), dominated, weak)
 
 
 def _pearce(game, rows, i, support, dominated, weak=False):
@@ -188,25 +202,6 @@ def _dot(weights, row):
     return sum(map(mul, weights, row))
 
 
-def mixed_weakly_dominates_exists(game, context, i, support, dominated):
-    """Search for a weakly dominating mixture over support; None if there is none.
-
-    A strict, unique best response within support is undominated; otherwise
-    _pearce decides.
-    """
-    rivals = frozenset(support)
-    if not rivals:
-        raise ValueError("empty support")
-    rows = context.rows(i)
-    if not rows[dominated]:
-        return None
-    # Where dominated is the unique best response within support, a mixture
-    # at least as good must be dominated itself, which is better nowhere.
-    if _best_responders(rows, rivals, (dominated,), strict=True)[0]:
-        return None
-    return _pearce(game, rows, i, sorted(rivals), dominated, weak=True)
-
-
 def mixed_undominated(game, rows, i, support, candidates, weak=False):
     """The candidates that no mixture over support strictly (weak: weakly)
     dominates, on player i's cut rows: mixed_strictly_dominates_exists (weak:
@@ -256,17 +251,8 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
     which Pearce's LP in _pearce decides with a checked certificate either
     way; only the grid searches further.
     """
-    belief_class = _belief_class(game, belief_class, grid_denominator)
-    rows = beliefs_in.rows(i)
-    if not rows[s_i]:  # no opponent profile to hold a belief about
-        return False
-    if _best_responders(rows, comparison.sets[i], (s_i,))[0]:
-        return True
-    rivals = comparison.strategies(i)
-    if belief_class == "pure" or _pearce(game, rows, i, rivals, s_i) is not None:
-        return False
-    return belief_class == "correlated" or _grid_best_response(
-        game, beliefs_in, i, s_i, rivals, grid_denominator)
+    return s_i in best_responses(game, beliefs_in, beliefs_in.rows(i), i, comparison.sets[i],
+                                 (s_i,), belief_class, grid_denominator)
 
 
 def best_responses(game, beliefs_in, rows, i, rivals, candidates, belief_class="pure",

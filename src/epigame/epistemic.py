@@ -15,19 +15,21 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .games import BudgetExceededError, Restriction, load_game_file, restriction_leq, subsets_of
+from .games import (
+    BudgetExceededError,
+    LineFormatError,
+    Restriction,
+    _text_lines,
+    load_game_file,
+    restriction_leq,
+    subsets_of,
+)
 from .operators import descend, iterate_to_outcome
 from .optimality import require_monotone, satisfies_singleton_truth
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(LineFormatError):
     """Raised on malformed model files; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 LEVELS = ("bare", "belief", "knowledge")
@@ -485,14 +487,6 @@ def parse_model(text, base_dir="."):
     games = {}  # the path after 'game' -> its game, so a fallback loads it once
     parts = _model_columns(lines, base_dir, games) or _model_lines(lines, base_dir, games)
     return _loaded_model(*parts)
-
-
-def _text_lines(text):
-    """The lines of a text with '#' comments cut off."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    return lines
 
 
 def _game_at(games, game_path, base_dir):

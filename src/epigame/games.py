@@ -12,14 +12,18 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 
-class GameFormatError(ValueError):
-    """Raised on malformed game files; carries the offending line number."""
+class LineFormatError(ValueError):
+    """Malformed input text; carries the offending line number, if any."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class GameFormatError(LineFormatError):
+    """Raised on malformed game files; carries the offending line number."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -477,9 +481,7 @@ def _game_header(text):
     """The strategy names, their indices per player, the text lines after
     the strategies lines, and the numbered token lists after them, which
     the line loop reads."""
-    raw = text.splitlines()
-    if "#" in text:
-        raw = [line.partition("#")[0] for line in raw]
+    raw = _text_lines(text)
     lines = ((lineno, toks) for lineno, toks in enumerate(map(str.split, raw), start=1) if toks)
     lineno, toks = next(lines, (None, None))
     if toks is None:
@@ -512,6 +514,14 @@ def _game_header(text):
 
     index = [{nm: s for s, nm in enumerate(player_names)} for player_names in names]
     return tuple(names), index, raw[lineno:], lines
+
+
+def _text_lines(text):
+    """The lines of a text with '#' comments cut off."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return lines
 
 
 def _payoff_columns(body, names):

@@ -20,7 +20,7 @@ from .epistemic import (
     rationality_event,
     restriction_of,
 )
-from .games import BudgetExceededError, subsets_of
+from .games import BudgetExceededError, LineFormatError, _text_lines, subsets_of
 from .operators import NotShrinkingError, descend
 
 
@@ -805,12 +805,8 @@ def _free_member_or_ctx(f, pivot, bound):
 # ---------- derivations ----------
 
 
-class DerivationFormatError(ValueError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class DerivationFormatError(LineFormatError):
+    """Raised on malformed derivation files; carries the offending line number."""
 
 
 @dataclass(frozen=True)
@@ -853,8 +849,8 @@ _NUIND_RE = re.compile(r"^nuInd\s+from=([0-9]+)\s+chi=(.*?)\s+psi=(.*)$")
 
 def parse_derivation(text):
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(_text_lines(text), start=1):
+        stripped = raw.strip()
         if not stripped:
             continue
         try:

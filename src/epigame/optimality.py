@@ -80,20 +80,23 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
     # a grid denominator below 1 is refused for every property, not only
     # where a best response reads it
     dominance._belief_class(game, "pure", grid_denominator)
-    full = game.full_restriction()
     local = name.endswith("_l")
-    everyone = full.sets[i]
+    everyone = game.full_restriction().sets[i]
     key = name  # the verdicts a global builtin keeps on the cut rows
 
     # decide(G, rows, rivals, candidates): the candidates kept against the
-    # rivals, given player i's cut rows on G
+    # rivals, given player i's cut rows on G. holds asks it about one
+    # strategy, with no shared verdicts, so the oracles test the decision.
+    def evaluator(s, G):
+        return s in decide(G, G.rows(i), G.sets[i] if local else everyone, (s,))
+
     if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
         weak = name[0] == "w"
         relation = (
             dominance.row_strictly_dominates if name[0] == "s" else dominance.row_weakly_dominates
         )
 
-        def evaluator(s, G):
+        def evaluator(s, G):  # the plain rival scan: the reference for undominated
             rows = G.rows(i)
             rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
             return not any(map(relation, rivals, itertools.repeat(rows[s])))
@@ -103,17 +106,6 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
 
     elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
         weak = name.startswith("mwd")
-        search = (
-            dominance.mixed_strictly_dominates_exists
-            if name.startswith("msd")
-            else dominance.mixed_weakly_dominates_exists
-        )
-
-        def evaluator(s, G):
-            support = G.sets[i] if local else frozenset(game.strategies(i))
-            if not support:
-                return True
-            return search(game, G, i, support, s) is None
 
         def decide(G, rows, rivals, candidates):
             if not rivals:
@@ -123,11 +115,6 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
     else:  # br_l, br_g, brc_l
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
         key = (name, cls, grid_denominator)
-
-        def evaluator(s, G):
-            return dominance.is_best_response(
-                game, G if local else full, G, i, s, cls, grid_denominator
-            )
 
         def decide(G, rows, rivals, candidates):
             return dominance.best_responses(

@@ -86,11 +86,14 @@ def test_solve_missing_file(capsys):
     ["eval", "{data}", "--formula", "rat"],
     ["derive", "{data}"],
     ["announce", PD, "--emit-model", "{tmp}"],
+    ["announce", FIG2, "--property", "sd_l", "--emit-model", "{tmp}"],
 ])
 def test_a_directory_path_is_one_error_line(tmp_path, capsys, argv):
+    """The error line is all the run prints: a model that cannot be written
+    is refused before any answer reaches stdout."""
     argv = [arg.format(data=DATA, tmp=tmp_path) for arg in argv]
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

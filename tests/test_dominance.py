@@ -434,15 +434,16 @@ def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
 
 
 def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
-    """is_best_response and mixed_strictly_dominates_exists each run the one
-    pure best-response prefilter, _best_responders, on their one strategy
-    and then share the Pearce step, which does not run it again."""
+    """is_best_response, mixed_strictly_dominates_exists and
+    mixed_weakly_dominates_exists each run the one pure best-response
+    prefilter, _best_responders, on their one strategy (the weak search with
+    strict=True) and then share the Pearce step, which does not run it again."""
     calls = []
     prefilter = dominance._best_responders
 
-    def counted(rows, rivals, candidates, *args, **kwargs):
-        calls.append(tuple(candidates))
-        return prefilter(rows, rivals, candidates, *args, **kwargs)
+    def counted(rows, rivals, candidates, strict=False):
+        calls.append((tuple(candidates), strict))
+        return prefilter(rows, rivals, candidates, strict)
 
     monkeypatch.setattr(dominance, "_best_responders", counted)
     survivor = _weakly_dominated_best_response_game()
@@ -457,11 +458,15 @@ def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
         full = game.full_restriction()
         del calls[:]
         answer = is_best_response(game, full, full, 0, s, "correlated")
-        assert calls == [(s,)]
+        assert calls == [((s,), False)]
         del calls[:]
         found = mixed_strictly_dominates_exists(game, full, 0, full.sets[0], s)
-        assert calls == [(s,)]
+        assert calls == [((s,), False)]
+        del calls[:]
+        weakly = mixed_weakly_dominates_exists(game, full, 0, full.sets[0], s)
+        assert calls == [((s,), True)]
         assert answer == (found is None)
+        assert weakly is not None or found is None  # strict domination is weak domination
         if survives is not None:
             assert answer == survives
 

@@ -7,7 +7,13 @@ import pytest
 
 from epigame import dominance
 from epigame.checks import CheckConfig, random_game
-from epigame.dominance import strictly_dominates, weakly_dominates
+from epigame.dominance import (
+    is_best_response,
+    mixed_strictly_dominates_exists,
+    mixed_weakly_dominates_exists,
+    strictly_dominates,
+    weakly_dominates,
+)
 from epigame.games import Restriction, all_restrictions, game_to_text, load_game, load_game_file
 from epigame.logic import (
     LO_TEXTS,
@@ -265,14 +271,18 @@ def _gate_games():
     ]
 
 
-def _gate_properties(game, i):
-    props = [builtin(game, name, i) for name in BUILTIN_NAMES]
+def _gate_builtins(game):
+    """(name, belief class, grid denominator) of each builtin the gate runs."""
     classes = ["correlated", "mixed"] if game.n == 2 else ["correlated"]
-    props += [builtin(game, name, i, belief_class=cls)
-              for name in ("br_l", "br_g") for cls in classes]
+    args = [(name, None, None) for name in BUILTIN_NAMES]
+    args += [(name, cls, None) for name in ("br_l", "br_g") for cls in classes]
     if game.n > 2:
-        props += [builtin(game, name, i, belief_class="mixed", grid_denominator=2)
-                  for name in ("br_l", "br_g")]
+        args += [(name, "mixed", 2) for name in ("br_l", "br_g")]
+    return args
+
+
+def _gate_properties(game, i):
+    props = [builtin(game, name, i, cls, grid) for name, cls, grid in _gate_builtins(game)]
     props += [compile_lo_to_property(lo_text("wd_l", i), game, i, "wd_l"),
               compile_lo_to_property(lo_text("br_g", i), game, i, "br_g"),
               constant_property(game, i), constant_property(game, i, value=False)]
@@ -296,6 +306,37 @@ def test_survivors_equal_holds():
                     assert prop.survivors(G, G.sets[i]) == got & G.sets[i]
                     checked += 1
     assert checked > 15000
+
+
+def test_public_predicates_match_the_builtins():
+    """msd, mwd and br answer holds with their set-wise rule, and the public
+    per-strategy predicates wrap the same rules; on every gate restriction
+    the two still agree: the mixed searches over the owner's part (global:
+    every strategy), where an empty support holds, and is_best_response
+    against that part in every belief class."""
+    checked = 0
+    for game in _gate_games():
+        full = game.full_restriction()
+        for i in range(game.n):
+            for name, cls, grid in _gate_builtins(game):
+                if name[:2] in ("sd", "wd"):
+                    continue
+                prop = builtin(game, name, i, cls, grid)
+                local = name.endswith("_l")
+                for G in all_restrictions(game):
+                    support = G.sets[i] if local else full.sets[i]
+                    for s in game.strategies(i):
+                        if name.startswith("br"):
+                            belief = "correlated" if name == "brc_l" else cls or "pure"
+                            expected = is_best_response(
+                                game, G if local else full, G, i, s, belief, grid)
+                        else:
+                            search = (mixed_weakly_dominates_exists if name.startswith("mwd")
+                                      else mixed_strictly_dominates_exists)
+                            expected = not support or search(game, G, i, support, s) is None
+                        assert prop.holds(s, G) == expected, (prop, G.describe(), s)
+                        checked += 1
+    assert checked > 20000
 
 
 def test_shared_verdicts_are_the_holds_filter_in_any_order():
@@ -324,29 +365,33 @@ def test_shared_verdicts_are_the_holds_filter_in_any_order():
 
 
 def test_the_oracles_do_not_read_the_shared_verdicts():
-    """A poisoned sd_g verdict on one cut shows in survivors on every
-    restriction with that opponents' part and on no other, while holds and
-    the oracles built on it (value_table, the condition A and monotonicity
-    checks) still report the evaluator's values."""
-    game, clean = load_game(game_to_text(PD)), load_game(game_to_text(PD))
-    prop = builtin(game, "sd_g", 0)
-    reference = builtin(clean, "sd_g", 0)
-    cut = game.restriction([["C"], ["C"]]).rows(0)
-    assert prop.survivors(game.restriction([["C", "D"], ["C"]]), frozenset({C, D})) == {D}
-    cut.verdicts["sd_g"] = (frozenset({C, D}), frozenset({C, D}))  # C is dominated there
-    for own in ([], ["C"], ["D"], ["C", "D"]):
-        G = game.restriction([own, ["C"]])
-        assert prop.survivors(G, frozenset({C, D})) == {C, D}
-        assert prop.holds(C, G) is False
-    assert prop.survivors(game.full_restriction(), frozenset({C, D})) == {D}
-    table = value_table(prop)
-    assert table == value_table(reference)
-    assert all(value == prop.evaluator(s, Restriction(game, sets))
-               for (s, sets), value in table.items())
-    assert satisfies_condition_A(prop) == satisfies_condition_A(reference)
-    assert satisfies_condition_A(prop).independent
-    # read through survivors, the poison would hold C on {C} and lose it on {C,D}
-    assert is_monotonic_on(prop).monotonic
+    """A poisoned sd_g, msd_g, mwd_g or br_g verdict on one cut shows in
+    survivors on every restriction with that opponents' part and on no
+    other, while holds and the oracles built on it (value_table, the
+    condition A and monotonicity checks) still report the evaluator's
+    values: holds decides on its own, not through the verdict memo."""
+    for name, key in (("sd_g", "sd_g"), ("msd_g", "msd_g"), ("mwd_g", "mwd_g"),
+                      ("br_g", ("br_g", "pure", None))):
+        game, clean = load_game(game_to_text(PD)), load_game(game_to_text(PD))
+        prop = builtin(game, name, 0)
+        reference = builtin(clean, name, 0)
+        cut = game.restriction([["C"], ["C"]]).rows(0)
+        assert prop.survivors(game.restriction([["C", "D"], ["C"]]), frozenset({C, D})) == {D}
+        cut.verdicts[key] = (frozenset({C, D}), frozenset({C, D}))  # C is dominated there
+        for own in ([], ["C"], ["D"], ["C", "D"]):
+            G = game.restriction([own, ["C"]])
+            assert prop.survivors(G, frozenset({C, D})) == {C, D}
+            assert prop.holds(C, G) is False
+        assert prop.survivors(game.full_restriction(), frozenset({C, D})) == {D}
+        table = value_table(prop)
+        assert table == value_table(reference)
+        assert all(value == prop.evaluator(s, Restriction(game, sets))
+                   for (s, sets), value in table.items())
+        assert satisfies_condition_A(prop) == satisfies_condition_A(reference)
+        assert satisfies_condition_A(prop).independent
+        # read through survivors, the poison would hold C on {C} and lose it on
+        # {C,D}; mwd_g is not monotone in any case
+        assert is_monotonic_on(prop).monotonic == (name in MONOTONE_BUILTINS)
 
 
 def test_lp_backed_global_builtins_decide_each_strategy_once(monkeypatch):
