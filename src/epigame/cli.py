@@ -109,11 +109,13 @@ def _emit(args, payload, text_lines):
 def _write_model(out_path, model, game_path, base_dir, level):
     """Write the model to out_path, with a game reference that resolves from
     out_path's directory. Commands call it before they print, so a failed
-    write leaves no answer on stdout."""
+    write leaves no answer on stdout, and the text is made before the file
+    is opened, so a game path the format cannot hold leaves no file."""
     ref = os.path.relpath(os.path.join(base_dir, game_path),
                           os.path.dirname(os.path.abspath(out_path)))
+    text = epistemic.model_to_text(model, ref, level)
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(epistemic.model_to_text(model, ref, level))
+        fh.write(text)
 
 
 # ---------- commands ----------

@@ -480,214 +480,80 @@ class LoadedModel:
 def parse_model(text, base_dir="."):
     """Parse the plain-text model format; see the README for the layout.
 
-    A well-formed text is read column-wise; only when a check of that reading
-    fails does the line loop run, which names the first faulty line.
+    The lines are read once, in order, and the first faulty line is named.
+    Strategies and blocks go straight into per-player lists indexed by state,
+    and equal blocks are one frozenset. A line whose state, player and
+    strategy tokens are all known spellings costs one dict lookup each; any
+    other goes to a helper that names its fault, or reads the player as
+    int() does ('01' is player 1).
     """
     lines = _text_lines(text)
-    games = {}  # the path after 'game' -> its game, so a fallback loads it once
-    parts = _model_columns(lines, base_dir, games) or _model_lines(lines, base_dir, games)
-    return _loaded_model(*parts)
-
-
-def _game_at(games, game_path, base_dir):
-    if game_path not in games:
-        path = game_path
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        games[game_path] = load_game_file(path)
-    return games[game_path]
-
-
-def _model_columns(lines, base_dir, games):
-    """The parts of a model text, or None if any check fails: the first two
-    non-blank lines are 'game <path>' and 'states <name>...'; every other
-    line is an assign, P or level line; the assign lines give every (state,
-    player) once, and the P lines, if any, every (player, state) once.
-
-    The assign lines are read as one flat token list cut by stride; each
-    line's own token list lives only to be counted. A P line is cut at its
-    ' : ' and the parts before it are read the same way. Each distinct text
-    after ' : ' is split once, and equal blocks are one frozenset.
-    """
-    lines = list(filter(None, map(str.strip, lines)))
-    if len(lines) < 2:
-        return None
-    head, states = lines[0].split(), lines[1].split()
-    if len(head) != 2 or head[0] != "game" or states[0] != "states" or len(states) < 2:
-        return None
-    game = _game_at(games, head[1], base_dir)
-    state_names = tuple(states[1:])
-    state_index = {name: w for w, name in enumerate(state_names)}
-    if len(state_index) != len(state_names):
-        return None
-    n, k = game.n, len(state_names)
-    players = {str(i + 1): i for i in range(n)}
-
-    body = lines[2:]
-    kinds = list(map(operator.itemgetter(0), body))  # each line's first character
-
-    def lines_of(kind):
-        return list(itertools.compress(body, map(operator.eq, kinds, itertools.repeat(kind))))
-
-    def columns(rows, width, directive):
-        """The rows' tokens as one flat list, or None unless there are n·|W|
-        rows, each of width tokens, the first of them the directive."""
-        if len(rows) != n * k or list(map(len, map(str.split, rows))).count(width) != n * k:
-            return None
-        toks = " ".join(rows).split()
-        return toks if toks[::width].count(directive) == n * k else None
-
-    def column(index, names):
-        col = list(map(index.get, names))
-        return None if None in col else col
-
-    def by_player(player_col, state_col, values):
-        """Per player, the values by state; None on an unknown player or
-        state, or unless every (player, state) is given once."""
-        i_col, w_col = column(players, player_col), column(state_index, state_col)
-        if i_col is None or w_col is None:
-            return None
-        slots = map(operator.add, map(operator.mul, i_col, itertools.repeat(k)), w_col)
-        table = dict(zip(slots, values))
-        if len(table) != n * k:
-            return None
-        flat = list(map(table.__getitem__, range(n * k)))
-        return tuple(tuple(flat[i * k : (i + 1) * k]) for i in range(n))
-
-    def assignment_of(rows):
-        """Per player, the strategy by state, or None."""
-        toks = columns(rows, 4, "assign")
-        if toks is None:
-            return None
-        i_col = column(players, toks[2::4])
-        if i_col is None:
-            return None
-        index = [{nm: s for s, nm in enumerate(names)} for names in game.strategy_names]
-        chosen = list(map(dict.get, map(index.__getitem__, i_col), toks[3::4]))
-        return None if None in chosen else by_player(toks[2::4], toks[1::4], chosen)
-
-    def blocks_of(rows):
-        """Per player, the block by state, or None."""
-        cuts = list(map(str.partition, rows, itertools.repeat(" : ")))
-        heads, seps, listed = (list(map(operator.itemgetter(j), cuts)) for j in range(3))
-        toks = columns(heads, 3, "P") if seps.count(" : ") == len(rows) else None
-        if toks is None:
-            return None
-        blocks = {}  # the text after ' : ' -> its block
-        shared = {}  # one object per distinct block
-        for names in set(listed):
-            block = frozenset(map(state_index.get, names.split()))
-            if None in block:
-                return None
-            blocks[names] = shared.setdefault(block, block)
-        return by_player(toks[1::3], toks[2::3], map(blocks.__getitem__, listed))
-
-    assigns, plines, levels = lines_of("a"), lines_of("P"), lines_of("l")
-    if len(assigns) + len(plines) + len(levels) != len(body):
-        return None
-    level, level_seen = "bare", False
-    for line in levels:
-        toks = line.split()
-        if toks[0] != "level" or len(toks) != 2 or toks[1] not in LEVELS:
-            return None
-        level, level_seen = toks[1], True
-    # each reading's tokens are dropped before the next one starts
-    assignment = assignment_of(assigns)
-    if assignment is None:
-        return None
-    corr = blocks_of(plines) if plines else None
-    if plines and corr is None:
-        return None
-    return game, head[1], state_names, assignment, corr, level, level_seen
-
-
-def _model_lines(lines, base_dir, games):
-    """The parts of a model text read line by line; raises at the first
-    faulty line."""
-    game = None
-    game_path = None
-    state_names = state_index = None
-    assigns = {}  # (state, player) -> strategy
-    plines = {}  # (player, state) -> frozenset of states
-    blocks = {}  # the names after ':' -> their block
+    game = game_path = state_names = assignment = corr = None
+    state_index, players, strategies = {}, {}, ()  # filled by the 'game' and 'states' lines
+    blocks = {}  # the names after ':' -> their block; not empty once a P line is read
     shared = {}  # one object per distinct block
-    level = "bare"
-    level_seen = False
-
-    def state_idx(name, lineno):
-        try:
-            return state_index[name]
-        except KeyError:
-            raise ModelFormatError(f"unknown state {name!r}", lineno) from None
-
-    for lineno, raw in enumerate(lines, start=1):
-        toks = raw.split()
+    level, level_seen = "bare", False
+    for lineno, toks in enumerate(map(str.split, lines), 1):
         if not toks:
             continue
         head = toks[0]
-        if head == "game":
-            if len(toks) != 2:
-                raise ModelFormatError("expected 'game <path>'", lineno)
-            game_path = toks[1]
-            game = _game_at(games, game_path, base_dir)
-        elif head == "states":
-            if game is None:
-                raise ModelFormatError("'states' before 'game'", lineno)
-            if len(toks) < 2:
-                raise ModelFormatError("no states listed", lineno)
-            if len(set(toks[1:])) != len(toks) - 1:
-                raise ModelFormatError("duplicate state name", lineno)
-            state_names = tuple(toks[1:])
-            state_index = {name: w for w, name in enumerate(state_names)}
-        elif head == "assign":
-            if state_names is None:
-                raise ModelFormatError("'assign' before 'states'", lineno)
-            if len(toks) != 4:
-                raise ModelFormatError("expected 'assign <state> <player> <strategy>'", lineno)
-            w = state_idx(toks[1], lineno)
-            try:
-                i = int(toks[2]) - 1
-            except ValueError:
-                raise ModelFormatError(f"bad player {toks[2]!r}", lineno) from None
-            if not 0 <= i < game.n:
-                raise ModelFormatError(f"player {toks[2]} out of range", lineno)
-            try:
-                s = game.index(i, toks[3])
-            except KeyError:
-                raise ModelFormatError(
-                    f"unknown strategy {toks[3]!r} for player {i + 1}", lineno
-                ) from None
-            if (w, i) in assigns:
+        if head == "assign":
+            w = s = None
+            if len(toks) == 4:
+                w, i = state_index.get(toks[1]), players.get(toks[2])
+                s = None if i is None else strategies[i].get(toks[3])
+            if w is None or s is None:
+                w, i, s = _assign_parts(toks, lineno, game, state_names, state_index)
+            if assignment[i][w] is not None:
                 raise ModelFormatError(
                     f"assignment for state {toks[1]} player {i + 1} given twice", lineno
                 )
-            assigns[(w, i)] = s
+            assignment[i][w] = s
         elif head == "P":
-            if state_names is None:
-                raise ModelFormatError("'P' before 'states'", lineno)
-            if len(toks) < 4 or toks[3] != ":":
-                raise ModelFormatError("expected 'P <player> <state> : <state>...'", lineno)
-            try:
-                i = int(toks[1]) - 1
-            except ValueError:
-                raise ModelFormatError(f"bad player {toks[1]!r}", lineno) from None
-            if not 0 <= i < game.n:
-                raise ModelFormatError(f"player {toks[1]} out of range", lineno)
-            w = state_idx(toks[2], lineno)
-            if (i, w) in plines:
+            i = w = None
+            if len(toks) >= 4 and toks[3] == ":":
+                i, w = players.get(toks[1]), state_index.get(toks[2])
+            if i is None or w is None:
+                i, w = _p_parts(toks, lineno, game, state_names, state_index)
+            if corr[i][w] is not None:
                 raise ModelFormatError(
                     f"P for player {i + 1} at state {toks[2]} given twice", lineno
                 )
             listed = tuple(toks[4:])
-            if listed not in blocks:
-                block = frozenset(state_idx(nm, lineno) for nm in listed)
-                blocks[listed] = shared.setdefault(block, block)
-            plines[(i, w)] = blocks[listed]
+            block = blocks.get(listed)
+            if block is None:
+                block = frozenset(map(state_index.get, listed))
+                if None in block:
+                    name = next(nm for nm in listed if nm not in state_index)
+                    raise ModelFormatError(f"unknown state {name!r}", lineno)
+                block = blocks[listed] = shared.setdefault(block, block)
+            corr[i][w] = block
         elif head == "level":
             if len(toks) != 2 or toks[1] not in LEVELS:
                 raise ModelFormatError("expected 'level bare|belief|knowledge'", lineno)
-            level = toks[1]
-            level_seen = True
+            level, level_seen = toks[1], True
+        elif head == "states":
+            if game is None:
+                raise ModelFormatError("'states' before 'game'", lineno)
+            if state_names is not None:
+                raise ModelFormatError("'states' given twice", lineno)
+            if len(toks) < 2:
+                raise ModelFormatError("no states listed", lineno)
+            state_names = tuple(toks[1:])
+            state_index = {name: w for w, name in enumerate(state_names)}
+            if len(state_index) != len(state_names):
+                raise ModelFormatError("duplicate state name", lineno)
+            assignment = [[None] * len(state_names) for _ in range(game.n)]
+            corr = [[None] * len(state_names) for _ in range(game.n)]
+        elif head == "game":
+            if game is not None:
+                raise ModelFormatError("'game' given twice", lineno)
+            if len(toks) < 2:
+                raise ModelFormatError("expected 'game <path>'", lineno)
+            game_path = lines[lineno - 1].split(None, 1)[1].strip()
+            game = load_game_file(os.path.join(base_dir, game_path))
+            players = {str(i + 1): i for i in range(game.n)}
+            strategies = game._indices
         else:
             raise ModelFormatError(f"unexpected directive {head!r}", lineno)
 
@@ -695,40 +561,68 @@ def _model_lines(lines, base_dir, games):
         raise ModelFormatError("missing 'game' line")
     if state_names is None:
         raise ModelFormatError("missing 'states' line")
-    for w, name in enumerate(state_names):
-        for i in range(game.n):
-            if (w, i) not in assigns:
+    missing = [(row.index(None), i) for i, row in enumerate(assignment) if None in row]
+    if missing:
+        w, i = min(missing)
+        raise ModelFormatError(f"no strategy assigned to player {i + 1} at state {state_names[w]}")
+    if blocks:
+        for i, row in enumerate(corr):
+            if None in row:
                 raise ModelFormatError(
-                    f"no strategy assigned to player {i + 1} at state {name}"
+                    f"P lines present but P_{i + 1}({state_names[row.index(None)]}) missing"
                 )
-    assignment = tuple(
-        tuple(assigns[(w, i)] for w in range(len(state_names)))
-        for i in range(game.n)
+    model = EpistemicModel(
+        game, state_names, tuple(map(tuple, assignment)), tuple(map(tuple, corr)) if blocks else None
     )
-    corr = None
-    if plines:
-        for i in range(game.n):
-            for w in range(len(state_names)):
-                if (i, w) not in plines:
-                    raise ModelFormatError(
-                        f"P lines present but P_{i + 1}({state_names[w]}) missing"
-                    )
-        corr = tuple(
-            tuple(plines[(i, w)] for w in range(len(state_names)))
-            for i in range(game.n)
-        )
-    return game, game_path, state_names, assignment, corr, level, level_seen
-
-
-def _loaded_model(game, game_path, state_names, assignment, corr, level, level_seen):
-    model = EpistemicModel(game, state_names, assignment, corr)
     if level_seen:
         bad = validate(model, level)
         if bad:
             raise ModelFormatError(f"model does not validate at level {level}: {bad[0]}")
-    elif corr is not None:
+    elif blocks:
         level = "belief" if not validate(model, "belief") else "bare"
     return LoadedModel(model, level, game_path)
+
+
+def _assign_parts(toks, lineno, game, state_names, state_index):
+    """The state, player and strategy of an assign line that missed a
+    lookup, or its fault raised."""
+    if state_names is None:
+        raise ModelFormatError("'assign' before 'states'", lineno)
+    if len(toks) != 4:
+        raise ModelFormatError("expected 'assign <state> <player> <strategy>'", lineno)
+    w = _state_at(state_index, toks[1], lineno)
+    i = _player_at(game, toks[2], lineno)
+    try:
+        return w, i, game.index(i, toks[3])
+    except KeyError:
+        raise ModelFormatError(f"unknown strategy {toks[3]!r} for player {i + 1}", lineno) from None
+
+
+def _p_parts(toks, lineno, game, state_names, state_index):
+    """The player and state of a P line that missed a lookup, or its fault raised."""
+    if state_names is None:
+        raise ModelFormatError("'P' before 'states'", lineno)
+    if len(toks) < 4 or toks[3] != ":":
+        raise ModelFormatError("expected 'P <player> <state> : <state>...'", lineno)
+    i = _player_at(game, toks[1], lineno)
+    return i, _state_at(state_index, toks[2], lineno)
+
+
+def _player_at(game, token, lineno):
+    try:
+        i = int(token) - 1
+    except ValueError:
+        raise ModelFormatError(f"bad player {token!r}", lineno) from None
+    if not 0 <= i < game.n:
+        raise ModelFormatError(f"player {token} out of range", lineno)
+    return i
+
+
+def _state_at(state_index, name, lineno):
+    try:
+        return state_index[name]
+    except KeyError:
+        raise ModelFormatError(f"unknown state {name!r}", lineno) from None
 
 
 def load_model_file(path):
@@ -737,6 +631,9 @@ def load_model_file(path):
 
 
 def model_to_text(model, game_path, level="bare"):
+    if "#" in game_path or "".join(game_path.splitlines()) != game_path:
+        raise ValueError(f"a model file cannot name the game path {game_path!r}: "
+                         "it holds '#' or a line break")
     out = [f"game {game_path}", "states " + " ".join(model.state_names)]
     for w, name in enumerate(model.state_names):
         for i in range(model.game.n):

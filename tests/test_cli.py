@@ -179,19 +179,53 @@ def test_announce_rationality(capsys):
 
 
 def test_announce_emit_model_round_trip(tmp_path, capsys):
-    emitted = tmp_path / "terminal.emodel"
-    code, _, _ = run(
-        capsys, "announce", PD, "--property", "sd_l", "--emit-model", str(emitted)
+    # the game as bundled, and a copy in a directory whose name holds a space
+    spaced = tmp_path / "my dir" / "pd.game"
+    spaced.parent.mkdir()
+    spaced.write_text(Path(PD).read_text())
+    for game in (PD, str(spaced)):
+        emitted = tmp_path / "terminal.emodel"
+        code, _, _ = run(
+            capsys, "announce", game, "--property", "sd_l", "--emit-model", str(emitted)
+        )
+        assert code == 0
+        assert emitted.exists()
+        # the emitted model must load from its new location
+        code, out, _ = run(
+            capsys, "eval", str(emitted), "--formula", "nu x. O x", "--property", "sd_l"
+        )
+        assert code == 0, game
+        assert "holds at: D,D" in out
+        assert "valid: yes" in out
+    # a '#' would cut the game line short, so that model is refused unwritten
+    (tmp_path / "a#b").mkdir()
+    (tmp_path / "a#b" / "pd.game").write_text(Path(PD).read_text())
+    emitted = tmp_path / "cut.emodel"
+    code, out, err = run(
+        capsys, "announce", str(tmp_path / "a#b" / "pd.game"), "--property", "sd_l",
+        "--emit-model", str(emitted),
     )
-    assert code == 0
-    assert emitted.exists()
-    # the emitted model must load from its new location
-    code, out, _ = run(
-        capsys, "eval", str(emitted), "--formula", "nu x. O x", "--property", "sd_l"
-    )
-    assert code == 0
-    assert "holds at: D,D" in out
-    assert "valid: yes" in out
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not emitted.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "game {fig2}\nstates w_ul w_dr\n"
+    "assign w_ul 1 U\nassign w_ul 2 L\nassign w_dr 1 D\nassign w_dr 2 R\n"
+    "P 1 w_ul : w_ul\nP 1 w_dr : w_dr\nP 2 w_ul : w_ul w_dr\nP 2 w_dr : w_ul w_dr\n"
+    "states s\n",
+    "game {tbt}\nstates a b\nassign a 1 B\nassign a 2 R\nassign b 1 B\nassign b 2 R\n"
+    "game {pd}\n",
+], ids=["states", "game"])
+def test_a_repeated_game_or_states_line_is_one_error_line(tmp_path, capsys, text):
+    model = tmp_path / "twice.emodel"
+    model.write_text(text.format(fig2=DATA / "fig2.game", tbt=TBT, pd=PD))
+    for argv in (["eval", str(model), "--formula", "rat", "--property", "sd_g"],
+                 ["announce", str(model), "--property", "sd_l"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line ") and "given twice" in err and err.count("\n") == 1
 
 
 def test_announce_events_on_fig2(capsys):

@@ -297,6 +297,10 @@ def test_load_bundled_model():
     assert loaded.level == "bare"
     assert loaded.model.state_names == ("w_ul", "w_dr")
     assert loaded.model.correspondences is None
+    for path in sorted(DATA.glob("*.emodel")):
+        loaded = load_model_file(path)
+        text = model_to_text(loaded.model, loaded.game_path, loaded.level)
+        _assert_same_loaded(parse_model(text, str(DATA)), loaded)
 
 
 def test_model_round_trip(tmp_path):
@@ -308,6 +312,18 @@ def test_model_round_trip(tmp_path):
     assert loaded.model.state_names == model.state_names
     assert loaded.model.assignment == model.assignment
     assert loaded.model.correspondences == model.correspondences
+
+
+# A second 'states' line after P lines, and a second 'game' line naming a
+# game with fewer strategies than the first: both are refused at that line.
+REPEATED = {
+    "".join((DATA / "fig2.emodel").read_text().splitlines(keepends=True)[2:8])
+    + "P 1 w_ul : w_ul\nP 1 w_dr : w_dr\nP 2 w_ul : w_ul w_dr\nP 2 w_dr : w_ul w_dr\n"
+    + "states s\n": ("line 11: 'states' given twice", 11),
+    "game threebytwo.game\nstates a b\n"
+    + "assign a 1 B\nassign a 2 R\nassign b 1 B\nassign b 2 R\n"
+    + "game pd.game\n": ("line 7: 'game' given twice", 7),
+}
 
 
 def _bad_model(text, tmp_path):
@@ -332,6 +348,32 @@ def test_model_errors_carry_line_numbers(tmp_path):
         "game g.game\nstates w\nassign w 1 C\nassign w 1 D\n", tmp_path
     )
     assert "given twice" in str(err) and err.line == 4
+    pinned = {
+        "game g.game\nassign w 1 C\n": ("line 2: 'assign' before 'states'", 2),
+        "game g.game\nstates w\nassign w x C\n": ("line 3: bad player 'x'", 3),
+        "game g.game\nstates w\nlevel foo\n": (
+            "line 3: expected 'level bare|belief|knowledge'", 3
+        ),
+    }
+    for text, (message, line) in pinned.items():
+        err = _bad_model(text, tmp_path)
+        assert (str(err), err.line) == (message, line), text
+    # tokens that fall into the right columns only once the lines are joined
+    head = "game g.game\nstates "
+    joined = {
+        # a fifth token on one assign line, a missing one on the next
+        head + "aw\nassign aw 1 C assign\naw 2 D\n": (3, "expected 'assign"),
+        # a P line cut short before its ' : ' and one running over
+        head + "Pw\nassign Pw 1 C\nassign Pw 2 D\nP 1 : Pw\nPw P 2 Pw : Pw\n": (5, "expected 'P"),
+        head + "w\nassign w 1 C\nassign w 2 D\nP 1 w\nP 2 w : w\n": (5, "expected 'P"),
+    }
+    for text, (line, message) in joined.items():
+        err = _bad_model(text, tmp_path)
+        assert err.line == line and message in str(err), text
+    for text, (message, line) in REPEATED.items():
+        with pytest.raises(ModelFormatError) as info:
+            parse_model(text, str(DATA))
+        assert (str(info.value), info.value.line) == (message, line)
 
 
 def test_p_line_errors_carry_line_numbers(tmp_path):
@@ -343,6 +385,10 @@ def test_p_line_errors_carry_line_numbers(tmp_path):
     assert "unknown state 'v'" in str(err) and err.line == 5
     err = _bad_model(head + "P 1 w : w v\n", tmp_path)
     assert "unknown state 'v'" in str(err) and err.line == 5
+    err = _bad_model("game g.game\nP 1 w : w\n", tmp_path)
+    assert (str(err), err.line) == ("line 2: 'P' before 'states'", 2)
+    err = _bad_model(head + "P x w : w\n", tmp_path)
+    assert (str(err), err.line) == ("line 5: bad player 'x'", 5)
 
 
 def test_model_errors_structure(tmp_path):
@@ -359,6 +405,14 @@ def test_model_errors_structure(tmp_path):
     assert "unexpected directive 'hello'" in str(err)
     err = _bad_model("", tmp_path)
     assert "missing 'game'" in str(err)
+    pinned = {
+        "game g.game\n": ("missing 'states' line", None),
+        "game g.game\nstates\n": ("line 2: no states listed", 2),
+        "game\nstates w\n": ("line 1: expected 'game <path>'", 1),
+    }
+    for text, (message, line) in pinned.items():
+        err = _bad_model(text, tmp_path)
+        assert (str(err), err.line) == (message, line), text
 
 
 def test_model_level_is_checked(tmp_path):
@@ -597,42 +651,30 @@ def test_state_index_keeps_its_answers_and_message():
     assert info.value.args == ("no state named 'nope'",)
 
 
-# ---------- the column-wise model reader ----------
+# ---------- the model reader ----------
 
 
-def _both_paths(text, base_dir):
-    """The model as the column-wise reader gives it (None when it declines)
-    and as the line loop gives it, both from one game object."""
-    lines = epistemic._text_lines(text)
-    games = {}
-    columns = epistemic._model_columns(lines, base_dir, games)
-    loop = epistemic._loaded_model(*epistemic._model_lines(lines, base_dir, games))
-    return columns and epistemic._loaded_model(*columns), loop
-
-
-def _sharing(model):
-    """Each block position mapped to the first position holding that very
-    object, over all players."""
-    first = {}
+def _assert_one_object_per_block(model):
+    """Blocks equal in value, over all players, are one frozenset object."""
     flat = [block for blocks in model.correspondences for block in blocks]
-    return [first.setdefault(id(block), k) for k, block in enumerate(flat)]
+    by_object, by_value = {}, {}
+    assert [by_object.setdefault(id(block), k) for k, block in enumerate(flat)] == [
+        by_value.setdefault(block, k) for k, block in enumerate(flat)
+    ]
 
 
 def _assert_same_loaded(a, b):
     assert (a.level, a.game_path) == (b.level, b.game_path)
-    assert a.model.game is b.model.game
+    assert a.model.game.strategy_names == b.model.game.strategy_names
     assert a.model.state_names == b.model.state_names
     assert a.model.assignment == b.model.assignment
     assert a.model.correspondences == b.model.correspondences
     if a.model.correspondences is not None:
-        assert _sharing(a.model) == _sharing(b.model)
-        flat = [block for blocks in a.model.correspondences for block in blocks]
-        assert len({id(block) for block in flat}) == len(set(flat))  # one object per value
+        _assert_one_object_per_block(a.model)
 
 
 def _variants(text, rng):
-    """Rewritings of a model text that keep its meaning: (name, text, whether
-    the column-wise reader takes it)."""
+    """Rewritings of a model text that keep its meaning: (name, text)."""
     lines = text.splitlines()
     head, body = lines[:2], lines[2:]
     shuffled = list(body)
@@ -644,44 +686,35 @@ def _variants(text, rng):
     for line in body:
         spaced += [line, "", "   \t "]
     join = "\n".join
-    yield "as written", text, True
-    yield "comments", join(["# a model", *head, *(f"{line}  # note" for line in body)]), True
-    yield "crlf", "\r\n".join(lines) + "\r\n", True
-    yield "blank and whitespace-only lines", join(head + spaced), True
-    yield "indented", join(f"  {line}\t" for line in lines), True
+    yield "as written", text
+    yield "comments", join(["# a model", *head, *(f"{line}  # note" for line in body)])
+    yield "crlf", "\r\n".join(lines) + "\r\n"
+    yield "blank and whitespace-only lines", join(head + spaced)
+    yield "indented", join(f"  {line}\t" for line in lines)
     yield "tabs in assign lines", join(
         head + [line.replace(" ", "\t") if line.startswith("assign") else line for line in body]
-    ), True
-    yield "tabs everywhere", text.replace(" ", "\t"), "\nP " not in text
-    yield "reordered lines", join(head + shuffled), True
-    yield "player 01", join(head + zero_player), False
+    )
+    yield "tabs everywhere", text.replace(" ", "\t")
+    yield "reordered lines", join(head + shuffled)
+    yield "player 01", join(head + zero_player)
 
 
-def test_column_reader_matches_the_line_loop_on_the_bundled_models():
-    for path in sorted(DATA.glob("*.emodel")):
-        columns, loop = _both_paths(path.read_text(encoding="utf-8"), str(DATA))
-        assert columns is not None, path.name
-        _assert_same_loaded(columns, loop)
-
-
-def test_column_reader_matches_the_line_loop_on_random_models(tmp_path):
+def test_model_reader_reads_every_variant_of_random_models(tmp_path):
     rng = random.Random(77)
     for k, (game, model) in enumerate(_random_models(77, 16, max_states=12)):
         (tmp_path / f"g{k}.game").write_text(game_to_text(game))
         for level in ("bare", "belief", "knowledge" if k % 2 == 0 else "belief"):
             text = model_to_text(model, f"g{k}.game", level)
-            for name, variant, bulk in _variants(text, rng):
-                columns, loop = _both_paths(variant, str(tmp_path))
-                assert (columns is not None) == bulk, (k, name)
-                if columns is not None:
-                    _assert_same_loaded(columns, loop)
+            written = parse_model(text, str(tmp_path))
+            for name, variant in _variants(text, rng):
                 parsed = parse_model(variant, str(tmp_path))
                 assert parsed.model.assignment == model.assignment, (k, name)
                 assert parsed.model.correspondences == model.correspondences, (k, name)
                 assert parsed.level == level
+                _assert_same_loaded(parsed, written)
 
 
-def test_column_reader_takes_state_names_with_colons(tmp_path):
+def test_model_reader_takes_state_names_with_colons(tmp_path):
     (tmp_path / "g.game").write_text(game_to_text(PD))
     text = (
         "game g.game\nstates a:1 b: :c\n"
@@ -690,42 +723,22 @@ def test_column_reader_takes_state_names_with_colons(tmp_path):
         "P 1 a:1 : a:1 b:\nP 1 b: : a:1 b:\nP 1 :c : :c\n"
         "P 2 a:1 : a:1\nP 2 b: : b: :c\nP 2 :c : :c b:\n"
     )
-    columns, loop = _both_paths(text, str(tmp_path))
-    assert columns is not None
-    _assert_same_loaded(columns, loop)
-    assert loop.level == "belief"
-    assert loop.model.P(1, 2) == frozenset({1, 2})
-    # a state named ':' is left to the line loop, which reads it the same
-    colon = text.replace(":c", ":")
-    columns, loop = _both_paths(colon, str(tmp_path))
-    assert columns is None
-    assert loop.model.P(1, 2) == frozenset({1, 2})
+    loaded = parse_model(text, str(tmp_path))
+    assert loaded.level == "belief"
+    assert loaded.model.P(1, 2) == frozenset({1, 2})
+    _assert_one_object_per_block(loaded.model)
+    # a state named ':' reads the same
+    colon = parse_model(text.replace(":c", ":"), str(tmp_path))
+    assert colon.model.P(1, 2) == frozenset({1, 2})
+    assert colon.model.correspondences == loaded.model.correspondences
 
 
-def test_column_reader_declines_lines_that_line_up_only_when_joined(tmp_path):
-    """Tokens that fall into the right columns only once the lines are joined
-    are left to the line loop, which refuses the faulty line."""
-    head = "game g.game\nstates "
-    cases = {
-        # a fifth token on one assign line, a missing one on the next
-        head + "aw\nassign aw 1 C assign\naw 2 D\n": (3, "expected 'assign"),
-        # a P line cut short before its ' : ' and one running over
-        head + "Pw\nassign Pw 1 C\nassign Pw 2 D\nP 1 : Pw\nPw P 2 Pw : Pw\n": (5, "expected 'P"),
-        head + "w\nassign w 1 C\nassign w 2 D\nP 1 w\nP 2 w : w\n": (5, "expected 'P"),
-    }
-    for text, (line, message) in cases.items():
-        err = _bad_model(text, tmp_path)
-        assert err.line == line and message in str(err), text
-
-
-def test_a_model_that_falls_back_loads_its_game_once(tmp_path, monkeypatch):
+def test_a_model_parse_loads_its_game_once(tmp_path, monkeypatch):
     (tmp_path / "g.game").write_text(game_to_text(PD))
     calls = []
     real = epistemic.load_game_file
     monkeypatch.setattr(epistemic, "load_game_file", lambda path: calls.append(path) or real(path))
     text = "game g.game\nstates w\nassign w 01 C\nassign w 2 D\n"
-    assert epistemic._model_columns(epistemic._text_lines(text), str(tmp_path), {}) is None
-    calls.clear()
     loaded = parse_model(text, str(tmp_path))
     assert loaded.model.assignment == ((C,), (D,))
     assert len(calls) == 1

@@ -8,10 +8,10 @@ keyword check and reach the deeper branches of each parser.
 
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epigame.checks import BUNDLED_DERIVATION
-from epigame import epistemic, games
+from epigame import games
 from epigame.epistemic import ModelFormatError, parse_model
 from epigame.games import Game, GameFormatError, load_game
 from epigame.logic import (
@@ -161,36 +161,12 @@ def test_load_game_agrees_with_its_line_loop(text):
 
 @FUZZ
 @given(_edited(_MODEL, _MODEL_WORDS))
+@example("\n".join(_MODEL[:-1] + ["states s"]))  # a second 'states' line after P lines
 def test_parse_model_raises_only_its_format_error(text):
     try:
         parse_model("game fig2.game\n" + text, base_dir=str(DATA))
     except ModelFormatError:
         pass
-
-
-def _model_outcome(parse):
-    """What a model parse gives: its error's text and line, or the model."""
-    try:
-        loaded = parse()
-    except ModelFormatError as err:
-        return "error", str(err), err.line
-    model = loaded.model
-    return (
-        loaded.level, loaded.game_path, model.state_names, model.assignment,
-        model.correspondences,
-    )
-
-
-@FUZZ
-@given(_edited(_MODEL, _MODEL_WORDS))
-def test_parse_model_agrees_with_its_line_loop(text):
-    """The column-wise reader declines what it cannot read; parse_model then
-    gives the line loop's answer, so every model and error message is the loop's."""
-    text = "game fig2.game\n" + text
-    loop = _model_outcome(lambda: epistemic._loaded_model(
-        *epistemic._model_lines(epistemic._text_lines(text), str(DATA), {})
-    ))
-    assert _model_outcome(lambda: parse_model(text, base_dir=str(DATA))) == loop
 
 
 @FUZZ
