@@ -631,9 +631,10 @@ def load_model_file(path):
 
 
 def model_to_text(model, game_path, level="bare"):
-    if "#" in game_path or "".join(game_path.splitlines()) != game_path:
+    # the reader takes the rest of the 'game' line, cut at '#' and stripped
+    if "#" in game_path or "".join(game_path.splitlines()).strip() != game_path:
         raise ValueError(f"a model file cannot name the game path {game_path!r}: "
-                         "it holds '#' or a line break")
+                         "it holds '#', a line break or whitespace at an end")
     out = [f"game {game_path}", "states " + " ".join(model.state_names)]
     for w, name in enumerate(model.state_names):
         for i in range(model.game.n):

@@ -197,17 +197,19 @@ def test_announce_emit_model_round_trip(tmp_path, capsys):
         assert code == 0, game
         assert "holds at: D,D" in out
         assert "valid: yes" in out
-    # a '#' would cut the game line short, so that model is refused unwritten
-    (tmp_path / "a#b").mkdir()
-    (tmp_path / "a#b" / "pd.game").write_text(Path(PD).read_text())
-    emitted = tmp_path / "cut.emodel"
-    code, out, err = run(
-        capsys, "announce", str(tmp_path / "a#b" / "pd.game"), "--property", "sd_l",
-        "--emit-model", str(emitted),
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not emitted.exists()
+    # a '#' would cut the game line short, and a leading space would be
+    # stripped, so those models are refused unwritten
+    for name in ("a#b", " x"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "pd.game").write_text(Path(PD).read_text())
+        emitted = tmp_path / "cut.emodel"
+        code, out, err = run(
+            capsys, "announce", str(tmp_path / name / "pd.game"), "--property", "sd_l",
+            "--emit-model", str(emitted),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a model file cannot name") and err.count("\n") == 1
+        assert not emitted.exists()
 
 
 @pytest.mark.parametrize("text", [

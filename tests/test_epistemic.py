@@ -358,7 +358,7 @@ def test_model_errors_carry_line_numbers(tmp_path):
     for text, (message, line) in pinned.items():
         err = _bad_model(text, tmp_path)
         assert (str(err), err.line) == (message, line), text
-    # tokens that fall into the right columns only once the lines are joined
+    # lines whose tokens would line up only if the lines were joined
     head = "game g.game\nstates "
     joined = {
         # a fifth token on one assign line, a missing one on the next
