@@ -169,6 +169,32 @@ def test_parse_model_raises_only_its_format_error(text):
         pass
 
 
+def _model_outcome(text):
+    """What a model parse gives: its error's text and line, or the model."""
+    try:
+        loaded = parse_model(text, base_dir=str(DATA))
+    except ModelFormatError as err:
+        return "error", str(err), err.line
+    model = loaded.model
+    return (
+        loaded.level, loaded.game_path, model.state_names, model.assignment,
+        model.correspondences,
+    )
+
+
+@FUZZ
+@given(_edited(_MODEL, _MODEL_WORDS))
+def test_parse_model_agrees_with_its_line_loop(text):
+    """parse_model reads one line at a time: the same lines with CRLF endings,
+    tabs between tokens and a comment after each give the same model, or the
+    same error at the same line."""
+    text = "game fig2.game\n" + text
+    respelled = "".join(
+        "\t".join(line.split(" ")) + "\t# note\r\n" for line in text.split("\n")
+    )
+    assert _model_outcome(respelled) == _model_outcome(text)
+
+
 @FUZZ
 @given(_edited(_DERIVATION, _DERIVATION_WORDS))
 def test_parse_derivation_raises_only_its_format_error(text):
