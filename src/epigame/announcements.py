@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .epistemic import (
     EpistemicModel,
+    _rational_states,
     optimality_event,
     rationality_event,
     restriction_of,
@@ -34,6 +35,14 @@ def _check_events(model, events):
     return events
 
 
+def _common(model, events):
+    """The states inside every event."""
+    common = model.all_event()
+    for e in events:
+        common &= e
+    return common
+
+
 def effect(model, events):
     """The model after a joint announcement.
 
@@ -42,10 +51,7 @@ def effect(model, events):
     can leave a player with an empty possibility set.
     """
     events = _check_events(model, events)
-    common = model.all_event()
-    for e in events:
-        common &= e
-    survivors = sorted(common)
+    survivors = sorted(_common(model, events))
     index = {w: k for k, w in enumerate(survivors)}
     names = tuple(model.state_names[w] for w in survivors)
     assignment = tuple(
@@ -74,10 +80,7 @@ def misses_announced_restriction(model, events):
     """True when the announcement empties the model even though the announced
     restriction offers every player a strategy: no state is left to model it."""
     events = _check_events(model, events)
-    common = model.all_event()
-    for e in events:
-        common &= e
-    return not common and not announced_restriction(model, events).is_empty()
+    return not _common(model, events) and not announced_restriction(model, events).is_empty()
 
 
 def is_standard(model):
@@ -139,10 +142,12 @@ class AnnouncementTrace:
 
 
 def _run(model, next_events):
+    """Announce next_events(models, rounds), given the trace so far, on its
+    last model until an announcement removes no state."""
     models = [model]
     rounds = []
     while True:
-        events = next_events(model)
+        events = next_events(models, rounds)
         nxt = effect(model, events)
         if nxt.num_states == model.num_states:
             break
@@ -158,7 +163,8 @@ def iterate_optimality_announcements(profile, start=None):
     game = profile[0].game
     model = start if start is not None else standard_model(game.full_restriction())
 
-    def next_events(m):
+    def next_events(models, rounds):
+        m = models[-1]
         current = restriction_of(m, m.all_event())
         return tuple(
             optimality_event(m, profile[i], current) for i in range(game.n)
@@ -196,8 +202,21 @@ def iterate_rationality_announcements(profile, start=None, check_condition=True)
                     "the terminal model may not match the elimination outcome"
                 )
 
-    def next_events(m):
-        return tuple(rationality_event(m, profile[i]) for i in range(game.n))
+    def next_events(models, rounds):
+        model = models[-1]
+        if not rounds:
+            return tuple(rationality_event(model, prop) for prop in profile)
+        # A state whose P_i block lost no state to the last cut keeps its
+        # G_{P_i(w)}, and it survived, so it was rational for i: only the
+        # states whose block was cut are decided again.
+        before = models[-2]
+        kept = sorted(_common(before, rounds[-1]))  # each state's index in before
+        events = []
+        for prop in profile:
+            old, new = before.blocks(prop.player), model.blocks(prop.player)
+            cut = [w for w, v in enumerate(kept) if len(new[w]) < len(old[v])]
+            events.append(model.all_event().difference(cut) | _rational_states(model, prop, cut))
+        return tuple(events)
 
     return _run(start, next_events)
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import announcements, checks, epistemic, games, logic, operators, optimality
 
@@ -245,11 +246,19 @@ def _announce_model(args):
 
 
 def _cmd_announce(args):
-    if args.path.endswith(".game"):
-        return _announce_game(args)
-    if args.path.endswith(".emodel"):
-        return _announce_model(args)
-    raise ValueError("announce expects a .game or .emodel path")
+    # the library warns through the warnings module; each distinct warning of
+    # this command is one 'warning:' line, however often the process saw it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if args.path.endswith(".game"):
+                return _announce_game(args)
+            if args.path.endswith(".emodel"):
+                return _announce_model(args)
+            raise ValueError("announce expects a .game or .emodel path")
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 def _cmd_eval(args):

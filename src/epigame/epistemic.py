@@ -224,9 +224,10 @@ def standard_model(restriction, correspondences=False):
     names = []
     used = set()
     for profile in profiles:
-        name = ",".join(game.name(i, s) for i, s in enumerate(profile))
-        if name in used:
-            name = f"{name}#{len(used)}"
+        name = base = ",".join(game.name(i, s) for i, s in enumerate(profile))
+        k = len(used)
+        while name in used:  # a model file keeps '~'; a strategy name may hold it too
+            name, k = f"{base}~{k}", k + 1
         used.add(name)
         names.append(name)
     assignment = tuple(
@@ -268,7 +269,13 @@ def pinned_restriction(model, i, w):
 
 
 def rationality_event(model, prop):
-    """States where the property holds for the owner's strategy given their beliefs.
+    """States where the property holds for the owner's strategy given their beliefs."""
+    return _rational_states(model, prop, model.states())
+
+
+def _rational_states(model, prop, among):
+    """The states among the given ones where the property holds for the
+    owner's strategy given their beliefs.
 
     G_{P_i(w)} depends only on the block, so the states are grouped by block
     into cells, one per distinct strategy image, and each cell asks the
@@ -277,7 +284,7 @@ def rationality_event(model, prop):
     i = prop.player
     own = model.assignment[i]
     states_of = {}  # block -> the states holding it
-    for w, block in zip(model.states(), model.blocks(i)):
+    for w, block in zip(among, map(model.blocks(i).__getitem__, among)):
         states_of.setdefault(block, []).append(w)
     cells = {}  # strategy images -> (own strategies, states)
     for block, states in states_of.items():
@@ -481,19 +488,22 @@ def parse_model(text, base_dir="."):
     """Parse the plain-text model format; see the README for the layout.
 
     The lines are read once, in order, and the first faulty line is named.
-    Strategies and blocks go straight into per-player lists indexed by state,
-    and equal blocks are one frozenset. A line whose state, player and
-    strategy tokens are all known spellings costs one dict lookup each; any
-    other goes to a helper that names its fault, or reads the player as
-    int() does ('01' is player 1).
+    Each line is split into at most five parts, so a P line's block text
+    after ':' stays one string. Strategies and blocks go straight into
+    per-player lists indexed by state, and equal blocks are one frozenset:
+    a block text seen before costs one dict lookup, and a new one is split
+    and its states looked up once. A line whose state, player and strategy
+    tokens are all known spellings costs one dict lookup each; any other
+    goes to a helper that names its fault, or reads the player as int()
+    does ('01' is player 1).
     """
     lines = _text_lines(text)
     game = game_path = state_names = assignment = corr = None
     state_index, players, strategies = {}, {}, ()  # filled by the 'game' and 'states' lines
-    blocks = {}  # the names after ':' -> their block; not empty once a P line is read
+    blocks = {}  # the text after ':' -> its block; not empty once a P line is read
     shared = {}  # one object per distinct block
     level, level_seen = "bare", False
-    for lineno, toks in enumerate(map(str.split, lines), 1):
+    for lineno, toks in enumerate((line.split(None, 4) for line in lines), 1):
         if not toks:
             continue
         head = toks[0]
@@ -519,12 +529,13 @@ def parse_model(text, base_dir="."):
                 raise ModelFormatError(
                     f"P for player {i + 1} at state {toks[2]} given twice", lineno
                 )
-            listed = tuple(toks[4:])
+            listed = toks[4] if len(toks) == 5 else ""
             block = blocks.get(listed)
             if block is None:
-                block = frozenset(map(state_index.get, listed))
+                names = listed.split()
+                block = frozenset(map(state_index.get, names))
                 if None in block:
-                    name = next(nm for nm in listed if nm not in state_index)
+                    name = next(nm for nm in names if nm not in state_index)
                     raise ModelFormatError(f"unknown state {name!r}", lineno)
                 block = blocks[listed] = shared.setdefault(block, block)
             corr[i][w] = block
@@ -539,7 +550,7 @@ def parse_model(text, base_dir="."):
                 raise ModelFormatError("'states' given twice", lineno)
             if len(toks) < 2:
                 raise ModelFormatError("no states listed", lineno)
-            state_names = tuple(toks[1:])
+            state_names = tuple(lines[lineno - 1].split()[1:])
             state_index = {name: w for w, name in enumerate(state_names)}
             if len(state_index) != len(state_names):
                 raise ModelFormatError("duplicate state name", lineno)

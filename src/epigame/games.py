@@ -228,7 +228,8 @@ class Restriction:
             else:
                 index = [0]
                 for j in opponents:
-                    index = [x * count(j) + s for x in index for s in self.strategies(j)]
+                    width, part = count(j), self.strategies(j)
+                    index = [x * width + s for x in index for s in part]
                 gather = _gather(index)
             cut = cuts[others] = _CutRows(self.game.kernel[i], gather)
         return cut

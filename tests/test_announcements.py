@@ -22,13 +22,16 @@ from epigame.checks import CheckConfig, random_game
 from epigame.epistemic import (
     event_of_restriction,
     load_model_file,
+    random_belief_model,
+    random_knowledge_model,
+    rationality_event,
     restriction_of,
     standard_model,
     validate,
 )
-from epigame.games import load_game_file
+from epigame.games import Restriction, load_game_file
 from epigame.operators import iterate_to_outcome
-from epigame.optimality import profile_named
+from epigame.optimality import OptimalityProperty, profile_named
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -217,6 +220,83 @@ def test_screening_can_be_disabled():
             profile_named(PD, "sd_l"), check_condition=False
         )
     assert trace.rounds == 0
+
+
+def _per_state_rationality_event(model, prop):
+    """One restriction and one holds call per state."""
+    i = prop.player
+    out = set()
+    for w in model.states():
+        block = model.P(i, w)
+        sets = tuple(
+            frozenset(model.strategy_of(j, v) for v in block) for j in range(model.game.n)
+        )
+        if prop.holds(model.strategy_of(i, w), Restriction(model.game, sets)):
+            out.add(w)
+    return frozenset(out)
+
+
+def _from_scratch(profile, start, event=_per_state_rationality_event):
+    """Rationality announcements that decide every state in every round."""
+    models, rounds = [start], []
+    while True:
+        events = tuple(event(models[-1], prop) for prop in profile)
+        after = effect(models[-1], events)
+        if after.num_states == models[-1].num_states:
+            return models, rounds
+        models.append(after)
+        rounds.append(events)
+
+
+def _seeded_models(seed, count):
+    rng = random.Random(seed)
+    cfg = CheckConfig(count=0, max_players=3, max_strategies=3)
+    for k in range(count):
+        game = random_game(rng, cfg)
+        make = random_belief_model if k % 2 else random_knowledge_model
+        yield game, make(rng, game, 8)
+
+
+def test_rationality_rounds_equal_the_from_scratch_loop():
+    """Deciding again only the states whose block was cut gives the models
+    and events of deciding every state in every round."""
+    later_rounds = 0
+    for game, model in _seeded_models(41, 60):
+        for name in ("sd_l", "sd_g", "wd_l", "wd_g", "br_l", "br_g"):
+            profile = profile_named(game, name)
+            trace = iterate_rationality_announcements(profile, start=model, check_condition=False)
+            models, rounds = _from_scratch(profile, model)
+            assert trace.events == tuple(rounds), name
+            assert len(trace.models) == len(models)
+            for got, want in zip(trace.models, models):
+                assert got.state_names == want.state_names
+                assert got.assignment == want.assignment
+                assert got.correspondences == want.correspondences
+            later_rounds += trace.rounds >= 2
+    assert later_rounds >= 80  # the incremental rounds are exercised
+
+
+def test_rationality_rounds_ask_only_about_the_cut_states(monkeypatch):
+    """After the first round, a state whose block lost nothing is not asked
+    about again, so there are fewer survivors calls than from scratch."""
+    calls = []
+    survivors = OptimalityProperty.survivors
+    monkeypatch.setattr(
+        OptimalityProperty, "survivors", lambda *args: calls.append(1) or survivors(*args)
+    )
+    fewer = 0
+    for game, model in _seeded_models(42, 40):
+        profile = profile_named(game, "sd_g")
+        del calls[:]
+        trace = iterate_rationality_announcements(profile, start=model, check_condition=False)
+        incremental = len(calls)
+        del calls[:]
+        _from_scratch(profile, model, rationality_event)
+        assert incremental <= len(calls)
+        fewer += incremental < len(calls)
+        if trace.rounds == 0:  # only the first round ran
+            assert incremental == len(calls)
+    assert fewer >= 10
 
 
 # ---------- model comparison helper ----------

@@ -212,6 +212,39 @@ def test_announce_emit_model_round_trip(tmp_path, capsys):
         assert not emitted.exists()
 
 
+def test_announce_emit_model_round_trip_with_joined_profile_names(tmp_path, capsys):
+    # profiles (a, b,c) and (a,b, c) both join to 'a,b,c'
+    game = tmp_path / "comma.game"
+    game.write_text(
+        "players 2\nstrategies 1 a a,b\nstrategies 2 b,c c\n"
+        "payoff a b,c 1 1\npayoff a c 0 0\npayoff a,b b,c 0 0\npayoff a,b c 1 1\n"
+    )
+    emitted = tmp_path / "m.emodel"
+    code, _, _ = run(
+        capsys, "announce", str(game), "--property", "sd_l", "--emit-model", str(emitted)
+    )
+    assert code == 0
+    code, out, err = run(
+        capsys, "eval", str(emitted), "--formula", "nu x. O(x)", "--property", "sd_l"
+    )
+    assert (code, err) == (0, "")
+    assert "valid: yes" in out
+
+
+def test_announce_prints_each_warning_as_one_line_on_every_call(capsys):
+    want = (
+        "warning: property sd_l reads its owner's own component; "
+        "the terminal model may not match the elimination outcome\n"
+    )
+    outs = []
+    for _ in range(2):
+        code, out, err = run(capsys, "announce", PD, "--property", "sd_l", "--rationality")
+        assert (code, err) == (0, want)
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[0] == "rounds: 0"
+
+
 @pytest.mark.parametrize("text", [
     "game {fig2}\nstates w_ul w_dr\n"
     "assign w_ul 1 U\nassign w_ul 2 L\nassign w_dr 1 D\nassign w_dr 2 R\n"

@@ -76,6 +76,26 @@ def test_standard_model_layout():
         model.state_index("E,E")
 
 
+def test_standard_model_keeps_colliding_profile_names_apart(tmp_path):
+    """Strategy names with commas can join two profiles into one name; the
+    later one gets a suffix a model file keeps, unused by any other name."""
+    game_text = (
+        "players 2\nstrategies 1 a a,b\nstrategies 2 b,c c b,c~4\n"
+        + "".join(
+            f"payoff {s} {t} 0 0\n" for s in ("a", "a,b") for t in ("b,c", "c", "b,c~4")
+        )
+    )
+    (tmp_path / "comma.game").write_text(game_text)
+    game = load_game_file(tmp_path / "comma.game")
+    model = standard_model(game.full_restriction())
+    assert model.state_names == (
+        "a,b,c", "a,c", "a,b,c~4", "a,b,b,c", "a,b,c~5", "a,b,b,c~4",
+    )
+    loaded = parse_model(model_to_text(model, "comma.game"), str(tmp_path))
+    assert loaded.model.state_names == model.state_names
+    assert loaded.model.assignment == model.assignment
+
+
 def test_standard_model_with_correspondences():
     model = _pd_knowledge()
     assert validate(model, "knowledge") == []
@@ -742,6 +762,46 @@ def test_column_reader_declines_lines_that_line_up_only_when_joined(tmp_path):
     for text, (line, message) in cases.items():
         err = _bad_model(text, tmp_path)
         assert err.line == line and message in str(err), text
+
+
+def test_block_texts_that_differ_only_in_spacing_are_one_block(tmp_path):
+    (tmp_path / "g.game").write_text(game_to_text(PD))
+    text = (
+        "game g.game\nstates u v\n"
+        "assign u 1 C\nassign u 2 C\nassign v 1 D\nassign v 2 D\n"
+        "P 1 u : u v\nP 1 v :  u   v \nP 2 u :\tu\tv\t\nP 2 v : u v  # both\n"
+    )
+    model = parse_model(text, str(tmp_path)).model
+    assert model.P(0, 0) == frozenset({0, 1})
+    assert len({id(block) for blocks in model.correspondences for block in blocks}) == 1
+
+
+def test_an_unknown_state_in_a_block_text_is_named_at_its_line(tmp_path):
+    head = "game g.game\nstates u v\nassign u 1 C\nassign u 2 C\nassign v 1 D\nassign v 2 D\n"
+    for listed in ("x u v", "u x v", "u v x", "u\tv  x "):
+        # the same block text read once before, and new here
+        for before in ("", "P 1 u : u v\n"):
+            err = _bad_model(head + before + f"P 1 v : {listed}\n", tmp_path)
+            line = 7 + before.count("\n")
+            assert (str(err), err.line) == (f"line {line}: unknown state 'x'", line), listed
+
+
+def test_a_states_line_is_read_whole(tmp_path):
+    (tmp_path / "g.game").write_text(game_to_text(PD))
+    names = ("a", "b", "c", "d", "e", "f")
+    text = "game g.game\nstates  a b\tc d  e f \n" + "".join(
+        f"assign {w} {i} C\n" for w in names for i in (1, 2)
+    )
+    assert parse_model(text, str(tmp_path)).model.state_names == names
+
+
+def test_a_p_line_with_nothing_after_the_colon_is_the_empty_block(tmp_path):
+    (tmp_path / "g.game").write_text(game_to_text(PD))
+    head = "game g.game\nstates u\nassign u 1 C\nassign u 2 C\nP 2 u : u\n"
+    for empty in ("P 1 u :", "P 1 u :   ", "P 1 u :\t# no state"):
+        loaded = parse_model(head + empty + "\n", str(tmp_path))
+        assert loaded.model.P(0, 0) == frozenset()
+        assert loaded.level == "bare"  # an empty block fails the belief level
 
 
 def test_a_model_parse_loads_its_game_once(tmp_path, monkeypatch):
