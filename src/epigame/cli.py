@@ -160,10 +160,24 @@ def _parse_events(model, text):
         raise ValueError(
             f"expected {model.game.n} event groups separated by '|', got {len(groups)}"
         )
+    # A state name may hold commas (standard_model names a state 'D,D'), so a
+    # run of consecutive pieces is one state when, joined with ',', it names
+    # one; the longest run first, and a single piece is read as it is.
+    longest = 1 + max((nm.count(",") for nm in model.state_names), default=0)
+    named = frozenset(model.state_names)
     events = []
     for group in groups:
-        names = [nm for nm in group.split(",") if nm.strip()]
-        events.append(frozenset(model.state_index(nm.strip()) for nm in names))
+        pieces = group.split(",")
+        states = []
+        k = 0
+        while k < len(pieces):
+            end = next((m for m in range(min(len(pieces), k + longest), k + 1, -1)
+                        if ",".join(pieces[k:m]).strip() in named), k + 1)
+            name = ",".join(pieces[k:end]).strip()
+            if name:
+                states.append(model.state_index(name))
+            k = end
+        events.append(frozenset(states))
     return tuple(events)
 
 

@@ -141,18 +141,24 @@ def _mixed_dominator(game, context, i, support, dominated, weak):
     # No mixture over support beats dominated where it is a pure (weak: unique) best response.
     if _best_responders(rows, rivals, (dominated,), strict=weak)[0]:
         return None
-    return _pearce(game, rows, i, sorted(rivals), dominated, weak)
+    weights = _pearce(rows, sorted(rivals), dominated, weak)
+    if weights is None:
+        return None
+    total = sum(weights.values())
+    return MixedStrategy(game, i, {s: Fraction(u, total) for s, u in weights.items()})
 
 
-def _pearce(game, rows, i, support, dominated, weak=False):
-    """A mixture over the sorted support strictly (weak: weakly) dominating
-    dominated on player i's cut rows, or None. The caller has checked that
+def _pearce(rows, support, dominated, weak=False):
+    """The int weights {strategy: weight} of a mixture over the sorted
+    support that strictly (weak: weakly) dominates dominated on a player's
+    cut rows, or None; the mixture is each weight over their sum, and only
+    strategies of positive weight are keys. The caller has checked that
     dominated has a non-empty row and is no pure best response (weak: no
     unique strict one) within support.
 
-    A pure dominator is its own witness. Otherwise one LP on the int kernel
-    rows asks for a correlated belief p over the contexts against which
-    dominated does at least as well as every other strategy in support;
+    A pure dominator d is its own witness, {d: 1}. Otherwise one LP on the
+    int kernel rows asks for a correlated belief p over the contexts against
+    which dominated does at least as well as every other strategy in support;
     with weak set, p = q + t with q >= 0 and the LP maximises t. By Pearce's
     lemma there is such a belief (weak: one with full support, t > 0)
     exactly when no mixture dominates. Otherwise the entries of the dual
@@ -162,12 +168,14 @@ def _pearce(game, rows, i, support, dominated, weak=False):
     Either answer is re-checked in integers on the kernel rows before it is
     used: the belief scaled to int weights, the mixture to int weights U
     whose row sum_s U_s row_s must dominate (sum U) times dominated's row.
+    Those U are the weights returned, so a caller that only asks whether a
+    witness exists builds no Fraction and no MixedStrategy.
     """
     mine = rows[dominated]
     row_dominates = row_weakly_dominates if weak else row_strictly_dominates
     for d in support:
         if row_dominates(rows[d], mine):
-            return point_mass(game, i, d)
+            return {d: 1}
     # dominated's own gap row would be 0 >= 0, whose dual and ray entries are 0
     others = [r for r in support if r != dominated]
     m = len(mine)
@@ -195,18 +203,19 @@ def _pearce(game, rows, i, support, dominated, weak=False):
     mixed = tuple(_dot(weights, column) for column in zip(*(rows[s] for s in others)))
     if not row_dominates(mixed, tuple(total * x for x in mine)):
         raise AssertionError("LP mixture does not dominate")
-    return MixedStrategy(game, i, {s: Fraction(u, total) for s, u in zip(others, weights) if u})
+    return {s: u for s, u in zip(others, weights) if u}
 
 
 def _dot(weights, row):
     return sum(map(mul, weights, row))
 
 
-def mixed_undominated(game, rows, i, support, candidates, weak=False):
+def mixed_undominated(rows, support, candidates, weak=False):
     """The candidates that no mixture over support strictly (weak: weakly)
-    dominates, on player i's cut rows: mixed_strictly_dominates_exists (weak:
+    dominates, on a player's cut rows: mixed_strictly_dominates_exists (weak:
     mixed_weakly_dominates_exists) for all of them at once, with the pure
     prefilter built once and _pearce only for the candidates it leaves open.
+    Only whether _pearce finds a witness counts, so no mixture is built.
     """
     if not support:
         raise ValueError("empty support")
@@ -214,7 +223,7 @@ def mixed_undominated(game, rows, i, support, candidates, weak=False):
     support = sorted(support)
     # with no context, strict domination is vacuous and weak domination impossible
     kept += [s for s in rest
-             if (_pearce(game, rows, i, support, s, weak) is None if rows[s] else weak)]
+             if (_pearce(rows, support, s, weak) is None if rows[s] else weak)]
     return kept
 
 
@@ -267,7 +276,7 @@ def best_responses(game, beliefs_in, rows, i, rivals, candidates, belief_class="
         return kept
     rivals = sorted(rivals)
     for s in rest:
-        if rows[s] and _pearce(game, rows, i, rivals, s) is None and (
+        if rows[s] and _pearce(rows, rivals, s) is None and (
             belief_class == "correlated"
             or _grid_best_response(game, beliefs_in, i, s, rivals, grid_denominator)
         ):

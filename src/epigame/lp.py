@@ -9,8 +9,17 @@ divided by the gcd of its entries after each pivot. Ratios are compared by
 cross-multiplication. The final tableau is read in integers too: the point
 as numerators over one common denominator d, the lcm of the basic columns'
 pivot entries, and the dual as numerators over the reduced-cost row's scale
-e. Bland's rule (the lowest entering column, and the lowest basic index
-among tied ratios) keeps the pivoting finite on degenerate programs.
+e.
+
+The entering column is the one with the largest reduced cost (Dantzig's
+rule), the lowest index on ties; the leaving row has the least ratio, the
+lowest basic index on ties. On degenerate programs, such as Pearce's LPs
+whose gap rows all have rhs 0, the largest reduced cost can cycle. So after
+DEGENERATE_RUN consecutive degenerate pivots (the leaving row's rhs is 0)
+the entering column becomes the lowest one with a positive reduced cost
+(Bland's rule) until the next nondegenerate pivot. The pivoting stays
+finite: a nondegenerate pivot raises the objective, so a cycle would be an
+unbroken run of degenerate pivots, and Bland's rule ends every such run.
 
 Every optimum is certified before it is returned, without trusting the
 pivots, on those int numerators and the standard-form rows, so a program of
@@ -34,6 +43,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+# Consecutive degenerate pivots after which the entering column follows
+# Bland's rule, until the next nondegenerate pivot. Beale's cycle under the
+# largest reduced cost has 6 pivots, so 20 lets it run three times around.
+DEGENERATE_RUN = 20
 
 
 @dataclass(frozen=True)
@@ -192,11 +206,25 @@ def _simplex(rows, objective):
         return z
 
     def run_simplex(z, candidates):
-        """Bland's rule over the first candidates columns; None when unbounded."""
+        """Simplex over the first candidates columns; None when unbounded.
+
+        Enters on the largest reduced cost, the lowest column on ties; the
+        z[j] share one positive scale, so they compare as they are. After
+        DEGENERATE_RUN degenerate pivots in a row it enters on the lowest
+        column with a positive reduced cost (Bland's rule) until a pivot
+        moves the point, which ends every run of degenerate pivots.
+        """
+        degenerate = 0
         while True:
-            enter = next((j for j in range(candidates) if z[j] > 0), None)
-            if enter is None:
-                return z
+            if degenerate < DEGENERATE_RUN:
+                top = max(z[:candidates], default=0)
+                if top <= 0:
+                    return z
+                enter = z.index(top)
+            else:
+                enter = next((j for j in range(candidates) if z[j] > 0), None)
+                if enter is None:
+                    return z
             leave = None
             for r, row in enumerate(tableau):
                 a = row[enter]
@@ -209,6 +237,7 @@ def _simplex(rows, objective):
                         leave, lead = r, row
             if leave is None:
                 return None
+            degenerate = 0 if lead[-1] else degenerate + 1
             z = pivot(leave, enter, z)
 
     if nart:

@@ -110,7 +110,7 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
         def decide(G, rows, rivals, candidates):
             if not rivals:
                 return candidates
-            return dominance.mixed_undominated(game, rows, i, rivals, candidates, weak)
+            return dominance.mixed_undominated(rows, rivals, candidates, weak)
 
     else:  # br_l, br_g, brc_l
         cls = "correlated" if name == "brc_l" else belief_class or "pure"

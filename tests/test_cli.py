@@ -281,6 +281,33 @@ def test_announce_events_json(capsys):
     assert payload["announced_restriction"] == [["U"], ["R"]]
 
 
+def test_announce_events_read_state_names_that_hold_commas(tmp_path, capsys):
+    # a model emitted from pd.game names its states after profiles, 'D,D'
+    emitted = tmp_path / "t.emodel"
+    code, _, _ = run(capsys, "announce", PD, "--property", "sd_l", "--emit-model", str(emitted))
+    assert code == 0
+    code, out, err = run(capsys, "announce", str(emitted), "--events", "D,D|D,D")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "proper: yes", "surviving states: D,D", "announced restriction: {D} | {D}"]
+    # with states 'x', 'y' and 'x,y' the longest run that names a state wins:
+    # 'x,y' is that state, and 'x,y,y' is 'x,y' then 'y'; 'x , y' names no
+    # state, so its pieces are the names 'x' and 'y', and an unknown piece
+    # is named as before
+    model = tmp_path / "commas.emodel"
+    model.write_text(
+        f"game {PD}\nstates x y x,y\nassign x 1 C\nassign x 2 C\n"
+        "assign y 1 D\nassign y 2 D\nassign x,y 1 C\nassign x,y 2 D\n"
+    )
+    for events, states in (("x,y|x,y", "x,y"), ("x,y,y|y, x,y", "y x,y"),
+                           ("x , y|x,y,x", "x")):
+        code, out, err = run(capsys, "announce", str(model), "--events", events)
+        assert (code, err) == (0, ""), events
+        assert f"surviving states: {states}" in out.splitlines(), events
+    code, out, err = run(capsys, "announce", str(model), "--events", "x,y,z|x")
+    assert (code, out, err) == (2, "", "error: no state named 'z'\n")
+
+
 def test_announce_model_needs_events_or_property(capsys):
     code, _, err = run(capsys, "announce", FIG2)
     assert code == 2

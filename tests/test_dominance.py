@@ -471,6 +471,63 @@ def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
             assert answer == survives
 
 
+def _pearce_elimination_cases():
+    """(game, strategy, the builtins that eliminate it) where _pearce decides:
+    B in threebytwo by an LP's ray, s under WEAKLY_DOMINATED by the weak
+    LP's dual at t = 0, and C in pd by its pure dominator D."""
+    return [(TBT, TBT.index(0, "B"), ("msd_l", "mwd_l", "brc_l")),
+            (_row_game(WEAKLY_DOMINATED), 0, ("mwd_l",)),
+            (PD, 0, ("msd_l", "mwd_l", "brc_l"))]
+
+
+def test_set_wise_decisions_build_no_mixed_strategy(monkeypatch):
+    # msd, mwd and correlated br only ask whether _pearce finds a witness,
+    # so their eliminations build no MixedStrategy, through the builtins and
+    # through mixed_undominated and best_responses called directly
+    built = []
+    post_init = MixedStrategy.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MixedStrategy, "__post_init__", counted)
+    submitted = _recorded_lps(monkeypatch)
+    for game, s, names in _pearce_elimination_cases():
+        full = game.full_restriction()
+        rows, support = full.rows(0), full.sets[0]
+        for name in names:
+            assert not builtin(game, name, 0).holds(s, full)
+            if name == "brc_l":
+                assert dominance.best_responses(
+                    game, full, rows, 0, support, (s,), "correlated") == []
+            else:
+                assert dominance.mixed_undominated(rows, support, (s,), name == "mwd_l") == []
+    assert any(isinstance(res, Infeasible) for _, res in submitted)
+    assert any(isinstance(res, Optimal) and res.value == 0 for _, res in submitted)
+    assert built == []
+
+
+def test_mixed_dominance_searches_return_a_fraction_mixture():
+    for game, s, names in _pearce_elimination_cases():
+        full = game.full_restriction()
+        for name, search, dominates in (
+                ("msd_l", mixed_strictly_dominates_exists, strictly_dominates),
+                ("mwd_l", mixed_weakly_dominates_exists, weakly_dominates)):
+            witness = search(game, full, 0, full.sets[0], s)
+            if name not in names:
+                assert witness is None
+                continue
+            assert isinstance(witness, MixedStrategy)
+            assert all(type(w) is Fraction and w > 0 for w in witness.weights.values())
+            assert sum(witness.weights.values()) == 1
+            assert dominates(game, full, 0, witness, s)
+    # a pure dominator comes back as its point mass
+    full = PD.full_restriction()
+    witness = mixed_strictly_dominates_exists(PD, full, 0, full.sets[0], 0)
+    assert witness.weights == point_mass(PD, 0, 1).weights == {1: 1}
+
+
 # ---------- the integer kernel against Fraction arithmetic ----------
 
 

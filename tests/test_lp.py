@@ -1,11 +1,13 @@
 """Exact simplex solver, cross-checked against vertex enumeration."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epigame import lp as lp_module
 from epigame.lp import (
     UNBOUNDED,
     Infeasible,
@@ -166,6 +168,27 @@ def _boxed_lps(draw):
     return lp
 
 
+def _pearce_lp(gaps, weak):
+    """Pearce's LP on gap rows (dominated's payoffs minus a rival's, one
+    entry per context): a belief p >= 0 with every gap row . p >= 0 and
+    sum p = 1. weak writes p = q + t, with t an extra column to maximise."""
+    m = len(gaps[0]) if gaps else 1
+    lp = LinearProgram(m + weak, [0] * m + [1] * weak)
+    for gap in gaps:
+        lp.add(list(gap) + [sum(gap)] * weak, ">=", 0)
+    lp.add([1] * m + [m] * weak, "=", 1)
+    return lp
+
+
+@st.composite
+def _pearce_lps(draw):
+    # bounded without caps: the '= 1' row and x >= 0 box every variable in
+    m = draw(st.integers(1, 3))
+    gap = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    gaps = draw(st.lists(gap, min_size=0, max_size=3))
+    return _pearce_lp(gaps or [[0] * m], draw(st.booleans()))
+
+
 def _assert_farkas_ray(lp, ray):
     """ray proves lp infeasible on its standard form: u >= 0 on '<=' rows,
     u^T A >= 0 on every column and u^T b < 0, so no x >= 0 meets the rows."""
@@ -197,8 +220,8 @@ def test_infeasible_rays_on_equality_and_upper_bound_rows():
     assert res.ray[1:] == [1, 1]
 
 
-@settings(deadline=None, max_examples=150)
-@given(_boxed_lps())
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_boxed_lps(), _pearce_lps()))
 def test_simplex_matches_vertex_enumeration(lp):
     res = solve(lp)
     best = _vertex_optimum(lp)
@@ -213,13 +236,83 @@ def test_simplex_matches_vertex_enumeration(lp):
 # ---------- degenerate pivoting and the optimality certificate ----------
 
 
-def test_bland_rule_terminates_on_beales_cycling_example():
+def _counted_eliminations(monkeypatch):
+    """A list that grows by one entry per lp._eliminate call."""
+    calls = []
+    eliminate = lp_module._eliminate
+
+    def counted(row, prow, j):
+        calls.append(j)
+        return eliminate(row, prow, j)
+
+    monkeypatch.setattr(lp_module, "_eliminate", counted)
+    return calls
+
+
+def _beale():
     lp = LinearProgram(4, [Fraction(3, 4), -150, Fraction(1, 50), -6])
     lp.add([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0)
     lp.add([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0)
     lp.add([0, 0, 1, 0], "<=", 1)
+    return lp
+
+
+def test_bland_rule_terminates_on_beales_cycling_example(monkeypatch):
+    # Under the largest reduced cost Beale's example cycles through 6
+    # degenerate pivots, 15 row eliminations. After DEGENERATE_RUN = 20 such
+    # pivots, three cycles and two pivots, Bland's rule takes over and ends
+    # the cycle: 60 eliminations in all, against 15 under Bland's rule alone.
+    calls = _counted_eliminations(monkeypatch)
+    assert solve(_beale()) == Optimal(Fraction(1, 20), (Fraction(1, 25), 0, 1, 0))
+    assert len(calls) == 60
+    del calls[:]
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN", 0)  # Bland's rule alone
+    assert solve(_beale()) == Optimal(Fraction(1, 20), (Fraction(1, 25), 0, 1, 0))
+    assert len(calls) == 15
+
+
+def _seeded_pearce_lps():
+    """80 Pearce LPs, strict and weak, on seeded payoffs of 4-9 contexts and 2-6 rivals."""
+    rng = random.Random(7)
+    for _ in range(40):
+        m = rng.randint(4, 9)
+        mine = [rng.randint(0, 4) for _ in range(m)]
+        rivals = [[rng.randint(0, 4) for _ in range(m)] for _ in range(rng.randint(2, 6))]
+        gaps = [[a - b for a, b in zip(mine, r)] for r in rivals]
+        for weak in (False, True):
+            yield _pearce_lp(gaps, weak)
+
+
+# The lp._eliminate calls of _seeded_pearce_lps under Bland's rule alone,
+# the rule of every pivot before the largest reduced cost: counted with this
+# generator on the solver that entered on the lowest improving column.
+BLAND_ELIMINATIONS = 1501
+
+
+def test_largest_reduced_cost_needs_fewer_eliminations_on_pearce_lps(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    answers = [solve(lp) for lp in _seeded_pearce_lps()]
+    count = len(calls)
+    assert count < BLAND_ELIMINATIONS
+    # Bland's rule alone reproduces the recorded count and the same verdicts
+    del calls[:]
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN", 0)
+    bland = [solve(lp) for lp in _seeded_pearce_lps()]
+    assert len(calls) == BLAND_ELIMINATIONS
+    assert list(map(type, answers)) == list(map(type, bland))
+    assert [a.value for a in answers if isinstance(a, Optimal)] == [
+        b.value for b in bland if isinstance(b, Optimal)]
+
+
+def test_programs_without_columns():
+    assert solve(LinearProgram(0, [])) == Optimal(0, (), ())
+    lp = LinearProgram(0, [])
+    lp.add([], "=", 0)
     res = solve(lp)
-    assert res == Optimal(Fraction(1, 20), (Fraction(1, 25), 0, 1, 0))
+    assert res == Optimal(0, ()) and res.dual == (0,)
+    lp = LinearProgram(0, [])
+    lp.add([], "=", 1)
+    assert solve(lp) == Infeasible([-1])
 
 
 def test_tied_ratios_leave_the_lowest_basic_variable():
