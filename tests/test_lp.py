@@ -172,7 +172,7 @@ def _pearce_lp(gaps, weak):
     """Pearce's LP on gap rows (dominated's payoffs minus a rival's, one
     entry per context): a belief p >= 0 with every gap row . p >= 0 and
     sum p = 1. weak writes p = q + t, with t an extra column to maximise."""
-    m = len(gaps[0]) if gaps else 1
+    m = len(gaps[0])
     lp = LinearProgram(m + weak, [0] * m + [1] * weak)
     for gap in gaps:
         lp.add(list(gap) + [sum(gap)] * weak, ">=", 0)
@@ -185,8 +185,7 @@ def _pearce_lps(draw):
     # bounded without caps: the '= 1' row and x >= 0 box every variable in
     m = draw(st.integers(1, 3))
     gap = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
-    gaps = draw(st.lists(gap, min_size=0, max_size=3))
-    return _pearce_lp(gaps or [[0] * m], draw(st.booleans()))
+    return _pearce_lp(draw(st.lists(gap, min_size=1, max_size=3)), draw(st.booleans()))
 
 
 def _assert_farkas_ray(lp, ray):
