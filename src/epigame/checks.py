@@ -39,12 +39,15 @@ class CheckConfig:
     properties: Optional[tuple] = None
 
     def __post_init__(self):
-        # A negative count would run nothing and pass; smaller sizes leave the
-        # random generators empty ranges to draw from.
+        # A negative count would run nothing and pass; smaller sizes draw games
+        # load_game refuses or leave the random generators empty ranges.
         for option, smallest in (
             ("count", 0),
+            ("min_players", 2),
             ("max_players", self.min_players),
+            ("min_strategies", 1),
             ("max_strategies", 1),
+            ("payoff_bound", 0),
             ("max_states", 1),
         ):
             value = getattr(self, option)

@@ -93,14 +93,16 @@ def _best_responders(rows, rivals, candidates, strict=False):
     return hits, rest
 
 
-def undominated(rows, rivals, candidates, weak=False):
-    """The candidates that no rival strictly (weak: weakly) dominates, on the
-    cut rows of a restriction and for a frozenset of rivals.
+def undominated(rows, rivals, candidates, weak=False, mixed=False):
+    """The candidates that no rival (mixed: no mixture over the rivals)
+    strictly (weak: weakly) dominates, on the cut rows of a restriction and
+    for a frozenset of rivals: the one set-wise dominance rule.
 
     _best_responders keeps its hits; only the rest are scanned against every
     rival with row_strictly_dominates (weak: row_weakly_dominates). The scan
     also keeps, under weak, a row equal to the rivals' maximum: no rival
-    exceeds it anywhere.
+    exceeds it anywhere. Under mixed, _pearce decides the survivors with a
+    context; one without survives the scan only under weak, and stays.
     """
     if not rivals:
         return candidates
@@ -108,7 +110,11 @@ def undominated(rows, rivals, candidates, weak=False):
     if rest:
         rival_rows = list(map(rows.__getitem__, rivals))
         dominates = row_weakly_dominates if weak else row_strictly_dominates
-        kept += [s for s in rest if not any(map(dominates, rival_rows, repeat(rows[s])))]
+        rest = [s for s in rest if not any(map(dominates, rival_rows, repeat(rows[s])))]
+        if mixed:
+            support = sorted(rivals)
+            rest = [s for s in rest if not rows[s] or _pearce(rows, support, s, weak) is None]
+        kept += rest
     return kept
 
 
@@ -131,17 +137,24 @@ def mixed_weakly_dominates_exists(game, context, i, support, dominated):
 
 
 def _mixed_dominator(game, context, i, support, dominated, weak):
-    """The search both mixed_*_dominates_exists run; weak picks the relation."""
+    """The search both mixed_*_dominates_exists run; weak picks the relation.
+    A pure dominator, the first in index order, is returned as its point mass."""
     rivals = frozenset(support)
     if not rivals:
         raise ValueError("empty support")
     rows = context.rows(i)
-    if not rows[dominated]:  # with no context, strict domination is vacuous
-        return None if weak else point_mass(game, i, min(rivals))
+    mine = rows[dominated]
+    if weak and not mine:  # with no context, weak domination is impossible
+        return None
     # No mixture over support beats dominated where it is a pure (weak: unique) best response.
     if _best_responders(rows, rivals, (dominated,), strict=weak)[0]:
         return None
-    weights = _pearce(rows, sorted(rivals), dominated, weak)
+    support = sorted(rivals)
+    row_dominates = row_weakly_dominates if weak else row_strictly_dominates
+    for d in support:
+        if row_dominates(rows[d], mine):
+            return point_mass(game, i, d)
+    weights = _pearce(rows, support, dominated, weak)
     if weights is None:
         return None
     total = sum(weights.values())
@@ -153,29 +166,24 @@ def _pearce(rows, support, dominated, weak=False):
     support that strictly (weak: weakly) dominates dominated on a player's
     cut rows, or None; the mixture is each weight over their sum, and only
     strategies of positive weight are keys. The caller has checked that
-    dominated has a non-empty row and is no pure best response (weak: no
-    unique strict one) within support.
+    dominated has a non-empty row, is no pure best response (weak: no unique
+    strict one) within support and that no strategy in support dominates it.
 
-    A pure dominator d is its own witness, {d: 1}. Otherwise one LP on the
-    int kernel rows asks for a correlated belief p over the contexts against
-    which dominated does at least as well as every other strategy in support;
-    with weak set, p = q + t with q >= 0 and the LP maximises t. By Pearce's
-    lemma there is such a belief (weak: one with full support, t > 0)
-    exactly when no mixture dominates. Otherwise the entries of the dual
-    certificate on those strategies' rows are the dominating mixture:
-    Infeasible.ray when there is no belief, the optimum's dual when t = 0.
-    Both are nonnegative there, as standard_form negates these '>=' rows.
-    Either answer is re-checked in integers on the kernel rows before it is
-    used: the belief scaled to int weights, the mixture to int weights U
-    whose row sum_s U_s row_s must dominate (sum U) times dominated's row.
-    Those U are the weights returned, so a caller that only asks whether a
-    witness exists builds no Fraction and no MixedStrategy.
+    One LP on the int kernel rows asks for a correlated belief p over the
+    contexts against which dominated does at least as well as every other
+    strategy in support; with weak set, p = q + t with q >= 0 and the LP
+    maximises t. By Pearce's lemma there is such a belief (weak: one with
+    full support, t > 0) exactly when no mixture dominates. Otherwise the
+    entries of the dual certificate on those strategies' rows are the
+    dominating mixture: Infeasible.ray when there is no belief, the optimum's
+    dual when t = 0. Both are nonnegative there, as standard_form negates
+    these '>=' rows. Either answer is re-checked in integers on the kernel
+    rows before it is used: the belief scaled to int weights, the mixture to
+    int weights U whose row sum_s U_s row_s must dominate (sum U) times
+    dominated's row. Those U are the weights returned, so a caller that only
+    asks whether a witness exists builds no Fraction and no MixedStrategy.
     """
     mine = rows[dominated]
-    row_dominates = row_weakly_dominates if weak else row_strictly_dominates
-    for d in support:
-        if row_dominates(rows[d], mine):
-            return {d: 1}
     # dominated's own gap row would be 0 >= 0, whose dual and ray entries are 0
     others = [r for r in support if r != dominated]
     m = len(mine)
@@ -201,6 +209,7 @@ def _pearce(rows, support, dominated, weak=False):
     if any(u < 0 for u in weights) or total <= 0:
         raise AssertionError("LP mixture is not a distribution")
     mixed = tuple(_dot(weights, column) for column in zip(*(rows[s] for s in others)))
+    row_dominates = row_weakly_dominates if weak else row_strictly_dominates
     if not row_dominates(mixed, tuple(total * x for x in mine)):
         raise AssertionError("LP mixture does not dominate")
     return {s: u for s, u in zip(others, weights) if u}
@@ -208,23 +217,6 @@ def _pearce(rows, support, dominated, weak=False):
 
 def _dot(weights, row):
     return sum(map(mul, weights, row))
-
-
-def mixed_undominated(rows, support, candidates, weak=False):
-    """The candidates that no mixture over support strictly (weak: weakly)
-    dominates, on a player's cut rows: mixed_strictly_dominates_exists (weak:
-    mixed_weakly_dominates_exists) for all of them at once, with the pure
-    prefilter built once and _pearce only for the candidates it leaves open.
-    Only whether _pearce finds a witness counts, so no mixture is built.
-    """
-    if not support:
-        raise ValueError("empty support")
-    kept, rest = _best_responders(rows, support, candidates, strict=weak)
-    support = sorted(support)
-    # with no context, strict domination is vacuous and weak domination impossible
-    kept += [s for s in rest
-             if (_pearce(rows, support, s, weak) is None if rows[s] else weak)]
-    return kept
 
 
 def _grid_mixtures(game, player, strategies, denominator_bound):
@@ -267,21 +259,17 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure",
 def best_responses(game, beliefs_in, rows, i, rivals, candidates, belief_class="pure",
                    grid_denominator=None):
     """The candidates that is_best_response accepts against the frozenset of
-    rivals, given beliefs_in and player i's cut rows on it, decided together:
-    the pure best responses from one column maximum, then _pearce (and the
-    grid) only for the others."""
+    rivals, given beliefs_in and player i's cut rows on it, decided together.
+    By Pearce's lemma the correlated ones are those undominated by mixtures;
+    the grid searches only among those that are no pure best response."""
     belief_class = _belief_class(game, belief_class, grid_denominator)
+    if belief_class == "pure" or not rivals:
+        return _best_responders(rows, rivals, candidates)[0]
+    if belief_class == "correlated":
+        return undominated(rows, rivals, candidates, mixed=True)
     kept, rest = _best_responders(rows, rivals, candidates)
-    if belief_class == "pure" or not rest:
-        return kept
-    rivals = sorted(rivals)
-    for s in rest:
-        if rows[s] and _pearce(rows, rivals, s) is None and (
-            belief_class == "correlated"
-            or _grid_best_response(game, beliefs_in, i, s, rivals, grid_denominator)
-        ):
-            kept.append(s)
-    return kept
+    return kept + [s for s in undominated(rows, rivals, rest, mixed=True)
+                   if _grid_best_response(game, beliefs_in, i, s, rivals, grid_denominator)]
 
 
 def _belief_class(game, belief_class, grid_denominator):

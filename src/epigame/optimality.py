@@ -90,29 +90,7 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
     def evaluator(s, G):
         return s in decide(G, G.rows(i), G.sets[i] if local else everyone, (s,))
 
-    if name in ("sd_l", "sd_g", "wd_l", "wd_g"):
-        weak = name[0] == "w"
-        relation = (
-            dominance.row_strictly_dominates if name[0] == "s" else dominance.row_weakly_dominates
-        )
-
-        def evaluator(s, G):  # the plain rival scan: the reference for undominated
-            rows = G.rows(i)
-            rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
-            return not any(map(relation, rivals, itertools.repeat(rows[s])))
-
-        def decide(G, rows, rivals, candidates):
-            return dominance.undominated(rows, rivals, candidates, weak)
-
-    elif name in ("msd_l", "msd_g", "mwd_l", "mwd_g"):
-        weak = name.startswith("mwd")
-
-        def decide(G, rows, rivals, candidates):
-            if not rivals:
-                return candidates
-            return dominance.mixed_undominated(rows, rivals, candidates, weak)
-
-    else:  # br_l, br_g, brc_l
+    if name.startswith("br"):
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
         key = (name, cls, grid_denominator)
 
@@ -120,6 +98,21 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
             return dominance.best_responses(
                 game, G, rows, i, rivals, candidates, cls, grid_denominator
             )
+
+    else:  # sd, wd, msd, mwd
+        weak = "wd" in name
+        mixed = name[0] == "m"
+
+        def decide(G, rows, rivals, candidates):
+            return dominance.undominated(rows, rivals, candidates, weak, mixed)
+
+        if not mixed:
+            relation = dominance.row_weakly_dominates if weak else dominance.row_strictly_dominates
+
+            def evaluator(s, G):  # the plain rival scan: the reference for undominated
+                rows = G.rows(i)
+                rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
+                return not any(map(relation, rivals, itertools.repeat(rows[s])))
 
     def rule(G, candidates):
         rows = G.rows(i)

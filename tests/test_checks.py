@@ -241,11 +241,15 @@ def test_random_games_name_more_than_ten_strategies():
 
 
 def test_config_rejects_sizes_the_generators_cannot_draw():
-    CheckConfig(count=0, max_players=2, max_strategies=1, max_states=1)
+    CheckConfig(count=0, min_players=2, max_players=2, min_strategies=1, max_strategies=1,
+                payoff_bound=0, max_states=1)
     for option, value, smallest in (
         ("count", -1, 0),
+        ("min_players", 1, 2),
         ("max_players", 1, 2),
+        ("min_strategies", 0, 1),
         ("max_strategies", 0, 1),
+        ("payoff_bound", -1, 0),
         ("max_states", 0, 1),
     ):
         with pytest.raises(ValueError, match=f"{option} must be at least {smallest}"):

@@ -472,9 +472,10 @@ def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
 
 
 def _pearce_elimination_cases():
-    """(game, strategy, the builtins that eliminate it) where _pearce decides:
-    B in threebytwo by an LP's ray, s under WEAKLY_DOMINATED by the weak
-    LP's dual at t = 0, and C in pd by its pure dominator D."""
+    """(game, strategy, the builtins that eliminate it) past the pure
+    prefilter: B in threebytwo by _pearce's LP ray, s under WEAKLY_DOMINATED
+    by the weak LP's dual at t = 0, and C in pd by the scan that finds its
+    pure dominator D."""
     return [(TBT, TBT.index(0, "B"), ("msd_l", "mwd_l", "brc_l")),
             (_row_game(WEAKLY_DOMINATED), 0, ("mwd_l",)),
             (PD, 0, ("msd_l", "mwd_l", "brc_l"))]
@@ -483,7 +484,7 @@ def _pearce_elimination_cases():
 def test_set_wise_decisions_build_no_mixed_strategy(monkeypatch):
     # msd, mwd and correlated br only ask whether _pearce finds a witness,
     # so their eliminations build no MixedStrategy, through the builtins and
-    # through mixed_undominated and best_responses called directly
+    # through undominated and best_responses called directly
     built = []
     post_init = MixedStrategy.__post_init__
 
@@ -502,7 +503,8 @@ def test_set_wise_decisions_build_no_mixed_strategy(monkeypatch):
                 assert dominance.best_responses(
                     game, full, rows, 0, support, (s,), "correlated") == []
             else:
-                assert dominance.mixed_undominated(rows, support, (s,), name == "mwd_l") == []
+                assert dominance.undominated(rows, support, (s,), name == "mwd_l",
+                                             mixed=True) == []
     assert any(isinstance(res, Infeasible) for _, res in submitted)
     assert any(isinstance(res, Optimal) and res.value == 0 for _, res in submitted)
     assert built == []
@@ -526,6 +528,65 @@ def test_mixed_dominance_searches_return_a_fraction_mixture():
     full = PD.full_restriction()
     witness = mixed_strictly_dominates_exists(PD, full, 0, full.sets[0], 0)
     assert witness.weights == point_mass(PD, 0, 1).weights == {1: 1}
+
+
+def _small_tie_games(rng, count):
+    """count games of 2-3 players with 1-4 strategies each, at most 8 in
+    all so every restriction can be enumerated, and payoffs 0-3, whose ties
+    are where weak and strict domination part."""
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        sizes = [rng.randint(1, 4) for _ in range(n)]
+        while sum(sizes) > 8:
+            sizes = [rng.randint(1, 4) for _ in range(n)]
+        names = tuple(tuple(f"s{k}" for k in range(size)) for size in sizes)
+        drawn = [rng.randint(0, 3) for _ in range(math.prod(sizes) * n)]
+        yield Game.from_columns(names, [drawn[i::n] for i in range(n)], [1] * n)
+
+
+def test_the_set_wise_rule_equals_the_witness_searches():
+    """undominated(..., mixed=True) keeps exactly the candidates for which
+    mixed_strictly_dominates_exists (weak: mixed_weakly_dominates_exists)
+    finds no mixture over the restriction's own part, and correlated
+    best_responses keeps exactly the strict ones (Pearce's lemma)."""
+    pairs = 0
+    for game in _small_tie_games(random.Random(25), 40):
+        for G in all_restrictions(game):
+            for i in range(game.n):
+                rivals, rows = G.sets[i], G.rows(i)
+                if not rivals:
+                    continue
+                candidates = list(game.strategies(i))
+                kept = {}
+                for weak, search in ((False, mixed_strictly_dominates_exists),
+                                     (True, mixed_weakly_dominates_exists)):
+                    kept[weak] = [s for s in candidates if search(game, G, i, rivals, s) is None]
+                    assert sorted(dominance.undominated(rows, rivals, candidates, weak,
+                                                        mixed=True)) == kept[weak]
+                assert sorted(dominance.best_responses(
+                    game, G, rows, i, rivals, candidates, "correlated")) == kept[False]
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_an_empty_own_part_keeps_msd_and_brc_apart():
+    """Where the owner's part is empty there are no rivals: nothing dominates,
+    so msd_l holds everywhere, while brc_l still needs a belief, which
+    exists exactly when every opponent part is non-empty."""
+    games = [TBT, *_small_tie_games(random.Random(7), 3)]
+    checked = 0
+    for game in games:
+        for G in all_restrictions(game):
+            for i in range(game.n):
+                if G.sets[i]:
+                    continue
+                opponents_present = all(part for j, part in enumerate(G.sets) if j != i)
+                msd, brc = builtin(game, "msd_l", i), builtin(game, "brc_l", i)
+                for s in game.strategies(i):
+                    assert msd.holds(s, G)
+                    assert brc.holds(s, G) == opponents_present
+                    checked += 1
+    assert checked > 100
 
 
 # ---------- the integer kernel against Fraction arithmetic ----------

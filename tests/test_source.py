@@ -80,16 +80,22 @@ def test_every_builtin_has_a_set_wise_rule():
     assert constant_property(game, 0).rule is None  # the holds filter is the default
 
 
+def _innermost_functions(tree):
+    """line -> the name of the innermost function around it"""
+    owner = {}
+    for node in ast.walk(tree):  # outer functions come first, inner ones overwrite
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+    return owner
+
+
 def test_holds_is_called_only_by_the_oracles():
     """Callers decide a whole set with survivors; only the oracles that test
     what properties declare ask holds, one strategy at a time."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        owner = {}  # line -> the innermost function around it
-        for node in ast.walk(ast.parse(text, filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        owner = _innermost_functions(ast.parse(text, filename=str(path)))
         found += [
             (path.name, owner.get(lineno))
             for lineno, line in enumerate(text.splitlines(), start=1)
@@ -98,6 +104,27 @@ def test_holds_is_called_only_by_the_oracles():
     assert sorted(found) == [
         ("optimality.py", "satisfies_singleton_truth"),
         ("optimality.py", "value_table"),
+    ]
+
+
+def test_pearce_is_called_only_by_the_set_wise_rule_and_the_witness_search():
+    """One set-wise dominance rule: undominated runs Pearce's LP for sd, wd,
+    msd, mwd and the best responses, and _mixed_dominator for the witnesses
+    of mixed_*_dominates_exists. A second caller would be a second path to
+    keep in step with them."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _innermost_functions(tree)
+        found += [
+            (path.name, owner.get(node.lineno))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "_pearce" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert sorted(found) == [
+        ("dominance.py", "_mixed_dominator"),
+        ("dominance.py", "undominated"),
     ]
 
 
@@ -110,10 +137,7 @@ def test_own_independent_is_read_only_where_it_is_trusted():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        owner = {}  # line -> the innermost function around it
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        owner = _innermost_functions(tree)
         found += [
             (path.name, owner.get(node.lineno))
             for node in ast.walk(tree)
