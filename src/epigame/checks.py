@@ -46,7 +46,7 @@ class CheckConfig:
             ("min_players", 2),
             ("max_players", self.min_players),
             ("min_strategies", 1),
-            ("max_strategies", 1),
+            ("max_strategies", self.min_strategies),
             ("payoff_bound", 0),
             ("max_states", 1),
         ):

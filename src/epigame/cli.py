@@ -306,6 +306,9 @@ def _cmd_check(args):
         seed=args.seed,
         count=args.random,
         max_players=args.max_players,
+        # no --min-strategies: the default minimum, down to --max-strategies
+        # where that is smaller, or to 1, so 0 is refused as max_strategies
+        min_strategies=min(checks.CheckConfig.min_strategies, max(args.max_strategies, 1)),
         max_strategies=args.max_strategies,
         max_states=args.max_states,
         budget=args.budget_restrictions,

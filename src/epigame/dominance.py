@@ -13,7 +13,7 @@ from itertools import repeat
 from operator import and_, eq, ge, gt, mul, sub
 
 from .games import MixedStrategy, expected_payoff, point_mass
-from .lp import LinearProgram, Optimal, common_denominator, solve
+from .lp import LinearProgram, Optimal, solve
 
 
 class BeliefClassError(ValueError):
@@ -169,42 +169,49 @@ def _pearce(rows, support, dominated, weak=False):
     dominated has a non-empty row, is no pure best response (weak: no unique
     strict one) within support and that no strategy in support dominates it.
 
-    One LP on the int kernel rows asks for a correlated belief p over the
-    contexts against which dominated does at least as well as every other
-    strategy in support; with weak set, p = q + t with q >= 0 and the LP
-    maximises t. By Pearce's lemma there is such a belief (weak: one with
-    full support, t > 0) exactly when no mixture dominates. Otherwise the
-    entries of the dual certificate on those strategies' rows are the
-    dominating mixture: Infeasible.ray when there is no belief, the optimum's
-    dual when t = 0. Both are nonnegative there, as standard_form negates
-    these '>=' rows. Either answer is re-checked in integers on the kernel
-    rows before it is used: the belief scaled to int weights, the mixture to
-    int weights U whose row sum_s U_s row_s must dominate (sum U) times
-    dominated's row. Those U are the weights returned, so a caller that only
-    asks whether a witness exists builds no Fraction and no MixedStrategy.
+    One LP on the int kernel rows, whose primal and dual give both sides of
+    Pearce's lemma. It weighs the contexts with p >= 0 under one gap row per
+    other strategy r in support, (row_r - dominated's row) . p <= 0, and
+    sum p <= 1, and maximises sum p; with weak set, p = q + t with q >= 0,
+    the last row is sum q + m t <= 1 and the LP maximises t. The origin is
+    feasible and the rows bound the rest, so the LP has a certified Optimal.
+    A value above 0 means the point is a belief (weak: one with full support)
+    against which dominated does at least as well as every other strategy in
+    support, and by Pearce's lemma no mixture dominates. At value 0 the dual
+    on the gap rows is the dominating mixture: nonnegative, as these are
+    '<=' rows, and covering every column with the last row's dual at 0.
+    Either answer is read from the optimum's int numerators and re-checked
+    in integers on the kernel rows before it is used: the belief scaled to
+    int weights, the mixture to int weights U whose row sum_s U_s row_s must
+    dominate (sum U) times dominated's row. Those U are the weights returned,
+    so a caller that only asks whether a witness exists builds no Fraction
+    and no MixedStrategy.
     """
     mine = rows[dominated]
-    # dominated's own gap row would be 0 >= 0, whose dual and ray entries are 0
+    # dominated's own gap row would be 0 <= 0, whose dual entry is 0
     others = [r for r in support if r != dominated]
     m = len(mine)
-    lp = LinearProgram(m + weak, [0] * m + [1] * weak)  # weak: the last column is t
+    lp = LinearProgram(m + weak, [0] * m + [1] if weak else [1] * m)  # weak: t is last
     for r in others:
-        gap = list(map(sub, mine, rows[r]))
-        lp.add(gap + [sum(gap)] * weak, ">=", 0)
-    lp.add([1] * m + [m] * weak, "=", 1)
+        gap = list(map(sub, rows[r], mine))
+        if weak:
+            gap.append(sum(gap))
+        lp.add(gap, "<=", 0)
+    lp.add([1] * m + [m] * weak, "<=", 1)
     res = solve(lp)
-    if isinstance(res, Optimal) and (res.value or not weak):
-        numerators, total = common_denominator(res.point[:m] + (res.value,))
-        t = numerators[-1]
-        weights = [w + t for w in numerators[:-1]]  # p = q + t, times total
+    if not isinstance(res, Optimal):
+        raise AssertionError("Pearce LP has no optimum")
+    value, point, total, dual, _ = res.ints
+    if value:
+        t = point[m] if weak else 0
+        weights = [w + t for w in point[:m]]  # p = q + t, times total
         if any(w < 0 for w in weights) or sum(weights) != total:
             raise AssertionError("LP belief is not a distribution")
         value = _dot(weights, mine)
         if any(value < _dot(weights, rows[r]) for r in others):
             raise AssertionError("LP belief does not support the strategy")
         return None
-    ray = res.dual if isinstance(res, Optimal) else res.ray
-    weights, _ = common_denominator(ray[:len(others)])
+    weights = dual[:len(others)]
     total = sum(weights)
     if any(u < 0 for u in weights) or total <= 0:
         raise AssertionError("LP mixture is not a distribution")

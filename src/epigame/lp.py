@@ -1,25 +1,36 @@
-"""Exact rational linear programming via a two-phase primal simplex on integer rows.
+"""Exact rational linear programming via a primal simplex on a condensed integer tableau.
 
 The one program solved is: maximize c . x subject to linear rows, x >= 0.
 Int coefficients, objective entries and right-hand sides stay ints; every
 other value becomes a Fraction. `standard_form` negates each `>=` row into a
-`<=` row and keeps the rest. The tableau keeps every row, the reduced-cost
-row included, as Python ints: a positive multiple of the exact rational row,
+`<=` row and keeps the rest. A `<=` row with rhs >= 0 starts with its slack
+basic; every other row gets an artificial column, and phase 1 drives the
+artificials out. A program of `<=` rows with rhs >= 0, such as Pearce's LPs
+in dominance._pearce, has the origin as a feasible vertex: its slack basis
+starts the simplex, with no artificial column and no phase 1.
+
+The tableau is condensed (Chvatal's dictionaries): a row keeps the entries
+of the nonbasic variables only, then its rhs, then its scale, the
+coefficient of its basic variable. A pivot moves the leaving variable into
+the entering variable's column. Every row, the reduced-cost row included,
+is a list of Python ints: a positive multiple of the exact rational row,
 divided by the gcd of its entries after each pivot. Ratios are compared by
 cross-multiplication. The final tableau is read in integers too: the point
-as numerators over one common denominator d, the lcm of the basic columns'
-pivot entries, and the dual as numerators over the reduced-cost row's scale
-e.
+as numerators over one common denominator d, the lcm of the basic
+structural rows' scales, and the dual as numerators over the reduced-cost
+row's scale e.
 
-The entering column is the one with the largest reduced cost (Dantzig's
+The entering variable is the one with the largest reduced cost (Dantzig's
 rule), the lowest index on ties; the leaving row has the least ratio, the
-lowest basic index on ties. On degenerate programs, such as Pearce's LPs
-whose gap rows all have rhs 0, the largest reduced cost can cycle. So after
-DEGENERATE_RUN consecutive degenerate pivots (the leaving row's rhs is 0)
-the entering column becomes the lowest one with a positive reduced cost
-(Bland's rule) until the next nondegenerate pivot. The pivoting stays
-finite: a nondegenerate pivot raises the objective, so a cycle would be an
-unbroken run of degenerate pivots, and Bland's rule ends every such run.
+lowest basic index on ties. Both rules are keyed by variable index, not by
+a column's place in the condensed tableau. On degenerate programs, such as
+Pearce's LPs whose gap rows all have rhs 0, the largest reduced cost can
+cycle. So after DEGENERATE_RUN consecutive degenerate pivots (the leaving
+row's rhs is 0) the entering variable becomes the lowest one with a
+positive reduced cost (Bland's rule) until the next nondegenerate pivot.
+The pivoting stays finite: a nondegenerate pivot raises the objective, so a
+cycle would be an unbroken run of degenerate pivots, and Bland's rule ends
+every such run.
 
 Every optimum is certified before it is returned, without trusting the
 pivots, on those int numerators and the standard-form rows, so a program of
@@ -27,8 +38,8 @@ ints is certified in integers: the point is checked against x >= 0, the
 rows (a . X rel rhs d) and the objective (primal feasibility), and the dual
 against the rows: nonnegative on `<=` rows, u^T A >= c e on every column,
 and u^T b d equal to the claimed value times e (optimality, by weak
-duality). On a program of ints, Fractions are built only for what Optimal
-and Infeasible return.
+duality). Optimal keeps those numerators as `ints` and builds its Fraction
+value, point and dual only when one of them is read.
 
 An infeasible program comes with the dual of phase 1 as its certificate, a
 Farkas ray on the rows of the standard form (every `>=` row negated):
@@ -39,7 +50,7 @@ derive from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -50,14 +61,69 @@ from operator import mul
 DEGENERATE_RUN = 20
 
 
-@dataclass(frozen=True)
 class Optimal:
-    """dual: the certified dual on the rows of standard_form(lp), one entry
-    per row; it takes no part in equality."""
+    """A certified optimum: value, point, and dual, the dual on the rows of
+    standard_form(lp), one entry per row. Equality compares value and point;
+    the dual takes no part in it.
 
-    value: Fraction
-    point: tuple
-    dual: tuple = field(default=(), compare=False)
+    ints is (value, point, d, dual, e), numerators over positive int
+    denominators: the value is value / d, the point point / d and the dual
+    dual / e. All are ints but the value of a program whose objective holds
+    a non-int. solve builds an Optimal from the numerators _certify checked,
+    and each Fraction field is built the first time it is read.
+    """
+
+    __slots__ = ("_value", "_point", "_dual", "_ints")
+
+    def __init__(self, value, point, dual=()):
+        self._value, self._point, self._dual = value, point, dual
+        self._ints = None
+
+    @classmethod
+    def _scaled(cls, value, point, d, dual, e):
+        res = cls.__new__(cls)
+        res._value = res._point = res._dual = None
+        res._ints = (value, point, d, dual, e)
+        return res
+
+    @property
+    def value(self):
+        if self._value is None:
+            value, _, d, _, _ = self._ints
+            self._value = Fraction(value, d)
+        return self._value
+
+    @property
+    def point(self):
+        if self._point is None:
+            _, point, d, _, _ = self._ints
+            self._point = tuple(Fraction(x, d) for x in point)
+        return self._point
+
+    @property
+    def dual(self):
+        if self._dual is None:
+            *_, dual, e = self._ints
+            self._dual = tuple(Fraction(u, e) for u in dual)
+        return self._dual
+
+    @property
+    def ints(self):
+        if self._ints is None:
+            (value, *point), d = common_denominator([self._value, *self._point])
+            self._ints = (value, point, d, *common_denominator(list(self._dual)))
+        return self._ints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.point) == (other.value, other.point)
+
+    def __hash__(self):
+        return hash((self.value, self.point))
+
+    def __repr__(self):
+        return f"Optimal(value={self.value!r}, point={self.point!r}, dual={self.dual!r})"
 
 
 @dataclass(frozen=True)
@@ -80,11 +146,17 @@ def _exact(value):
     return value if type(value) is int else Fraction(value)
 
 
+def _exact_row(values):
+    """values as a list, with _exact mapped over it when it holds a non-int."""
+    row = list(values)
+    return row if {int}.issuperset(map(type, row)) else list(map(_exact, row))
+
+
 class LinearProgram:
     """maximize objective . x subject to linear constraints and x >= 0."""
 
     def __init__(self, num_vars, objective):
-        objective = list(map(_exact, objective))
+        objective = _exact_row(objective)
         if len(objective) != num_vars:
             raise ValueError("objective length does not match variable count")
         self.num_vars = num_vars
@@ -92,7 +164,7 @@ class LinearProgram:
         self.rows = []
 
     def add(self, coeffs, rel, rhs):
-        coeffs = list(map(_exact, coeffs))
+        coeffs = _exact_row(coeffs)
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length does not match variable count")
         if rel not in ("<=", ">=", "="):
@@ -126,14 +198,18 @@ def _integer_row(values):
 
 
 def _eliminate(row, prow, j):
-    """A positive multiple of row minus the multiple of prow that clears column j.
+    """row after the pivot on prow's entry j, which must be positive: a
+    positive multiple of row minus the multiple of prow that clears column j.
 
-    prow[j] must be positive. Entries of row past the end of prow (the scale
-    that closes the reduced-cost row) are only multiplied.
+    The last entry of a row is its scale, the coefficient of its basic
+    variable, or 0 where that variable has a column of its own. The pivot
+    moves prow's basic variable into column j, where prow holds its scale
+    and row holds 0; row's own basic variable is only multiplied.
     """
     piv, f = prow[j], row[j]
     new = [piv * a - f * b for a, b in zip(row, prow)]
-    new.extend(piv * a for a in row[len(prow):])
+    new[j] = -f * prow[-1]
+    new[-1] = piv * row[-1]
     return _coprime(new)
 
 
@@ -146,83 +222,105 @@ def solve(lp):
     point, d, dual, e = outcome
     value = sum(map(mul, lp.objective, point))
     _certify(rows, lp.objective, point, d, value, dual, e)
-    return Optimal(Fraction(value, d), tuple(Fraction(x, d) for x in point),
-                   tuple(Fraction(u, e) for u in dual))
+    return Optimal._scaled(value, point, d, dual, e)
 
 
 def _simplex(rows, objective):
-    """Two-phase simplex on the standard-form rows: (point, d, dual, e) with
-    the point point / d and the dual dual / e in int numerators,
-    Infeasible(ray) or UNBOUNDED."""
+    """The simplex on the standard-form rows, with phase 1 only when some row
+    needs an artificial: (point, d, dual, e) with the point point / d and the
+    dual dual / e in int numerators, Infeasible(ray) or UNBOUNDED."""
     ncols = len(objective)
-    nslack = sum(1 for _, rel, _ in rows if rel == "<=")
-    nart = sum(1 for _, rel, rhs in rows if rel == "=" or rhs < 0)
-    # Columns: structural | slacks | artificials | rhs. A '<=' row with a
-    # nonnegative rhs starts with its slack basic; every other row gets an
-    # artificial. dual_col[r] = (column, sign) such that the dual value of
-    # row r is -sign * (reduced cost of column).
-    real = ncols + nslack
-    width = real + nart
-    tableau = []
-    basis = []
-    dual_col = []
-    slack = ncols
-    art = real
-    for dense, rel, rhs in rows:
-        row = list(dense) + [0] * (nslack + nart) + [rhs]
-        sign = -1 if rhs < 0 else 1
+    # Variables: structural | slacks | artificials. A '<=' row with a
+    # nonnegative rhs starts with its slack basic; every other row gets a
+    # basic artificial, and a '<=' row among them keeps its slack nonbasic.
+    # dual_col[r] = (variable, sign) such that the dual value of row r is
+    # -sign * (reduced cost of the variable).
+    real = ncols + sum(1 for _, rel, _ in rows if rel == "<=")
+    basis, dual_col, slacks = [], [], []
+    slack, art = ncols, real
+    for _, rel, rhs in rows:
         if rel == "<=":
-            row[slack] = 1
             dual_col.append((slack, 1))
+            if rhs >= 0:
+                basis.append(slack)
+            else:
+                slacks.append(slack)
             slack += 1
-        if sign < 0:
-            row = [-c for c in row]
-        if rel == "<=" and sign > 0:
-            basis.append(slack - 1)
-        else:
-            row[art] = 1
-            basis.append(art)
+        if rel == "=" or rhs < 0:
             if rel == "=":
-                dual_col.append((art, sign))
+                dual_col.append((art, -1 if rhs < 0 else 1))
+            basis.append(art)
             art += 1
-        tableau.append(_integer_row(row))
+    width = art
+    # The condensed tableau: each row holds the nonbasic variables' entries,
+    # in the order of nonbasic, then its rhs, then its scale.
+    nonbasic = list(range(ncols)) + slacks
+    tableau = []
+    for (dense, rel, rhs), b, (v, _) in zip(rows, basis, dual_col):
+        row = list(dense) + [0] * len(slacks) + [rhs]
+        if b >= real:
+            if rel == "<=":
+                row[nonbasic.index(v)] = 1
+            if rhs < 0:
+                row = [-a for a in row]
+        tableau.append(_integer_row(row + [1]))
 
-    def pivot(r, j, z=None):
+    def pivot(r, k, z=None):
+        """Enter nonbasic[k] in row r, whose basic variable takes column k."""
         prow = tableau[r]
-        if prow[j] < 0:
+        if prow[k] < 0:
             prow = tableau[r] = [-a for a in prow]
         for r2, row in enumerate(tableau):
-            if r2 != r and row[j]:
-                tableau[r2] = _eliminate(row, prow, j)
-        basis[r] = j
-        return _eliminate(z, prow, j) if z is not None and z[j] else z
-
-    def objective_row(costs):
-        """Reduced costs, then -value, then the positive scale of both."""
-        z = _integer_row(list(costs) + [0, 1])
-        for row, b in zip(tableau, basis):
-            if z[b]:
-                z = _eliminate(z, row, b)
+            if r2 != r and row[k]:
+                tableau[r2] = _eliminate(row, prow, k)
+        if z is not None and z[k]:
+            z = _eliminate(z, prow, k)
+        prow[k], prow[-1] = prow[-1], prow[k]
+        nonbasic[k], basis[r] = basis[r], nonbasic[k]
         return z
 
-    def run_simplex(z, candidates):
-        """Simplex over the first candidates columns; None when unbounded.
+    def objective_row(costs):
+        """Reduced costs on the nonbasic columns, then -value, then the
+        positive scale of both, from the costs of every variable. Each basic
+        variable's cost is cleared with its row written out in full width,
+        where every variable has a column and the scale entry is 0."""
+        z = _integer_row(list(costs) + [0, 1])
+        for b, row in zip(basis, tableau):
+            if z[b]:
+                full = [0] * width + [row[-2], 0]
+                for v, a in zip(nonbasic, row):
+                    full[v] = a
+                full[b] = row[-1]
+                z = _eliminate(z, full, b)
+        return [z[v] for v in nonbasic] + z[-2:]
 
-        Enters on the largest reduced cost, the lowest column on ties; the
-        z[j] share one positive scale, so they compare as they are. After
-        DEGENERATE_RUN degenerate pivots in a row it enters on the lowest
-        column with a positive reduced cost (Bland's rule) until a pivot
-        moves the point, which ends every run of degenerate pivots.
+    def reduced_costs(z):
+        """The reduced cost of every variable in z, by variable; basic ones are 0."""
+        costs = [0] * width
+        for v, c in zip(nonbasic, z):
+            costs[v] = c
+        return costs
+
+    def run_simplex(z, limit):
+        """Simplex over the variables below limit; None when unbounded.
+
+        Enters on the largest reduced cost, the lowest variable on ties; the
+        z entries share one positive scale, so they compare as they are.
+        After DEGENERATE_RUN degenerate pivots in a row it enters on the
+        lowest variable with a positive reduced cost (Bland's rule) until a
+        pivot moves the point, which ends every run of degenerate pivots.
         """
+        columns = [k for k, v in enumerate(nonbasic) if v < limit]
+        by_variable = nonbasic.__getitem__
         degenerate = 0
         while True:
             if degenerate < DEGENERATE_RUN:
-                top = max(z[:candidates], default=0)
+                top = max(map(z.__getitem__, columns), default=0)
                 if top <= 0:
                     return z
-                enter = z.index(top)
+                enter = min((k for k in columns if z[k] == top), key=by_variable)
             else:
-                enter = next((j for j in range(candidates) if z[j] > 0), None)
+                enter = min((k for k in columns if z[k] > 0), key=by_variable, default=None)
                 if enter is None:
                     return z
             leave = None
@@ -232,31 +330,33 @@ def _simplex(rows, objective):
                     if leave is None:
                         leave, lead = r, row
                         continue
-                    mine, best = row[-1] * lead[enter], lead[-1] * a
+                    mine, best = row[-2] * lead[enter], lead[-2] * a
                     if mine < best or (mine == best and basis[r] < basis[leave]):
                         leave, lead = r, row
             if leave is None:
                 return None
-            degenerate = 0 if lead[-1] else degenerate + 1
+            degenerate = 0 if lead[-2] else degenerate + 1
             z = pivot(leave, enter, z)
 
-    if nart:
-        z = run_simplex(objective_row([0] * real + [-1] * nart), width)
+    if width > real:
+        z = run_simplex(objective_row([0] * real + [-1] * (width - real)), width)
         if z[-2]:
             # The phase-1 dual, where artificials cost -1: a row's ray entry is
             # read like its dual below, one scale added on an artificial.
-            scale = z[-1]
-            return Infeasible([Fraction(-sign * (z[col] + scale if col >= real else z[col]), scale)
-                               for col, sign in dual_col])
+            scale, costs = z[-1], reduced_costs(z)
+            return Infeasible([Fraction(-sign * (costs[v] + scale if v >= real else costs[v]),
+                                        scale) for v, sign in dual_col])
         # Drive remaining artificials out of the basis or drop redundant rows.
         drop = []
         for r in range(len(tableau)):
             if basis[r] >= real:
-                j = next((j for j in range(real) if tableau[r][j]), None)
-                if j is None:
+                row = tableau[r]
+                k = min((k for k, v in enumerate(nonbasic) if v < real and row[k]),
+                        key=nonbasic.__getitem__, default=None)
+                if k is None:
                     drop.append(r)
                 else:
-                    pivot(r, j)
+                    pivot(r, k)
         for r in reversed(drop):
             del tableau[r]
             del basis[r]
@@ -264,14 +364,15 @@ def _simplex(rows, objective):
     z = run_simplex(objective_row(list(objective) + [0] * (width - ncols)), real)
     if z is None:
         return UNBOUNDED
-    # A basic entry of a row is positive: pivot() makes it so, and later
-    # eliminations only multiply it by positive pivots.
+    # A row's scale is positive: pivot() makes it so, and later eliminations
+    # only multiply it by positive pivots.
     basic = [(b, row) for row, b in zip(tableau, basis) if b < ncols]
-    d = lcm(*(row[b] for b, row in basic))
+    d = lcm(*(row[-1] for _, row in basic))
     point = [0] * ncols
     for b, row in basic:
-        point[b] = row[-1] * (d // row[b])
-    return point, d, [-sign * z[col] for col, sign in dual_col], z[-1]
+        point[b] = row[-2] * (d // row[-1])
+    costs = reduced_costs(z)
+    return point, d, [-sign * costs[v] for v, sign in dual_col], z[-1]
 
 
 def _certify(rows, objective, point, d, value, dual, e):

@@ -243,17 +243,19 @@ def test_random_games_name_more_than_ten_strategies():
 def test_config_rejects_sizes_the_generators_cannot_draw():
     CheckConfig(count=0, min_players=2, max_players=2, min_strategies=1, max_strategies=1,
                 payoff_bound=0, max_states=1)
-    for option, value, smallest in (
-        ("count", -1, 0),
-        ("min_players", 1, 2),
-        ("max_players", 1, 2),
-        ("min_strategies", 0, 1),
-        ("max_strategies", 0, 1),
-        ("payoff_bound", -1, 0),
-        ("max_states", 0, 1),
+    for option, value, smallest, others in (
+        ("count", -1, 0, {}),
+        ("min_players", 1, 2, {}),
+        ("max_players", 1, 2, {}),
+        ("min_strategies", 0, 1, {}),
+        ("max_strategies", 0, 1, {"min_strategies": 1}),
+        # random_game would clamp the minimum and draw 3x3x3 games
+        ("max_strategies", 3, 5, {"min_strategies": 5}),
+        ("payoff_bound", -1, 0, {}),
+        ("max_states", 0, 1, {}),
     ):
-        with pytest.raises(ValueError, match=f"{option} must be at least {smallest}"):
-            CheckConfig(**{option: value})
+        with pytest.raises(ValueError, match=f"{option} must be at least {smallest}, got {value}"):
+            CheckConfig(**others, **{option: value})
 
 
 def test_worker_pool_is_capped_at_the_number_of_checks(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +30,9 @@ from epigame.games import (
     load_game_file,
     point_mass,
 )
-from epigame.lp import Infeasible, LinearProgram, Optimal, solve
-from epigame.optimality import builtin
+from epigame.lp import LinearProgram, Optimal, solve
+from epigame.operators import iterate_to_outcome
+from epigame.optimality import builtin, profile_named
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -390,18 +392,58 @@ def test_pearce_rechecks_its_mixture_on_the_kernel_rows(monkeypatch, ray, messag
     full = TBT.full_restriction()
     B = TBT.index(0, "B")
     assert mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B) is not None
-    # the ray's first entries weigh the support without B, in index order
-    _tampered(monkeypatch, lambda res: Infeasible(list(map(Fraction, ray)) + res.ray[2:]))
+    # the ray is the value-0 optimum's dual on the gap rows, which weighs the
+    # support without B in index order and proves that no belief exists
+    _tampered(monkeypatch, lambda res: Optimal(
+        res.value, res.point, tuple(map(Fraction, ray)) + res.dual[2:]))
     with pytest.raises(AssertionError, match=message):
         mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B)
+
+
+def _feasibility_pearce_lp(gaps, m, weak):
+    """The reference for _pearce: Pearce's LP in its feasibility form, with
+    one gap row (dominated's payoffs minus a rival's) . p >= 0 per rival
+    and sum p = 1, so it needs phase 1. weak writes p = q + t and maximises
+    t. No mixture dominates exactly when it has an optimum (weak: t > 0);
+    Infeasible means dominated. m is the number of contexts."""
+    lp = LinearProgram(m + weak, [0] * m + [1] * weak)
+    for gap in gaps:
+        lp.add(list(gap) + [sum(gap)] * weak, ">=", 0)
+    lp.add([1] * m + [m] * weak, "=", 1)
+    return lp
+
+
+def test_the_one_phase_pearce_lp_decides_as_the_feasibility_lp(monkeypatch):
+    """On 300 seeded row sets, with the context counts of 2-3 player games,
+    _pearce finds a mixture exactly when the feasibility LP is infeasible
+    (weak: has no optimum with t > 0), and every LP it solves is Optimal."""
+    submitted = _recorded_lps(monkeypatch)
+    rng = random.Random(26)
+    eliminated = 0
+    for _ in range(300):
+        m = math.prod(rng.randint(1, 4) for _ in range(rng.randint(1, 2)))
+        rows = [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(2, 6))]
+        dominated = rng.randrange(len(rows))
+        support = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
+        gaps = [list(map(operator.sub, rows[dominated], rows[r]))
+                for r in support if r != dominated]
+        for weak in (False, True):
+            found = dominance._pearce(rows, support, dominated, weak)
+            reference = solve(_feasibility_pearce_lp(gaps, m, weak))
+            kept = isinstance(reference, Optimal) and (reference.value > 0 or not weak)
+            assert (found is None) == kept
+            eliminated += found is not None
+    assert len(submitted) == 600 and 100 < eliminated < 500
+    assert all(isinstance(res, Optimal) for _, res in submitted)
 
 
 def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
     """Pearce's lemma as code: brc_l and msd_l at the same (G, i, s) solve one
     LP each, with equal rows; its point proves survival (s in the weakly
-    dominated best response game) and its ray proves elimination (B in
-    threebytwo). mwd_l, where it needs an LP, solves the same one with one
-    more column t, the weight every context keeps. In the last two games
+    dominated best response game) and its dual at value 0 proves
+    elimination (B in threebytwo). mwd_l, where it needs an LP, solves the
+    same rows with one more column t, the weight every context keeps, and
+    maximises t in place of the total weight. In the last two games
     msd keeps s; mwd keeps it where the uniform belief supports it and
     eliminates it where only beliefs without R do."""
     submitted = _recorded_lps(monkeypatch)
@@ -424,13 +466,15 @@ def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
         assert brc_lp.rows == msd_lp.rows and brc_lp.objective == msd_lp.objective
         assert mwd_answer == survives_weak
         assert len(mwd_lps) == mwd_lp_count
+        m = msd_lp.num_vars
+        assert msd_lp.objective == [1] * m
+        assert msd_lp.rows[-1] == ([1] * m, "<=", 1)
+        assert all(rel == "<=" and rhs == 0 for _, rel, rhs in msd_lp.rows[:-1])
         if mwd_lps:
-            m = msd_lp.num_vars
             assert mwd_lps[0].objective == [0] * m + [1]
             assert mwd_lps[0].rows == [
-                (coeffs + [sum(coeffs) if rel == ">=" else m], rel, rhs)
-                for coeffs, rel, rhs in msd_lp.rows
-            ]
+                (coeffs + [sum(coeffs)], rel, rhs) for coeffs, rel, rhs in msd_lp.rows[:-1]
+            ] + [([1] * m + [m], "<=", 1)]
 
 
 def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
@@ -473,9 +517,9 @@ def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
 
 def _pearce_elimination_cases():
     """(game, strategy, the builtins that eliminate it) past the pure
-    prefilter: B in threebytwo by _pearce's LP ray, s under WEAKLY_DOMINATED
-    by the weak LP's dual at t = 0, and C in pd by the scan that finds its
-    pure dominator D."""
+    prefilter: B in threebytwo by the dual of _pearce's LP at value 0, s
+    under WEAKLY_DOMINATED by the weak LP's dual at t = 0, and C in pd by
+    the scan that finds its pure dominator D."""
     return [(TBT, TBT.index(0, "B"), ("msd_l", "mwd_l", "brc_l")),
             (_row_game(WEAKLY_DOMINATED), 0, ("mwd_l",)),
             (PD, 0, ("msd_l", "mwd_l", "brc_l"))]
@@ -505,9 +549,40 @@ def test_set_wise_decisions_build_no_mixed_strategy(monkeypatch):
             else:
                 assert dominance.undominated(rows, support, (s,), name == "mwd_l",
                                              mixed=True) == []
-    assert any(isinstance(res, Infeasible) for _, res in submitted)
-    assert any(isinstance(res, Optimal) and res.value == 0 for _, res in submitted)
+    assert submitted and all(isinstance(res, Optimal) and res.value == 0
+                             for _, res in submitted)
     assert built == []
+
+
+def test_mixed_solves_of_the_bundled_games_build_no_fraction(monkeypatch):
+    # _pearce reads the optimum's int numerators, so msd, mwd and correlated
+    # best response solves run in ints from the payoff rows to the re-checks
+    games = {path.name: load_game_file(path) for path in DATA.glob("*.game")}
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    post_init = MixedStrategy.__post_init__
+
+    def counted_mixture(self):
+        built.append(self)
+        post_init(self)
+
+    submitted = _recorded_lps(monkeypatch)
+    monkeypatch.setattr(MixedStrategy, "__post_init__", counted_mixture)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    outcomes = {(path, name): iterate_to_outcome(profile_named(game, name, None, None)).outcome
+                for path, game in games.items() for name in ("msd_l", "mwd_l", "brc_l")}
+    monkeypatch.undo()
+    assert built == []
+    assert submitted and all(isinstance(res, Optimal) for _, res in submitted)
+    # B in threebytwo goes by a mixture, the dual of a value-0 optimum
+    tbt = games["threebytwo.game"]
+    for name in ("msd_l", "mwd_l", "brc_l"):
+        assert {tbt.name(0, s) for s in outcomes["threebytwo.game", name].sets[0]} == {"T", "M"}
 
 
 def test_mixed_dominance_searches_return_a_fraction_mixture():

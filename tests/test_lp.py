@@ -401,8 +401,8 @@ def test_certificate_needs_a_nonnegative_dual_on_inequality_rows():
 
 def test_an_integer_program_builds_only_the_fractions_it_returns(monkeypatch):
     # every row and the objective are ints: the simplex, its read-out and
-    # the certificate stay in ints, and only the value, the two coordinates
-    # and the two duals become Fractions
+    # the certificate stay in ints, no Fraction is built until a field is
+    # read, and then only the value, the two coordinates and the two duals
     lp = _two_row_lp()
     assert all(type(v) is int for coeffs, _, rhs in lp.rows for v in (*coeffs, rhs))
     built = []
@@ -414,7 +414,45 @@ def test_an_integer_program_builds_only_the_fractions_it_returns(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     res = solve(lp)
+    assert built == []
+    assert res.ints == (14, [8, 6], 5, [2, 1], 5)
+    assert built == []
+    fields = res.value, res.point, res.dual
     monkeypatch.undo()
     assert len(built) == 1 + 2 + 2
+    assert fields == (Fraction(14, 5), (Fraction(8, 5), Fraction(6, 5)),
+                      (Fraction(2, 5), Fraction(1, 5)))
     assert res == Optimal(Fraction(14, 5), (Fraction(8, 5), Fraction(6, 5)))
-    assert res.dual == (Fraction(2, 5), Fraction(1, 5))
+
+
+def test_an_optimum_built_from_fractions_hands_out_its_numerators():
+    res = Optimal(Fraction(1, 2), (Fraction(1, 3), 0), (Fraction(3, 4), 1))
+    assert res.ints == (3, [2, 0], 6, [3, 4], 4)
+    assert res == Optimal(Fraction(1, 2), (Fraction(1, 3), 0)) != Optimal(0, (0, 0))
+    assert hash(res) == hash(Optimal(Fraction(1, 2), (Fraction(1, 3), Fraction(0))))
+    with pytest.raises(AttributeError):
+        res.value = 0
+
+
+def test_rows_of_slack_form_need_no_artificial_column(monkeypatch):
+    # '<=' rows with rhs >= 0 start from the slack basis: the tableau keeps
+    # only the nonbasic columns, here the two structural ones, then the rhs
+    # and the scale; no artificial column and no phase 1 is ever priced
+    calls = []
+    eliminate = lp_module._eliminate
+
+    def recorded(row, prow, j):
+        calls.append((len(row), len(prow)))
+        return eliminate(row, prow, j)
+
+    monkeypatch.setattr(lp_module, "_eliminate", recorded)
+    lp = _two_row_lp()
+    assert solve(lp) == Optimal(Fraction(14, 5), (Fraction(8, 5), Fraction(6, 5)))
+    assert calls and set(calls) == {(2 + 2, 2 + 2)}
+    # x + y >= 1 is a '<=' row with rhs -1 in standard form: it gets an
+    # artificial, and phase 1 prices it in the full width of 2 structural, 3
+    # slack and 1 artificial columns, then the rhs and the scale
+    del calls[:]
+    lp.add([1, 1], ">=", 1)
+    assert solve(lp) == Optimal(Fraction(14, 5), (Fraction(8, 5), Fraction(6, 5)))
+    assert (2 + 3 + 1 + 2, 2 + 3 + 1 + 2) in calls
