@@ -74,11 +74,12 @@ def _strategy_name(k):
 
 
 def random_game(rng, cfg, n=None, lp_heavy=False):
-    """A random game within the size bounds; lp_heavy shrinks the strategy
-    sets so that checks running many small linear programs stay fast."""
+    """A random game within the size bounds; lp_heavy caps the strategy sets
+    further, at 3 strategies for two players and 2 otherwise, so that checks
+    running many small linear programs stay fast."""
     if n is None:
         n = rng.randint(cfg.min_players, cfg.max_players)
-    cap = (3 if n == 2 else 2) if lp_heavy else cfg.max_strategies
+    cap = min(cfg.max_strategies, 3 if n == 2 else 2) if lp_heavy else cfg.max_strategies
     lo = min(cfg.min_strategies, cap)
     for _ in range(200):
         sizes = [rng.randint(lo, cap) for _ in range(n)]

@@ -212,6 +212,9 @@ def _announce_game(args):
 
 
 def _announce_model(args):
+    if args.events is not None and (args.property is not None or args.rationality):
+        raise ValueError("--events announces one event; --property and --rationality "
+                         "apply to iterated announcements")
     loaded = epistemic.load_model_file(args.path)
     model = loaded.model
     if args.events is None:
@@ -276,6 +279,8 @@ def _cmd_announce(args):
 
 
 def _cmd_eval(args):
+    if args.belief_class is not None and args.property is None:
+        raise ValueError("--belief-class applies to --property")
     loaded = epistemic.load_model_file(args.model)
     model = loaded.model
     formula = logic.parse_lnu(args.formula)

@@ -173,8 +173,10 @@ def _pearce(rows, support, dominated, weak=False):
     Pearce's lemma. It weighs the contexts with p >= 0 under one gap row per
     other strategy r in support, (row_r - dominated's row) . p <= 0, and
     sum p <= 1, and maximises sum p; with weak set, p = q + t with q >= 0,
-    the last row is sum q + m t <= 1 and the LP maximises t. The origin is
-    feasible and the rows bound the rest, so the LP has a certified Optimal.
+    the last row is sum q + m t <= 1 and the LP maximises t. Its rows are
+    '<=' rows with rhs 0 or 1, the slack form lp.solve takes: the simplex
+    starts at the origin, and the last row bounds every variable, so the
+    answer is a certified Optimal, never UNBOUNDED.
     A value above 0 means the point is a belief (weak: one with full support)
     against which dominated does at least as well as every other strategy in
     support, and by Pearce's lemma no mixture dominates. At value 0 the dual
@@ -196,8 +198,8 @@ def _pearce(rows, support, dominated, weak=False):
         gap = list(map(sub, rows[r], mine))
         if weak:
             gap.append(sum(gap))
-        lp.add(gap, "<=", 0)
-    lp.add([1] * m + [m] * weak, "<=", 1)
+        lp.add(gap, 0)
+    lp.add([1] * m + [m] * weak, 1)
     res = solve(lp)
     if not isinstance(res, Optimal):
         raise AssertionError("Pearce LP has no optimum")

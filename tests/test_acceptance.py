@@ -195,17 +195,18 @@ def test_criterion_06_justification_chain(capsys):
 
 
 def _margin_lp_undominated(game, G, i, s):
-    """msd_l decided by an LP of its own: maximize eps subject to a mixture
-    over G_i beating s by eps in every context of G; s survives when the
-    optimum is at most 0. The free eps is written as eps+ - eps-. Without
-    contexts eps is unbounded: every mixture dominates vacuously."""
+    """msd_l decided by an LP of its own on the mixture side: maximize eps
+    over weights w >= 0 on G_i with sum w <= 1 and eps - sum_d w_d (u(d, c)
+    - u(s, c)) <= 0 in every context c of G; s survives when the optimum is
+    at most 0. Without contexts eps is unbounded: every mixture dominates
+    vacuously."""
     support = sorted(G.sets[i])
     k = len(support)
-    lp = LinearProgram(k + 2, [0] * k + [1, -1])
+    lp = LinearProgram(k + 1, [0] * k + [1])
     for ctx in G.opponent_profiles(i):
-        lp.add([game.payoff(i, full_profile(i, d, ctx)) for d in support] + [-1, 1],
-               ">=", game.payoff(i, full_profile(i, s, ctx)))
-    lp.add([1] * k + [0, 0], "=", 1)
+        mine = game.payoff(i, full_profile(i, s, ctx))
+        lp.add([mine - game.payoff(i, full_profile(i, d, ctx)) for d in support] + [1], 0)
+    lp.add([1] * k + [0], 1)
     res = solve(lp)
     return isinstance(res, Optimal) and res.value <= 0
 

@@ -206,6 +206,12 @@ def test_lp_heavy_games_stay_small():
         assert max(game.strategy_count(i) for i in range(2)) <= 3
         game = random_game(rng, cfg, n=3, lp_heavy=True)
         assert max(game.strategy_count(i) for i in range(3)) <= 2
+    # the cap bounds max_strategies, it does not replace it
+    cfg = CheckConfig(count=0, min_strategies=1, max_strategies=1)
+    for n in (2, 3):
+        for _ in range(50):
+            game = random_game(rng, cfg, n=n, lp_heavy=True)
+            assert [game.strategy_count(i) for i in range(n)] == [1] * n
 
 
 def test_random_positive_bodies_are_positive():

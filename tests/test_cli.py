@@ -337,6 +337,16 @@ def test_announce_events_on_game_rejected(capsys):
     assert "model files" in err
 
 
+@pytest.mark.parametrize("extra", [("--property", "sd_l"), ("--rationality",),
+                                   ("--property", "sd_l", "--rationality")])
+def test_announce_events_refuse_the_iteration_options(capsys, extra):
+    # --events announces one event, which no property or rationality shapes
+    code, out, err = run(capsys, "announce", FIG2, "--events", "w_ul|w_dr", *extra)
+    assert (code, out) == (2, "")
+    assert err == ("error: --events announces one event; --property and --rationality "
+                   "apply to iterated announcements\n")
+
+
 # ---------- eval ----------
 
 
@@ -344,6 +354,15 @@ def test_eval_requires_property_for_rat(capsys):
     code, _, err = run(capsys, "eval", FIG2, "--formula", "rat")
     assert code == 2
     assert "supply --property" in err
+
+
+def test_eval_refuses_a_belief_class_without_a_property(capsys):
+    # the belief class picks the beliefs of the best response properties
+    code, out, err = run(capsys, "eval", FIG2, "--formula", "nu x. x", "--belief-class", "mixed")
+    assert (code, out, err) == (2, "", "error: --belief-class applies to --property\n")
+    code, out, _ = run(capsys, "eval", FIG2, "--formula", "nu x. O x", "--property", "br_l",
+                       "--belief-class", "correlated")
+    assert (code, out) == (0, "holds at: w_ul w_dr\nvalid: yes\n")
 
 
 def test_eval_free_variable_rejected(capsys):

@@ -213,38 +213,49 @@ def _payoffs(game, i, s, contexts):
     return [game.payoff(i, full_profile(i, s, ctx)) for ctx in contexts]
 
 
-def _lp_mixed_dominance(game, i, support, s, contexts, strict):
-    """Decide mixed strict or weak dominance of s over support with one LP."""
-    k, m = len(support), len(contexts)
-    columns = [_payoffs(game, i, d, contexts) for d in support]
-    target = _payoffs(game, i, s, contexts)
+def _mixture_dominates(columns, target, strict):
+    """Decide mixed strict or weak dominance of the payoffs target (one entry
+    per context) by a mixture of the rows columns, with one LP on the mixture
+    side: weights w >= 0 with sum w <= 1, and gain_d(c) = columns[d][c] -
+    target[c]. target is dominated when the optimum is above 0."""
+    k, m = len(columns), len(target)
+    losses = [list(map(operator.sub, target, column)) for column in columns]
     if strict:
-        # maximize eps: sum_d w_d u(d, c) - eps >= u(s, c) for every context c,
-        # with the free eps written as eps+ - eps-
-        lp = LinearProgram(k + 2, [0] * k + [1, -1])
+        # maximize eps: eps - sum_d w_d gain_d(c) <= 0 for every context c
+        lp = LinearProgram(k + 1, [0] * k + [1])
         for c in range(m):
-            lp.add([col[c] for col in columns] + [-1, 1], ">=", target[c])
-        lp.add([1] * k + [0, 0], "=", 1)
+            lp.add([loss[c] for loss in losses] + [1], 0)
+        lp.add([1] * k + [0], 1)
     else:
-        # maximize the total gap: sum_d w_d u(d, c) - gap_c = u(s, c), gap_c >= 0
+        # maximize sum_c g_c: g_c - sum_d w_d gain_d(c) <= 0 and the mixture
+        # loses nowhere, sum_d w_d (target[c] - columns[d][c]) <= 0
         lp = LinearProgram(k + m, [0] * k + [1] * m)
         for c in range(m):
-            lp.add([col[c] for col in columns] + [-int(c2 == c) for c2 in range(m)],
-                   "=", target[c])
-        lp.add([1] * k + [0] * m, "=", 1)
+            lp.add([loss[c] for loss in losses] + [int(c2 == c) for c2 in range(m)], 0)
+            lp.add([loss[c] for loss in losses] + [0] * m, 0)
+        lp.add([1] * k + [0] * m, 1)
     res = solve(lp)
     return isinstance(res, Optimal) and res.value > 0
 
 
+def _lp_mixed_dominance(game, i, support, s, contexts, strict):
+    """Decide mixed strict or weak dominance of s over support with one LP."""
+    return _mixture_dominates([_payoffs(game, i, d, contexts) for d in support],
+                              _payoffs(game, i, s, contexts), strict)
+
+
 def _lp_correlated_best_response(game, i, s, rivals, contexts):
-    """Is there a distribution over contexts against which s is a best response?"""
-    lp = LinearProgram(len(contexts), [0] * len(contexts))
+    """Is there a distribution over contexts against which s is a best
+    response? Maximize sum p over p >= 0 with sum_c p_c (u(r, c) - u(s, c))
+    <= 0 for every rival r and sum p <= 1: yes when the optimum is above 0."""
+    m = len(contexts)
+    lp = LinearProgram(m, [1] * m)
     mine = _payoffs(game, i, s, contexts)
     for r in rivals:
-        theirs = _payoffs(game, i, r, contexts)
-        lp.add([a - b for a, b in zip(mine, theirs)], ">=", 0)
-    lp.add([1] * len(contexts), "=", 1)
-    return isinstance(solve(lp), Optimal)
+        lp.add([b - a for a, b in zip(mine, _payoffs(game, i, r, contexts))], 0)
+    lp.add([1] * m, 1)
+    res = solve(lp)
+    return isinstance(res, Optimal) and res.value > 0
 
 
 def _row_game(rows):
@@ -400,23 +411,12 @@ def test_pearce_rechecks_its_mixture_on_the_kernel_rows(monkeypatch, ray, messag
         mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B)
 
 
-def _feasibility_pearce_lp(gaps, m, weak):
-    """The reference for _pearce: Pearce's LP in its feasibility form, with
-    one gap row (dominated's payoffs minus a rival's) . p >= 0 per rival
-    and sum p = 1, so it needs phase 1. weak writes p = q + t and maximises
-    t. No mixture dominates exactly when it has an optimum (weak: t > 0);
-    Infeasible means dominated. m is the number of contexts."""
-    lp = LinearProgram(m + weak, [0] * m + [1] * weak)
-    for gap in gaps:
-        lp.add(list(gap) + [sum(gap)] * weak, ">=", 0)
-    lp.add([1] * m + [m] * weak, "=", 1)
-    return lp
-
-
-def test_the_one_phase_pearce_lp_decides_as_the_feasibility_lp(monkeypatch):
-    """On 300 seeded row sets, with the context counts of 2-3 player games,
-    _pearce finds a mixture exactly when the feasibility LP is infeasible
-    (weak: has no optimum with t > 0), and every LP it solves is Optimal."""
+def test_the_one_phase_pearce_lp_decides_as_the_mixture_lp(monkeypatch):
+    """Pearce's lemma across LP duality: on 300 seeded row sets, with the
+    context counts of 2-3 player games, _pearce (its LP weighs the contexts)
+    finds a mixture exactly when the mixture-side LP of _mixture_dominates
+    (which weighs the rows) has an optimum above 0, and every LP _pearce
+    solves is Optimal."""
     submitted = _recorded_lps(monkeypatch)
     rng = random.Random(26)
     eliminated = 0
@@ -425,13 +425,11 @@ def test_the_one_phase_pearce_lp_decides_as_the_feasibility_lp(monkeypatch):
         rows = [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(2, 6))]
         dominated = rng.randrange(len(rows))
         support = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
-        gaps = [list(map(operator.sub, rows[dominated], rows[r]))
-                for r in support if r != dominated]
         for weak in (False, True):
             found = dominance._pearce(rows, support, dominated, weak)
-            reference = solve(_feasibility_pearce_lp(gaps, m, weak))
-            kept = isinstance(reference, Optimal) and (reference.value > 0 or not weak)
-            assert (found is None) == kept
+            reference = _mixture_dominates([rows[d] for d in support], rows[dominated],
+                                           strict=not weak)
+            assert (found is not None) == reference
             eliminated += found is not None
     assert len(submitted) == 600 and 100 < eliminated < 500
     assert all(isinstance(res, Optimal) for _, res in submitted)
@@ -468,13 +466,13 @@ def test_brc_and_msd_submit_the_same_pearce_lp(monkeypatch):
         assert len(mwd_lps) == mwd_lp_count
         m = msd_lp.num_vars
         assert msd_lp.objective == [1] * m
-        assert msd_lp.rows[-1] == ([1] * m, "<=", 1)
-        assert all(rel == "<=" and rhs == 0 for _, rel, rhs in msd_lp.rows[:-1])
+        assert msd_lp.rows[-1] == ([1] * m, 1)
+        assert all(rhs == 0 for _, rhs in msd_lp.rows[:-1])
         if mwd_lps:
             assert mwd_lps[0].objective == [0] * m + [1]
             assert mwd_lps[0].rows == [
-                (coeffs + [sum(coeffs)], rel, rhs) for coeffs, rel, rhs in msd_lp.rows[:-1]
-            ] + [([1] * m + [m], "<=", 1)]
+                (coeffs + [sum(coeffs)], rhs) for coeffs, rhs in msd_lp.rows[:-1]
+            ] + [([1] * m + [m], 1)]
 
 
 def test_each_decision_runs_the_pure_prefilter_once(monkeypatch):
