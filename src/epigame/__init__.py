@@ -1,39 +1,53 @@
 """Iterated elimination of non-optimal strategies in finite games, with the
-epistemic models, fixpoint logic and public announcements that justify it."""
+epistemic models, fixpoint logic and public announcements that justify it.
 
-from .announcements import (
-    effect,
-    is_proper,
-    iterate_optimality_announcements,
-    iterate_rationality_announcements,
-)
-from .checks import CheckConfig, CheckResult, run_check, run_suite
-from .epistemic import (
-    EpistemicModel,
-    common_box,
-    load_model_file,
-    standard_model,
-)
-from .games import (
-    Game,
-    GameFormatError,
-    MixedStrategy,
-    Restriction,
-    load_game,
-    load_game_file,
-)
-from .logic import (
-    check_derivation,
-    compile_lo_to_property,
-    eval_lnu,
-    eval_lo,
-    lnu_denotation,
-    parse_derivation,
-    parse_lnu,
-    parse_lo,
-)
-from .operators import apply_T, iterate_to_outcome
-from .optimality import BUILTIN_NAMES, OptimalityProperty, builtin, profile_named
+Importing the package loads none of its modules: each exported name, and each
+module, is imported on first access (PEP 562), so a command that needs only
+the solver never compiles the logic, the epistemic models or the checks.
+"""
+
+import importlib
+
+# exported name -> the module that defines it
+_MODULE_OF = {
+    "BUILTIN_NAMES": "optimality",
+    "CheckConfig": "checks",
+    "CheckResult": "checks",
+    "EpistemicModel": "epistemic",
+    "Game": "games",
+    "GameFormatError": "games",
+    "MixedStrategy": "games",
+    "OptimalityProperty": "optimality",
+    "Restriction": "games",
+    "apply_T": "operators",
+    "builtin": "optimality",
+    "check_derivation": "logic",
+    "common_box": "epistemic",
+    "compile_lo_to_property": "logic",
+    "effect": "announcements",
+    "eval_lnu": "logic",
+    "eval_lo": "logic",
+    "is_proper": "announcements",
+    "iterate_optimality_announcements": "announcements",
+    "iterate_rationality_announcements": "announcements",
+    "iterate_to_outcome": "operators",
+    "lnu_denotation": "logic",
+    "load_game": "games",
+    "load_game_file": "games",
+    "load_model_file": "epistemic",
+    "parse_derivation": "logic",
+    "parse_lnu": "logic",
+    "parse_lo": "logic",
+    "profile_named": "optimality",
+    "run_check": "checks",
+    "run_suite": "checks",
+    "standard_model": "epistemic",
+}
+
+_MODULES = frozenset((
+    "announcements", "checks", "cli", "dominance", "epistemic", "games", "logic", "lp",
+    "operators", "optimality",
+))
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -69,3 +83,15 @@ __all__ = [
     "run_suite",
     "standard_model",
 ]
+
+
+def __getattr__(name):
+    if name in _MODULES:  # importing a module binds it here, so this runs once
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 import warnings
 
-from . import announcements, checks, epistemic, games, logic, operators, optimality
+# Users run one command per process, so each handler imports the modules it
+# runs and no command compiles the others; main needs games for its errors.
+from . import games
 
 
 @functools.cache  # parse_args keeps no state between calls
@@ -101,6 +102,8 @@ def _build_parser():
 
 def _emit(args, payload, text_lines):
     if args.format == "json-lines":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -112,6 +115,8 @@ def _write_model(out_path, model, game_path, base_dir, level):
     out_path's directory. Commands call it before they print, so a failed
     write leaves no answer on stdout, and the text is made before the file
     is opened, so a game path the format cannot hold leaves no file."""
+    from . import epistemic
+
     ref = os.path.relpath(os.path.join(base_dir, game_path),
                           os.path.dirname(os.path.abspath(out_path)))
     text = epistemic.model_to_text(model, ref, level)
@@ -123,11 +128,17 @@ def _write_model(out_path, model, game_path, base_dir, level):
 
 
 def _cmd_solve(args):
+    from . import operators, optimality
+
     game = games.load_game_file(args.game)
     profile = optimality.profile_named(
         game, args.property, args.belief_class, args.grid_denominator
     )
-    if args.belief_class == "mixed" and game.n >= 3:
+    grid = args.belief_class == "mixed" and game.n >= 3  # two players decide exactly
+    if args.grid_denominator is not None and not grid:
+        raise ValueError("--grid-denominator applies to --belief-class mixed "
+                         "with 3 or more players")
+    if grid:
         print("warning: with 3 or more players, --belief-class mixed eliminations "
               "come from a grid search and are not proven", file=sys.stderr)
     trace = operators.iterate_to_outcome(profile)
@@ -182,6 +193,8 @@ def _parse_events(model, text):
 
 
 def _announce_game(args):
+    from . import announcements, epistemic, optimality
+
     game = games.load_game_file(args.path)
     if args.events is not None:
         raise ValueError("--events applies to model files; game files iterate")
@@ -212,6 +225,8 @@ def _announce_game(args):
 
 
 def _announce_model(args):
+    from . import announcements, epistemic, optimality
+
     if args.events is not None and (args.property is not None or args.rationality):
         raise ValueError("--events announces one event; --property and --rationality "
                          "apply to iterated announcements")
@@ -279,6 +294,8 @@ def _cmd_announce(args):
 
 
 def _cmd_eval(args):
+    from . import epistemic, logic, optimality
+
     if args.belief_class is not None and args.property is None:
         raise ValueError("--belief-class applies to --property")
     loaded = epistemic.load_model_file(args.model)
@@ -304,6 +321,10 @@ def _cmd_eval(args):
 
 
 def _cmd_check(args):
+    import json
+
+    from . import checks
+
     properties = None
     if args.property is not None:
         properties = tuple(nm.strip() for nm in args.property.split(","))
@@ -349,6 +370,8 @@ def _cmd_check(args):
 
 
 def _cmd_derive(args):
+    from . import logic
+
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     steps = logic.parse_derivation(text)

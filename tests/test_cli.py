@@ -27,6 +27,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fresh_python(*args):
+    """Run python with src/ first on the import path, in a new interpreter."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 # ---------- solve ----------
 
 
@@ -65,12 +73,7 @@ def test_second_call_reads_only_its_own_options(capsys):
     assert code == 0
     code, second, _ = run(capsys, "solve", TBT)
     assert code == 0
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    fresh = subprocess.run(
-        [sys.executable, "-m", "epigame", "solve", TBT],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    fresh = _fresh_python("-m", "epigame", "solve", TBT)
     assert fresh.returncode == 0, f"stderr:\n{fresh.stderr}"
     assert second == fresh.stdout != first
 
@@ -160,6 +163,19 @@ def test_solve_rejects_a_grid_denominator_below_one_for_every_property(capsys, p
     assert code == 2
     assert out == ""
     assert err == "error: grid denominator must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--property", "sd_l", "--grid-denominator", "3"],
+    ["--property", "br_l", "--belief-class", "correlated", "--grid-denominator", "3"],
+    # two players: a mixed belief is decided exactly, with no grid
+    ["--property", "br_l", "--belief-class", "mixed", "--grid-denominator", "2"],
+])
+def test_solve_refuses_a_grid_denominator_nothing_reads(capsys, argv):
+    code, out, err = run(capsys, "solve", PD, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: --grid-denominator applies to --belief-class mixed "
+                   "with 3 or more players\n")
 
 
 # ---------- announce ----------
@@ -659,12 +675,68 @@ def test_console_script_installed(tmp_path):
 
 
 def test_python_m_epigame_runs_the_command_line():
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "epigame", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _fresh_python("-m", "epigame", "--help")
     assert proc.returncode == 0, f"stderr:\n{proc.stderr}"
     for command in ("solve", "announce", "eval", "check", "derive"):
         assert command in proc.stdout
+
+
+# ---------- start-up ----------
+# The suite has imported every module before these run, so only a new
+# interpreter shows what a command loads and whether a handler forgot one.
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "epigame").glob("*.py")
+                 if not p.stem.startswith("__"))
+
+_STARTUP = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("epigame."))
+import epigame
+report = {"after_import": loaded()}
+import epigame.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    report["solve_code"] = epigame.cli.main(["solve", %r])
+report["after_solve"] = loaded()
+report["unresolved"] = [n for n in epigame.__all__ + %r if not hasattr(epigame, n)]
+try:
+    epigame.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+report["dir_misses"] = sorted(set(epigame.__all__) - set(dir(epigame)))
+print(json.dumps(report))
+"""
+
+
+def test_import_loads_no_module_and_solve_loads_only_the_solver():
+    proc = _fresh_python("-c", _STARTUP % (PD, MODULES))
+    assert proc.returncode == 0, f"stderr:\n{proc.stderr}"
+    report = json.loads(proc.stdout)
+    assert report["after_import"] == []
+    assert report["solve_code"] == 0
+    assert report["after_solve"] == [
+        "epigame.cli", "epigame.dominance", "epigame.games", "epigame.lp",
+        "epigame.operators", "epigame.optimality",
+    ]
+    assert report["unresolved"] == []
+    assert report["unknown"] == "module 'epigame' has no attribute 'no_such_name'"
+    assert report["dir_misses"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", PD],
+    ["--format", "json-lines", "solve", TBT, "--property", "msd_l"],
+    ["announce", PD, "--rationality", "--emit-model", "{out}"],
+    ["announce", FIG2, "--events", "w_ul|w_dr", "--emit-model", "{out}"],
+    ["eval", FIG2, "--formula", "rat & CB(rat)", "--property", "sd_l"],
+    ["check", "derivation_valid", "--random", "1"],
+    ["derive", DERIV],
+])
+def test_each_command_runs_alone_in_a_new_interpreter(tmp_path, capsys, argv):
+    """Same stdout, exit code and emitted model as in-process, where every
+    module is already loaded."""
+    fresh, in_process = tmp_path / "fresh.emodel", tmp_path / "in_process.emodel"
+    proc = _fresh_python("-m", "epigame", *(arg.format(out=fresh) for arg in argv))
+    code, out, _ = run(capsys, *(arg.format(out=in_process) for arg in argv))
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if "{out}" in argv:
+        assert fresh.read_text(encoding="utf-8") == in_process.read_text(encoding="utf-8")
