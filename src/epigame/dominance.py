@@ -182,8 +182,9 @@ def _pearce(rows, support, dominated, weak=False):
     support, and by Pearce's lemma no mixture dominates. At value 0 the dual
     on the gap rows is the dominating mixture: nonnegative, as these are
     '<=' rows, and covering every column with the last row's dual at 0.
-    Either answer is read from the optimum's int numerators and re-checked
-    in integers on the kernel rows before it is used: the belief scaled to
+    Either answer is read from the Optimal, whose fields are the int
+    numerators _certify checked and their denominators, and re-checked in
+    integers on the kernel rows before it is used: the belief scaled to
     int weights, the mixture to int weights U whose row sum_s U_s row_s must
     dominate (sum U) times dominated's row. Those U are the weights returned,
     so a caller that only asks whether a witness exists builds no Fraction
@@ -203,7 +204,7 @@ def _pearce(rows, support, dominated, weak=False):
     res = solve(lp)
     if not isinstance(res, Optimal):
         raise AssertionError("Pearce LP has no optimum")
-    value, point, total, dual, _ = res.ints
+    value, point, total, dual, _ = res
     if value:
         t = point[m] if weak else 0
         weights = [w + t for w in point[:m]]  # p = q + t, times total

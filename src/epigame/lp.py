@@ -1,8 +1,10 @@
 """Exact rational linear programming via a primal simplex on a condensed integer tableau.
 
 The one program solved is in slack form: maximize c . x subject to rows
-a . x <= b with b >= 0, and x >= 0. Int coefficients, objective entries and
-right-hand sides stay ints; every other value becomes a Fraction. The origin
+a . x <= b with b >= 0, and x >= 0. Coefficients, objective entries and
+right-hand sides are ints or Fractions. A float, a bool or any other value
+is refused: a float is the binary rational nearest its literal, so 0.1
+would be solved as 3602879701896397/36028797018963968. The origin
 is feasible, so the simplex starts from the slack basis, one slack per row,
 and needs no artificial column and no phase 1. Pearce's LPs in
 dominance._pearce are such programs: their rows have rhs 0 or 1.
@@ -36,9 +38,8 @@ numerators and the program's rows, so a program of ints is certified in
 integers: the point is checked against x >= 0, the rows (a . X <= b d) and
 the objective (primal feasibility), and the dual against the rows:
 nonnegative, u^T A >= c e on every column, and u^T b d equal to the
-claimed value times e (optimality, by weak duality). Optimal keeps those
-numerators as `ints` and builds its Fraction value, point and dual only
-when one of them is read.
+claimed value times e (optimality, by weak duality). Optimal is those
+numerators and their denominators d and e.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 # Consecutive degenerate pivots after which the entering column follows
 # Bland's rule, until the next nondegenerate pivot. Beale's cycle under the
@@ -53,69 +55,19 @@ from operator import mul
 DEGENERATE_RUN = 20
 
 
-class Optimal:
-    """A certified optimum: value, point, and dual, the dual on the rows of
-    the program, one entry per row. Equality compares value and point;
-    the dual takes no part in it.
-
-    ints is (value, point, d, dual, e), numerators over positive int
-    denominators: the value is value / d, the point point / d and the dual
-    dual / e. All are ints but the value of a program whose objective holds
-    a non-int. solve builds an Optimal from the numerators _certify checked,
-    and each Fraction field is built the first time it is read.
+class Optimal(NamedTuple):
+    """A certified optimum in int numerators over positive int denominators:
+    the value value / d at the point point / d, and the dual dual / e on the
+    rows of the program, one entry per row. point and dual are tuples of
+    ints; value is an int unless the objective holds a non-int. Equality is
+    tuple equality, numerators and denominators alike.
     """
 
-    __slots__ = ("_value", "_point", "_dual", "_ints")
-
-    def __init__(self, value, point, dual=()):
-        self._value, self._point, self._dual = value, point, dual
-        self._ints = None
-
-    @classmethod
-    def _scaled(cls, value, point, d, dual, e):
-        res = cls.__new__(cls)
-        res._value = res._point = res._dual = None
-        res._ints = (value, point, d, dual, e)
-        return res
-
-    @property
-    def value(self):
-        if self._value is None:
-            value, _, d, _, _ = self._ints
-            self._value = Fraction(value, d)
-        return self._value
-
-    @property
-    def point(self):
-        if self._point is None:
-            _, point, d, _, _ = self._ints
-            self._point = tuple(Fraction(x, d) for x in point)
-        return self._point
-
-    @property
-    def dual(self):
-        if self._dual is None:
-            *_, dual, e = self._ints
-            self._dual = tuple(Fraction(u, e) for u in dual)
-        return self._dual
-
-    @property
-    def ints(self):
-        if self._ints is None:
-            (value, *point), d = common_denominator([self._value, *self._point])
-            self._ints = (value, point, d, *common_denominator(list(self._dual)))
-        return self._ints
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.point) == (other.value, other.point)
-
-    def __hash__(self):
-        return hash((self.value, self.point))
-
-    def __repr__(self):
-        return f"Optimal(value={self.value!r}, point={self.point!r}, dual={self.dual!r})"
+    value: int | Fraction
+    point: tuple
+    d: int
+    dual: tuple
+    e: int
 
 
 class Unbounded:
@@ -126,22 +78,20 @@ class Unbounded:
 UNBOUNDED = Unbounded()
 
 
-def _exact(value):
-    """An int as it is; any other value as a Fraction."""
-    return value if type(value) is int else Fraction(value)
-
-
-def _exact_row(values):
-    """values as a list, with _exact mapped over it when it holds a non-int."""
+def _exact(values):
+    """values as a list of ints and Fractions; any other entry is refused."""
     row = list(values)
-    return row if {int}.issuperset(map(type, row)) else list(map(_exact, row))
+    if not {int, Fraction}.issuperset(map(type, row)):
+        bad = next(v for v in row if type(v) not in (int, Fraction))
+        raise TypeError(f"LP entries must be ints or Fractions, got {bad!r}")
+    return row
 
 
 class LinearProgram:
     """maximize objective . x subject to rows coeffs . x <= rhs, rhs >= 0, and x >= 0."""
 
     def __init__(self, num_vars, objective):
-        objective = _exact_row(objective)
+        objective = _exact(objective)
         if len(objective) != num_vars:
             raise ValueError("objective length does not match variable count")
         self.num_vars = num_vars
@@ -150,7 +100,7 @@ class LinearProgram:
 
     def add(self, coeffs, rhs):
         """Add the row coeffs . x <= rhs; a negative rhs is refused."""
-        coeffs, rhs = _exact_row(coeffs), _exact(rhs)
+        *coeffs, rhs = _exact([*coeffs, rhs])
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length does not match variable count")
         if rhs < 0:
@@ -163,18 +113,12 @@ def _coprime(row):
     return row if g <= 1 else [a // g for a in row]
 
 
-def common_denominator(values):
-    """(numerators, denominator): rationals as int numerators over the lcm of
-    their denominators. A list of ints comes back as it is, over 1."""
-    if {int}.issuperset(map(type, values)):
-        return values, 1
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _integer_row(values):
     """The positive integer multiple of a row of rationals whose entries are coprime."""
-    return _coprime(common_denominator(values)[0])
+    if not {int}.issuperset(map(type, values)):
+        scale = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    return _coprime(values)
 
 
 def _eliminate(row, prow, j):
@@ -194,7 +138,8 @@ def _eliminate(row, prow, j):
 
 
 def solve(program):
-    """Solve a slack-form program exactly. Returns Optimal(value, point, dual) or UNBOUNDED."""
+    """Solve a slack-form program exactly: a certified Optimal(value, point,
+    d, dual, e) of int numerators and their denominators, or UNBOUNDED."""
     rows, objective = program.rows, program.objective
     outcome = _simplex(rows, objective)
     if outcome is UNBOUNDED:
@@ -202,7 +147,7 @@ def solve(program):
     point, d, dual, e = outcome
     value = sum(map(mul, objective, point))
     _certify(rows, objective, point, d, value, dual, e)
-    return Optimal._scaled(value, point, d, dual, e)
+    return Optimal(value, point, d, dual, e)
 
 
 def _simplex(rows, objective):
@@ -269,7 +214,7 @@ def _simplex(rows, objective):
     for v, c in zip(nonbasic, z):
         if v >= ncols:
             dual[v - ncols] = -c
-    return point, d, dual, z[-1]
+    return tuple(point), d, tuple(dual), z[-1]
 
 
 def _certify(rows, objective, point, d, value, dual, e):

@@ -367,8 +367,9 @@ def test_mwd_survival_is_a_full_support_pearce_belief(monkeypatch):
     full = game.full_restriction()
     assert mixed_weakly_dominates_exists(game, full, 0, full.sets[0], 0) is None
     [(_, res)] = submitted
+    # the value is t, the last coordinate; both are numerators over res.d
     t = res.value
-    assert t == Fraction(1, 3)
+    assert Fraction(t, res.d) == Fraction(1, 3)
     assert all(q + t > 0 for q in res.point[:-1])
     assert not _lp_mixed_dominance(game, 0, [0, 1, 2], 0, list(full.opponent_profiles(0)),
                                    strict=False)
@@ -389,7 +390,10 @@ def test_pearce_rechecks_its_belief_on_the_kernel_rows(monkeypatch, point, messa
     game = _row_game({"s": (2, 2, -5), "r1": (3, 0, 0), "r2": (0, 3, 0)})
     full = game.full_restriction()
     assert mixed_strictly_dominates_exists(game, full, 0, full.sets[0], 0) is None
-    _tampered(monkeypatch, lambda res: Optimal(res.value, tuple(map(Fraction, point)), res.dual))
+    # the belief in int numerators over one d, with the value sum p its objective
+    d = math.lcm(*(x.denominator for x in point))
+    numerators = tuple(int(x * d) for x in point)
+    _tampered(monkeypatch, lambda res: res._replace(value=sum(numerators), point=numerators, d=d))
     with pytest.raises(AssertionError, match=message):
         mixed_strictly_dominates_exists(game, full, 0, full.sets[0], 0)
 
@@ -405,8 +409,7 @@ def test_pearce_rechecks_its_mixture_on_the_kernel_rows(monkeypatch, ray, messag
     assert mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B) is not None
     # the ray is the value-0 optimum's dual on the gap rows, which weighs the
     # support without B in index order and proves that no belief exists
-    _tampered(monkeypatch, lambda res: Optimal(
-        res.value, res.point, tuple(map(Fraction, ray)) + res.dual[2:]))
+    _tampered(monkeypatch, lambda res: res._replace(dual=(*ray, *res.dual[2:])))
     with pytest.raises(AssertionError, match=message):
         mixed_strictly_dominates_exists(TBT, full, 0, full.sets[0], B)
 
