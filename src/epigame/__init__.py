@@ -8,81 +8,24 @@ the solver never compiles the logic, the epistemic models or the checks.
 
 import importlib
 
-# exported name -> the module that defines it
-_MODULE_OF = {
-    "BUILTIN_NAMES": "optimality",
-    "CheckConfig": "checks",
-    "CheckResult": "checks",
-    "EpistemicModel": "epistemic",
-    "Game": "games",
-    "GameFormatError": "games",
-    "MixedStrategy": "games",
-    "OptimalityProperty": "optimality",
-    "Restriction": "games",
-    "apply_T": "operators",
-    "builtin": "optimality",
-    "check_derivation": "logic",
-    "common_box": "epistemic",
-    "compile_lo_to_property": "logic",
-    "effect": "announcements",
-    "eval_lnu": "logic",
-    "eval_lo": "logic",
-    "is_proper": "announcements",
-    "iterate_optimality_announcements": "announcements",
-    "iterate_rationality_announcements": "announcements",
-    "iterate_to_outcome": "operators",
-    "lnu_denotation": "logic",
-    "load_game": "games",
-    "load_game_file": "games",
-    "load_model_file": "epistemic",
-    "parse_derivation": "logic",
-    "parse_lnu": "logic",
-    "parse_lo": "logic",
-    "profile_named": "optimality",
-    "run_check": "checks",
-    "run_suite": "checks",
-    "standard_model": "epistemic",
+# module -> the names it exports
+_EXPORTS = {
+    "announcements": (
+        "effect", "is_proper", "iterate_optimality_announcements",
+        "iterate_rationality_announcements",
+    ),
+    "checks": ("CheckConfig", "CheckResult", "run_check", "run_suite"),
+    "epistemic": ("EpistemicModel", "common_box", "load_model_file", "standard_model"),
+    "games": ("Game", "GameFormatError", "MixedStrategy", "Restriction", "load_game",
+              "load_game_file"),
+    "logic": ("check_derivation", "compile_lo_to_property", "eval_lnu", "eval_lo",
+              "lnu_denotation", "parse_derivation", "parse_lnu", "parse_lo"),
+    "operators": ("apply_T", "iterate_to_outcome"),
+    "optimality": ("BUILTIN_NAMES", "OptimalityProperty", "builtin", "profile_named"),
 }
-
-_MODULES = frozenset((
-    "announcements", "checks", "cli", "dominance", "epistemic", "games", "logic", "lp",
-    "operators", "optimality",
-))
-
-__all__ = [
-    "BUILTIN_NAMES",
-    "CheckConfig",
-    "CheckResult",
-    "EpistemicModel",
-    "Game",
-    "GameFormatError",
-    "MixedStrategy",
-    "OptimalityProperty",
-    "Restriction",
-    "apply_T",
-    "builtin",
-    "check_derivation",
-    "common_box",
-    "compile_lo_to_property",
-    "effect",
-    "eval_lnu",
-    "eval_lo",
-    "is_proper",
-    "iterate_optimality_announcements",
-    "iterate_rationality_announcements",
-    "iterate_to_outcome",
-    "lnu_denotation",
-    "load_game",
-    "load_game_file",
-    "load_model_file",
-    "parse_derivation",
-    "parse_lnu",
-    "parse_lo",
-    "profile_named",
-    "run_check",
-    "run_suite",
-    "standard_model",
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = frozenset(_EXPORTS) | {"cli", "dominance", "lp"}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -234,7 +234,8 @@ def models_equal_via_profiles(a, b, check_correspondences=True):
         return False
     if set(pa) != set(pb):
         return False
-    to_b = {w: pb.index(pa[w]) for w in a.states()}
+    state_of_b = {profile: w for w, profile in enumerate(pb)}
+    to_b = [state_of_b[profile] for profile in pa]
     if check_correspondences:
         if (a.correspondences is None) != (b.correspondences is None):
             return False

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Optional
 
 from . import announcements, epistemic, games, logic, operators, optimality
-from .optimality import BUILTIN_NAMES, MONOTONE_BUILTINS
+from .optimality import BUILTIN_NAMES, MONOTONE_BUILTINS, profile_named
 
 LOCAL_BUILTINS = ("sd_l", "msd_l", "wd_l", "mwd_l", "br_l", "brc_l")
 GLOBAL_BUILTINS = ("sd_g", "msd_g", "wd_g", "mwd_g", "br_g")
@@ -98,29 +98,12 @@ def _lp_heavy(names):
     return any(nm.startswith(("msd", "mwd")) or nm == "brc_l" for nm in names)
 
 
-def _profile(game, names, belief_class=None):
-    if isinstance(names, str):
-        names = [names] * game.n
-    return tuple(
-        optimality.builtin(
-            game, nm, i, belief_class if nm in ("br_l", "br_g") else None
-        )
-        for i, nm in enumerate(names)
-    )
-
-
 def _random_profile(rng, cfg, pool):
     """A random game and one property per player, names drawn from the pool."""
     n = rng.randint(cfg.min_players, cfg.max_players)
     names = [rng.choice(pool) for _ in range(n)]
     game = random_game(rng, cfg, n, lp_heavy=_lp_heavy(names))
-    return game, names, _profile(game, names)
-
-
-def _random_model(rng, game, max_states, mode):
-    if mode == "knowledge":
-        return epistemic.random_knowledge_model(rng, game, max_states)
-    return epistemic.random_belief_model(rng, game, max_states)
+    return game, names, profile_named(game, names)
 
 
 def random_event(rng, model):
@@ -243,11 +226,11 @@ def verify_counterexample(payload):
     game = games.load_game(payload["game"])
     if claim == "inclusion":
         model = _restore_model(game, payload["model"])
-        rat = _profile(game, payload["rat"], payload.get("belief_class"))
-        out = _profile(game, payload["outcome"])
+        rat = profile_named(game, payload["rat"], payload.get("belief_class"))
+        out = profile_named(game, payload["outcome"])
         return not _belief_inclusion_holds(model, rat, out, payload["mode"])
     if claim == "witness_equality":
-        return not _witness_equality_holds(_profile(game, payload["rat"]))
+        return not _witness_equality_holds(profile_named(game, payload["rat"]))
     raise ValueError(f"cannot replay a counterexample for claim {claim!r}")
 
 
@@ -307,7 +290,7 @@ def _epist1(rng, cfg, pool, mode):
     """Common true belief (belief mode) or common knowledge (knowledge mode)
     of rationality only keeps surviving strategies."""
     game, names, profile = _random_profile(rng, cfg, pool)
-    model = _random_model(rng, game, cfg.max_states, mode)
+    model = epistemic.random_model(rng, game, cfg.max_states, mode)
     if _belief_inclusion_holds(model, profile, profile, mode):
         return None
     return _inclusion_payload(game, model, names, names, mode)
@@ -350,9 +333,9 @@ def just_chain(rng, cfg):
     """Pointwise: best response to a joint strategy is not strictly dominated,
     and the global dominance property implies the local one."""
     game = random_game(rng, cfg)
-    brg = _profile(game, "br_g")
-    sdg = _profile(game, "sd_g")
-    sdl = _profile(game, "sd_l")
+    brg = profile_named(game, "br_g")
+    sdg = profile_named(game, "sd_g")
+    sdl = profile_named(game, "sd_l")
     for G in games.all_restrictions(game, budget=cfg.budget):
         for i in range(game.n):
             a, b, c = (prop[i].survivors(G, G.sets[i]) for prop in (brg, sdg, sdl))
@@ -382,10 +365,10 @@ def _br_model(rng, cfg, outcome_name, belief_class):
     of belief_class) stays within the outcome of outcome_name."""
     n = rng.randint(cfg.min_players, cfg.max_players)
     game = random_game(rng, cfg, n, lp_heavy=_lp_heavy([outcome_name]))
-    rat = _profile(game, "br_g", belief_class)
-    outcome = _profile(game, outcome_name)
+    rat = profile_named(game, "br_g", belief_class)
+    outcome = profile_named(game, outcome_name)
     for mode in ("belief", "knowledge"):
-        model = _random_model(rng, game, cfg.max_states, mode)
+        model = epistemic.random_model(rng, game, cfg.max_states, mode)
         if not _belief_inclusion_holds(model, rat, outcome, mode):
             return _inclusion_payload(
                 game, model, ["br_g"] * n, [outcome_name] * n, mode, belief_class
@@ -401,8 +384,8 @@ def just1_pearce(rng, cfg):
     """Correlated best response and mixed strict dominance induce the same
     elimination operator on every restriction."""
     game = random_game(rng, cfg, lp_heavy=True)
-    brc = _profile(game, "brc_l")
-    msd = _profile(game, "msd_l")
+    brc = profile_named(game, "brc_l")
+    msd = profile_named(game, "msd_l")
     for G in games.all_restrictions(game, budget=cfg.budget):
         left = operators.apply_T(brc, G)
         right = operators.apply_T(msd, G)
@@ -455,8 +438,8 @@ def local_global_outcome(rng, cfg):
     base = rng.choice(PAIR_BASES)
     heavy = base in ("msd", "mwd")
     game = random_game(rng, cfg, lp_heavy=heavy)
-    left = operators.iterate_to_outcome(_profile(game, f"{base}_l")).outcome
-    right = operators.iterate_to_outcome(_profile(game, f"{base}_g")).outcome
+    left = operators.iterate_to_outcome(profile_named(game, f"{base}_l")).outcome
+    right = operators.iterate_to_outcome(profile_named(game, f"{base}_g")).outcome
     if left == right:
         return None
     return {
@@ -473,7 +456,7 @@ def gfp_characterizations(rng, cfg):
     plus the evident-event one on knowledge models."""
     game = random_game(rng, cfg)
     mode = "knowledge" if rng.random() < 0.5 else "belief"
-    model = _random_model(rng, game, min(cfg.max_states, 8), mode)
+    model = epistemic.random_model(rng, game, min(cfg.max_states, 8), mode)
     event = random_event(rng, model)
     report = epistemic.check_fixed_point_characterizations(model, event)
     if all(report.values()):
@@ -877,7 +860,7 @@ def announce_rationality(rng, cfg):
     base = rng.choice(PAIR_BASES)
     heavy = base in ("msd", "mwd")
     game = random_game(rng, cfg, lp_heavy=heavy)
-    global_profile = _profile(game, f"{base}_g")
+    global_profile = profile_named(game, f"{base}_g")
     trace = announcements.iterate_rationality_announcements(
         global_profile, check_condition=False
     )
@@ -896,7 +879,7 @@ def announce_rationality(rng, cfg):
             "rat": [f"{base}_g"] * game.n,
             "reason": f"{trace.rounds} rounds vs ordinal {outcome_g.closure_ordinal}",
         }
-    outcome_l = operators.iterate_to_outcome(_profile(game, f"{base}_l")).outcome
+    outcome_l = operators.iterate_to_outcome(profile_named(game, f"{base}_l")).outcome
     if not announcements.models_equal_via_profiles(
         trace.terminal,
         epistemic.standard_model(outcome_l, correspondences=True),
@@ -907,7 +890,7 @@ def announce_rationality(rng, cfg):
             "reason": "terminal differs from the local-variant outcome model",
         }
     local_trace = announcements.iterate_rationality_announcements(
-        _profile(game, f"{base}_l"), check_condition=False
+        profile_named(game, f"{base}_l"), check_condition=False
     )
     if local_trace.rounds != 0:
         return {

@@ -321,6 +321,7 @@ def _cmd_eval(args):
 
 
 def _cmd_check(args):
+    import dataclasses
     import json
 
     from . import checks
@@ -344,18 +345,7 @@ def _cmd_check(args):
     results = checks.run_suite(args.suite, cfg, jobs=args.jobs)
     for result in results:
         if args.format == "json-lines":
-            print(
-                json.dumps(
-                    {
-                        "name": result.name,
-                        "passed": result.passed,
-                        "instances": result.instances,
-                        "detail": result.detail,
-                        "counterexample": result.counterexample,
-                    },
-                    sort_keys=True,
-                )
-            )
+            print(json.dumps(dataclasses.asdict(result), sort_keys=True))
         elif result.passed:
             print(f"PASS {result.name} ({result.instances} instances)")
         else:

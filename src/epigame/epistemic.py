@@ -21,6 +21,7 @@ from .games import (
     Restriction,
     _text_lines,
     load_game_file,
+    require_writable,
     restriction_leq,
     subsets_of,
 )
@@ -145,18 +146,24 @@ def is_evident(model, event):
     return event <= box(model, event)
 
 
+def every_event(model, budget_states=12):
+    """Every event of the model, smallest first; past budget_states states
+    the enumeration is refused."""
+    if model.num_states > budget_states:
+        raise BudgetExceededError(
+            f"{model.num_states} states exceed the event enumeration budget"
+        )
+    return list(subsets_of(model.states()))
+
+
 def check_fixed_point_characterizations(model, event, budget_states=12):
     """Compare common_box against its three finite characterizations.
 
     Returns a dict of named booleans; all should be true on belief models,
     and the knowledge entry additionally on knowledge models.
     """
-    if model.num_states > budget_states:
-        raise BudgetExceededError(
-            f"{model.num_states} states exceed the event enumeration budget"
-        )
+    all_events = every_event(model, budget_states)
     target = common_box(model, event)
-    all_events = [frozenset(ev) for ev in subsets_of(model.states())]
     union_post = frozenset()
     for F in all_events:
         if F <= box(model, event & F):
@@ -424,54 +431,35 @@ def _random_partition(rng, states):
     return blocks
 
 
-def random_knowledge_model(rng, game, max_states=8):
-    """Random model with a random information partition per player."""
+def random_model(rng, game, max_states, level):
+    """Random model that validates at level "knowledge" or "belief". Each
+    player's blocks partition a core of the states, all of them under
+    knowledge and a random nonempty part under belief, where every other
+    state points at a random block, so frames need not be reflexive."""
     k = rng.randint(1, max_states)
     corr = []
     for _ in range(game.n):
-        blocks = _random_partition(rng, range(k))
-        lookup = {}
-        for block in blocks:
-            for w in block:
-                lookup[w] = block
-        corr.append(tuple(lookup[w] for w in range(k)))
+        core = range(k) if level == "knowledge" else rng.sample(range(k), rng.randint(1, k))
+        blocks = _random_partition(rng, core)
+        lookup = {w: block for block in blocks for w in block}
+        corr.append(tuple(lookup.get(w) or rng.choice(blocks) for w in range(k)))
     model = EpistemicModel(
         game,
         tuple(f"w{w + 1}" for w in range(k)),
         random_assignment(rng, game, k),
         tuple(corr),
     )
-    if validate(model, "knowledge"):
-        raise AssertionError("random knowledge model does not validate")
+    if validate(model, level):
+        raise AssertionError(f"random {level} model does not validate")
     return model
+
+
+def random_knowledge_model(rng, game, max_states=8):
+    return random_model(rng, game, max_states, "knowledge")
 
 
 def random_belief_model(rng, game, max_states=8):
-    """Random belief-level model: blocks partition part of the state space and
-    the remaining states point at an arbitrary block, so frames need not be
-    reflexive."""
-    k = rng.randint(1, max_states)
-    corr = []
-    for _ in range(game.n):
-        core = rng.sample(range(k), rng.randint(1, k))
-        blocks = _random_partition(rng, core)
-        lookup = {}
-        for block in blocks:
-            for w in block:
-                lookup[w] = block
-        per_state = tuple(
-            lookup.get(w, None) or rng.choice(blocks) for w in range(k)
-        )
-        corr.append(per_state)
-    model = EpistemicModel(
-        game,
-        tuple(f"w{w + 1}" for w in range(k)),
-        random_assignment(rng, game, k),
-        tuple(corr),
-    )
-    if validate(model, "belief"):
-        raise AssertionError("random belief model does not validate")
-    return model
+    return random_model(rng, game, max_states, "belief")
 
 
 # ---------- model file format ----------
@@ -646,6 +634,9 @@ def model_to_text(model, game_path, level="bare"):
     if "#" in game_path or "".join(game_path.splitlines()).strip() != game_path:
         raise ValueError(f"a model file cannot name the game path {game_path!r}: "
                          "it holds '#', a line break or whitespace at an end")
+    require_writable(model.state_names, "the state name")
+    for i, names in enumerate(model.game.strategy_names):
+        require_writable(names, f"player {i + 1}'s strategy name", sorted(set(model.assignment[i])))
     out = [f"game {game_path}", "states " + " ".join(model.state_names)]
     for w, name in enumerate(model.state_names):
         for i in range(model.game.n):

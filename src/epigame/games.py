@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -318,28 +319,21 @@ def restriction_leq(a, b):
     return all(x <= y for x, y in zip(a.sets, b.sets))
 
 
-def restriction_meet(restrictions):
+def _componentwise(fold, restrictions, what):
     rs = list(restrictions)
     if not rs:
-        raise ValueError("meet of no restrictions")
-    game = rs[0].game
+        raise ValueError(f"{what} of no restrictions")
     for r in rs:
         _require_same_game(rs[0], r)
-    sets = tuple(
-        frozenset.intersection(*(r.sets[i] for r in rs)) for i in range(game.n)
-    )
-    return Restriction(game, sets)
+    return Restriction(rs[0].game, tuple(fold(*parts) for parts in zip(*(r.sets for r in rs))))
+
+
+def restriction_meet(restrictions):
+    return _componentwise(frozenset.intersection, restrictions, "meet")
 
 
 def restriction_join(restrictions):
-    rs = list(restrictions)
-    if not rs:
-        raise ValueError("join of no restrictions")
-    game = rs[0].game
-    for r in rs:
-        _require_same_game(rs[0], r)
-    sets = tuple(frozenset.union(*(r.sets[i] for r in rs)) for i in range(game.n))
-    return Restriction(game, sets)
+    return _componentwise(frozenset.union, restrictions, "join")
 
 
 def _require_same_game(a, b):
@@ -623,11 +617,24 @@ def load_game_file(path):
         return load_game(fh.read())
 
 
+def require_writable(names, what, written=None):
+    """Refuse, naming it, a name that the text formats cannot write and read
+    back: one that is empty, holds whitespace or '#', or is repeated in names.
+    written, if given, are the indices of the names to check."""
+    counts = Counter(names)
+    for k in range(len(names)) if written is None else written:
+        name = names[k]
+        if name.split() != [name] or "#" in name or counts[name] > 1:
+            raise ValueError(f"a file cannot hold {what} {name!r}: a name must be "
+                             "nonempty, unique and free of whitespace and '#'")
+
+
 def game_to_text(game):
     """Serialize a game back into the file format (round-trips with load_game)."""
     out = [f"players {game.n}"]
-    for i in range(game.n):
-        out.append(f"strategies {i + 1} " + " ".join(game.strategy_names[i]))
+    for i, names in enumerate(game.strategy_names):
+        require_writable(names, f"player {i + 1}'s strategy name")
+        out.append(f"strategies {i + 1} " + " ".join(names))
     for profile in game.profiles():
         cells = " ".join(game.name(i, s) for i, s in enumerate(profile))
         values = " ".join(str(v) for v in game.payoffs(profile))

@@ -14,13 +14,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .epistemic import (
-    box,
-    optimality_event,
-    rationality_event,
-    restriction_of,
-)
-from .games import BudgetExceededError, LineFormatError, _text_lines, subsets_of
+from .epistemic import box, every_event, optimality_event, rationality_event, restriction_of
+from .games import BudgetExceededError, LineFormatError, _text_lines
 from .operators import NotShrinkingError, descend
 
 
@@ -227,32 +222,36 @@ _LNU_TOKEN = re.compile(r"\s*(?:(->)|([&!().])|([A-Za-z][A-Za-z0-9_]*))")
 _LNU_NAME = re.compile(r"^(rat|Box|O|CB|nu|x)(?:_([1-9][0-9]*))?$")
 
 
-def _lex_lnu(text):
+def _lex(text, pattern, token):
+    """The (kind, value, position) tokens of text, each read by token(m) from
+    one match of pattern, and an 'end' token."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _LNU_TOKEN.match(text, pos)
+        m = pattern.match(text, pos)
         if not m:
             break
-        if m.group(1):
-            tokens.append(("->", None, m.start(1)))
-        elif m.group(2):
-            tokens.append((m.group(2), None, m.start(2)))
-        else:
-            name = m.group(3)
-            nm = _LNU_NAME.match(name)
-            if not nm:
-                raise LogicParseError(f"unknown name {name!r}", m.start(3))
-            base, sub = nm.group(1), nm.group(2)
-            if base in ("x", "nu", "CB") and sub is not None:
-                raise LogicParseError(f"{base} takes no subscript", m.start(3))
-            player = None if sub is None else int(sub) - 1
-            tokens.append((base, player, m.start(3)))
+        tokens.append(token(m))
         pos = m.end()
     if text[pos:].strip():
         raise LogicParseError(f"bad character {text[pos:].strip()[0]!r}", pos)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _lnu_token(m):
+    if m.group(1):
+        return ("->", None, m.start(1))
+    if m.group(2):
+        return (m.group(2), None, m.start(2))
+    name = m.group(3)
+    nm = _LNU_NAME.match(name)
+    if not nm:
+        raise LogicParseError(f"unknown name {name!r}", m.start(3))
+    base, sub = nm.group(1), nm.group(2)
+    if base in ("x", "nu", "CB") and sub is not None:
+        raise LogicParseError(f"{base} takes no subscript", m.start(3))
+    return (base, None if sub is None else int(sub) - 1, m.start(3))
 
 
 class _TokenCursor:
@@ -345,7 +344,7 @@ class _LnuParser(_TokenCursor):
 
 
 def parse_lnu(text):
-    parser = _LnuParser(_lex_lnu(text))
+    parser = _LnuParser(_lex(text, _LNU_TOKEN, _lnu_token))
     node = parser.formula()
     parser.eat("end")
     return node
@@ -463,14 +462,9 @@ def find_validity_counterexample(formula, instances):
 def check_rat_definability(model, profile, budget_states=12):
     """rat_i must equal 'every believed event is an optimality event', with the
     set quantifier ranging over all events of the finite model."""
-    if model.num_states > budget_states:
-        raise BudgetExceededError(
-            f"{model.num_states} states exceed the event enumeration budget"
-        )
-    events = [frozenset(ev) for ev in subsets_of(model.states())]
     # many events share a strategy image, hence a restriction and its
     # optimality event
-    restrictions = [(X, restriction_of(model, X)) for X in events]
+    restrictions = [(X, restriction_of(model, X)) for X in every_event(model, budget_states)]
     everything = model.all_event()
     for i in range(model.game.n):
         lhs = rationality_event(model, profile[i])
@@ -508,30 +502,17 @@ _LO_TOKEN = re.compile(
 _LO_KEYWORDS = ("exists", "forall", "in", "X")
 
 
-def _lex_lo(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _LO_TOKEN.match(text, pos)
-        if not m:
-            break
-        if m.group(1):
-            tokens.append(("->", None, m.start(1)))
-        elif m.group(2):
-            tokens.append(("ge", (int(m.group(3)) - 1, m.group(4)), m.start(2)))
-        elif m.group(5):
-            tokens.append(("gt", (int(m.group(6)) - 1, m.group(7)), m.start(5)))
-        elif m.group(8):
-            tokens.append((m.group(8), None, m.start(8)))
-        else:
-            name = m.group(9)
-            kind = name if name in _LO_KEYWORDS else "name"
-            tokens.append((kind, name, m.start(9)))
-        pos = m.end()
-    if text[pos:].strip():
-        raise LogicParseError(f"bad character {text[pos:].strip()[0]!r}", pos)
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _lo_token(m):
+    if m.group(1):
+        return ("->", None, m.start(1))
+    if m.group(2):
+        return ("ge", (int(m.group(3)) - 1, m.group(4)), m.start(2))
+    if m.group(5):
+        return ("gt", (int(m.group(6)) - 1, m.group(7)), m.start(5))
+    if m.group(8):
+        return (m.group(8), None, m.start(8))
+    name = m.group(9)
+    return (name if name in _LO_KEYWORDS else "name", name, m.start(9))
 
 
 class _LoParser(_TokenCursor):
@@ -611,7 +592,7 @@ class _LoParser(_TokenCursor):
 
 
 def parse_lo(text):
-    parser = _LoParser(_lex_lo(text))
+    parser = _LoParser(_lex(text, _LO_TOKEN, _lo_token))
     node = parser.formula()
     parser.eat("end")
     return node

@@ -177,6 +177,18 @@ def test_verify_counterexample_rejects_a_non_violation():
     assert not verify_counterexample(payload)
 
 
+def test_verify_counterexample_refuses_a_malformed_payload():
+    payload = _violating_payload()
+    payload["rat"] = ["wd_g"] * 3
+    with pytest.raises(ValueError, match="^expected 1 or 2 property names, got 3$"):
+        verify_counterexample(payload)
+    payload = _violating_payload()
+    payload["rat"] = ["sd_g", "sd_g"]
+    payload["belief_class"] = "correlated"
+    with pytest.raises(ValueError, match="^sd_g does not take a belief class$"):
+        verify_counterexample(payload)
+
+
 def test_verify_counterexample_unknown_claim():
     with pytest.raises(ValueError):
         verify_counterexample({"claim": "sorcery", "game": WDW_TEXT})

@@ -71,6 +71,19 @@ def test_round_trip_through_text():
     assert game.table == PD.table
 
 
+@pytest.mark.parametrize("names, bad", [
+    ((("a#b", "c"), ("x y", "z")), "player 1's strategy name 'a#b'"),
+    ((("a", "c"), ("x y", "z")), "player 2's strategy name 'x y'"),
+    ((("a", ""), ("x", "z")), "player 1's strategy name ''"),
+    ((("a", "c"), ("z", "z")), "player 2's strategy name 'z'"),
+])
+def test_game_to_text_refuses_names_load_game_cannot_read(names, bad):
+    table = {p: (Fraction(0), Fraction(0)) for p in itertools.product(range(2), repeat=2)}
+    with pytest.raises(ValueError) as info:
+        game_to_text(Game(names, table))
+    assert str(info.value).startswith(f"a file cannot hold {bad}: ")
+
+
 def test_parse_rational():
     assert parse_rational("7/2") == Fraction(7, 2)
     assert parse_rational("-3") == Fraction(-3)

@@ -126,6 +126,16 @@ def test_common_belief_refuses_a_free_x(text):
         parse_lnu(text)
 
 
+@pytest.mark.parametrize("parse, text, pos, char", [
+    (parse_lnu, "rat @", 3, "@"), (parse_lnu, "Box_1(rat)$x", 10, "$"),
+    (parse_lo, "x ? y", 1, "?"), (parse_lo, "x in X ~", 6, "~"),
+])
+def test_a_bad_character_is_named_at_its_position(parse, text, pos, char):
+    with pytest.raises(LogicParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.pos) == (f"at position {pos}: bad character {char!r}", pos)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(LogicParseError) as info:
         parse_lnu("foo")

@@ -22,7 +22,8 @@ def test_no_assert_statements_in_the_package():
 
 
 def _unused_imports(tree):
-    """Names a module imports and never reads; names in __all__ count as read."""
+    """Names a module imports and never reads; names in a literal __all__
+    list count as read (a computed __all__ names nothing here)."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -33,7 +34,7 @@ def _unused_imports(tree):
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
@@ -46,6 +47,37 @@ def test_no_unused_imports_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not found, f"unused imports in the package: {', '.join(found)}"
+
+
+def _names_read(tree):
+    """(line, name) for every name, attribute and imported name in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def test_no_dead_private_helpers_in_the_package():
+    """Every private module-level function or class is named somewhere outside
+    its own definition, so a helper that lost its last caller fails here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = {name: list(_names_read(tree)) for name, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not (
+                node.name.startswith("_") and not node.name.endswith("__")
+            ):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (where != module or line not in own)
+                       for where, found in reads.items() for line, name in found):
+                dead.append(f"{module}:{node.lineno} {node.name}")
+    assert not dead, f"private helpers nothing names: {', '.join(dead)}"
 
 
 def test_benchmark_layer_targets_resolve():
