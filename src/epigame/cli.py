@@ -49,7 +49,6 @@ def _build_parser():
         default=None,
         help="beliefs used by the best response properties",
     )
-    solve.add_argument("--grid-denominator", type=int, default=None)
     solve.add_argument("--trace", action="store_true", help="print every stage")
 
     announce = sub.add_parser(
@@ -131,16 +130,7 @@ def _cmd_solve(args):
     from . import operators, optimality
 
     game = games.load_game_file(args.game)
-    profile = optimality.profile_named(
-        game, args.property, args.belief_class, args.grid_denominator
-    )
-    grid = args.belief_class == "mixed" and game.n >= 3  # two players decide exactly
-    if args.grid_denominator is not None and not grid:
-        raise ValueError("--grid-denominator applies to --belief-class mixed "
-                         "with 3 or more players")
-    if grid:
-        print("warning: with 3 or more players, --belief-class mixed eliminations "
-              "come from a grid search and are not proven", file=sys.stderr)
+    profile = optimality.profile_named(game, args.property, args.belief_class)
     trace = operators.iterate_to_outcome(profile)
     payload = None  # the names of every stage, built only when printed
     if args.format == "json-lines":

@@ -1,4 +1,4 @@
-"""Finite strategic games, restrictions, beliefs and the game file format."""
+"""Finite strategic games, restrictions, mixed strategies and the game file format."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping
 
 
 class LineFormatError(ValueError):
@@ -51,10 +51,10 @@ class Game:
     for own strategy s against each opponent profile in flat order
     (opponents ascending, the last fastest), times a positive factor per
     player, the lcm of that player's denominators, which keeps every
-    decision. The pure predicates read the kernel. ``table``, from joint
-    profiles to Fraction tuples, is the exact view that expected payoffs
-    (the grid search) and game_to_text read; the LP path re-checks its
-    beliefs and mixtures on the kernel. A loaded game is
+    decision. Every decision reads the kernel, and the LP path re-checks
+    its beliefs and mixtures on it. ``table``, from joint profiles to
+    Fraction tuples, is the exact view that game_to_text and the payoff
+    accessors read. A loaded game is
     built from its kernel by ``from_columns`` and derives the table on first
     use; ``Game(strategy_names, table)`` goes the other way and derives the
     kernel from the table on first use.
@@ -361,7 +361,7 @@ def all_restrictions(game, budget=None):
         yield Restriction(game, tuple(sets))
 
 
-# ---------- beliefs ----------
+# ---------- mixed strategies ----------
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,66 +389,6 @@ class MixedStrategy:
 
 def point_mass(game, player, s):
     return MixedStrategy(game, player, {s: Fraction(1)})
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelatedBelief:
-    """Player i's belief: a joint distribution over opponent strategy tuples."""
-
-    game: Game
-    player: int
-    weights: Mapping[tuple[int, ...], Fraction]
-
-    def __post_init__(self):
-        total = Fraction(0)
-        for ctx, w in self.weights.items():
-            if len(ctx) != self.game.n - 1:
-                raise ValueError("opponent tuple has wrong arity")
-            if w < 0:
-                raise ValueError("negative weight")
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
-
-    def support(self):
-        return frozenset(ctx for ctx, w in self.weights.items() if w > 0)
-
-
-Belief = Union[tuple, Sequence[MixedStrategy], CorrelatedBelief]
-
-
-def expected_payoff(game, i, s_i, belief):
-    """Expected payoff of s_i for player i against a belief.
-
-    The belief is a pure opponent tuple, a sequence of per-opponent mixed
-    strategies, or a CorrelatedBelief.
-    """
-    if isinstance(belief, CorrelatedBelief):
-        if belief.player != i:
-            raise ValueError("belief held by a different player")
-        return sum(
-            (w * game.payoff(i, full_profile(i, s_i, ctx)) for ctx, w in belief.weights.items()),
-            Fraction(0),
-        )
-    belief = tuple(belief)
-    if belief and isinstance(belief[0], MixedStrategy):
-        opponents = [j for j in range(game.n) if j != i]
-        if len(belief) != len(opponents):
-            raise ValueError("need one mixed strategy per opponent")
-        for j, m in zip(opponents, belief):
-            if m.player != j:
-                raise ValueError("mixed strategies out of player order")
-        total = Fraction(0)
-        supports = [sorted(m.support()) for m in belief]
-        for ctx in itertools.product(*supports):
-            w = Fraction(1)
-            for m, s in zip(belief, ctx):
-                w *= m.weights[s]
-            total += w * game.payoff(i, full_profile(i, s_i, ctx))
-        return total
-    if len(belief) != game.n - 1:
-        raise ValueError("opponent tuple has wrong arity")
-    return game.payoff(i, full_profile(i, s_i, belief))
 
 
 # ---------- game file format ----------

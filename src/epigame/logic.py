@@ -233,8 +233,9 @@ def _lex(text, pattern, token):
             break
         tokens.append(token(m))
         pos = m.end()
-    if text[pos:].strip():
-        raise LogicParseError(f"bad character {text[pos:].strip()[0]!r}", pos)
+    rest = text[pos:].lstrip()
+    if rest:
+        raise LogicParseError(f"bad character {rest[0]!r}", len(text) - len(rest))
     tokens.append(("end", None, len(text)))
     return tokens
 

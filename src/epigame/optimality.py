@@ -71,15 +71,12 @@ BUILTIN_NAMES = (
 MONOTONE_BUILTINS = ("sd_g", "msd_g", "br_g")
 
 
-def builtin(game, name, i, belief_class=None, grid_denominator=None):
+def builtin(game, name, i, belief_class=None):
     """Construct one of the builtin properties for player i."""
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown property {name!r}")
     if belief_class is not None and name not in ("br_l", "br_g"):
         raise ValueError(f"{name} does not take a belief class")
-    # a grid denominator below 1 is refused for every property, not only
-    # where a best response reads it
-    dominance._belief_class(game, "pure", grid_denominator)
     local = name.endswith("_l")
     everyone = game.full_restriction().sets[i]
     key = name  # the verdicts a global builtin keeps on the cut rows
@@ -92,12 +89,10 @@ def builtin(game, name, i, belief_class=None, grid_denominator=None):
 
     if name.startswith("br"):
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
-        key = (name, cls, grid_denominator)
+        key = (name, cls)
 
         def decide(G, rows, rivals, candidates):
-            return dominance.best_responses(
-                game, G, rows, i, rivals, candidates, cls, grid_denominator
-            )
+            return dominance.best_responses(game, G, rows, i, rivals, candidates, cls)
 
     else:  # sd, wd, msd, mwd
         weak = "wd" in name
@@ -142,7 +137,7 @@ def _decided_once(rows, key, candidates, decide):
     return kept & candidates
 
 
-def profile_named(game, names, belief_class=None, grid_denominator=None):
+def profile_named(game, names, belief_class=None):
     """A property per player from one shared name or a per-player list."""
     if isinstance(names, str):
         names = [part.strip() for part in names.split(",")]
@@ -150,9 +145,7 @@ def profile_named(game, names, belief_class=None, grid_denominator=None):
         names = list(names) * game.n
     if len(names) != game.n:
         raise ValueError(f"expected 1 or {game.n} property names, got {len(names)}")
-    return tuple(
-        builtin(game, nm, i, belief_class, grid_denominator) for i, nm in enumerate(names)
-    )
+    return tuple(builtin(game, nm, i, belief_class) for i, nm in enumerate(names))
 
 
 def constant_property(game, i, value=True, name=None):

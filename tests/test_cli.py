@@ -130,15 +130,54 @@ def _grid_game(tmp_path):
     return str(path)
 
 
-def test_solve_grid_denominator_decides_the_mixed_belief(tmp_path, capsys):
-    game = _grid_game(tmp_path)
-    for denominator, outcome in (("1", ["a", "b"]), ("2", ["a", "b", "m"])):
-        code, out, err = run(capsys, "--format", "json-lines", "solve", game, "--property",
-                             "br_l", "--belief-class", "mixed", "--grid-denominator", denominator)
-        assert code == 0
-        assert json.loads(out)["outcome"][0] == outcome
-        assert err == ("warning: with 3 or more players, --belief-class mixed eliminations "
-                       "come from a grid search and are not proven\n")
+def test_solve_keeps_the_grid_games_mixed_best_response(tmp_path, capsys):
+    code, out, err = run(capsys, "--format", "json-lines", "solve", _grid_game(tmp_path),
+                         "--property", "br_l", "--belief-class", "mixed")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"][0] == ["a", "b", "m"]
+
+
+def _game_file(tmp_path, name, header, payoffs):
+    """A game file of the header lines and one payoff line per (profile, payoffs)."""
+    path = tmp_path / name
+    lines = header + [f"payoff {profile} {values}" for profile, values in payoffs]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_solve_refuses_a_mixed_best_response_that_needs_an_irrational_belief(tmp_path, capsys):
+    """Player 1's rivals gain 1 - 2xy, 2xy - 1, 2(x - y) and 2(y - x) over s,
+    for x = P(a) and y = P(c), so s is a best response only at
+    x = y = 1/sqrt(2): no cell proves it, and none may eliminate it."""
+    rows = {"s": (0, 0, 0, 0), "r1": (-1, 1, 1, 1), "r2": (1, -1, -1, -1),
+            "r3": (0, 2, -2, 0), "r4": (0, -2, 2, 0)}
+    game = _game_file(tmp_path, "irrational.game",
+                      ["players 3", "strategies 1 s r1 r2 r3 r4", "strategies 2 a b",
+                       "strategies 3 c d"],
+                      [(f"{s} {x} {y}", f"{v} 0 0") for s, row in rows.items()
+                       for (x, y), v in zip(itertools.product("ab", "cd"), row)])
+    code, out, err = run(capsys, "solve", game, "--property", "br_l", "--belief-class", "mixed")
+    assert (code, out) == (2, "")
+    assert err == ("error: player 1's strategy 's' is still undecided after 200 cells "
+                   "of independent beliefs\n")
+    code, out, _ = run(capsys, "solve", game, "--property", "br_l",
+                       "--belief-class", "correlated")
+    assert code == 0 and "outcome: {s,r1,r2,r3,r4} | {a,b} | {c,d}" in out
+
+
+def test_solve_keeps_a_mixed_best_response_that_a_coarse_grid_drops(tmp_path, capsys):
+    # player 1's b is a best response to a product belief that the grid of
+    # denominator 8 does not hold, and the grid of denominator 30 does
+    values = ["6 -5 2", "0 5 -7", "6 5 4", "-7 0 -1", "3 0 -2", "3 4 1",
+              "-2 -3 -4", "-4 -6 0", "0 6 1", "2 -4 2", "-4 9 6", "-9 2 8",
+              "-6 6 1", "5 -8 -6", "9 4 -3", "7 -6 -2", "-8 -2 2", "-8 7 -1"]
+    profiles = [" ".join(p) for p in itertools.product("abc", "ab", "abc")]
+    game = _game_file(tmp_path, "fine.game",
+                      ["players 3", "strategies 1 a b c", "strategies 2 a b",
+                       "strategies 3 a b c"], list(zip(profiles, values)))
+    code, out, err = run(capsys, "solve", game, "--property", "br_l", "--belief-class", "mixed")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["outcome: {a,b,c} | {a,b} | {a,b,c}", "closure ordinal: 0"]
 
 
 def test_two_player_mixed_beliefs_are_exact_and_not_flagged(capsys):
@@ -148,34 +187,40 @@ def test_two_player_mixed_beliefs_are_exact_and_not_flagged(capsys):
                       "--belief-class", "correlated")[1]
 
 
+def _unrecognized(capsys, *argv):
+    """The exit code and stderr of an argv that argparse refuses."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return info.value.code, captured.err
+
+
 @pytest.mark.parametrize("denominator", ["0", "-3"])
 def test_solve_rejects_a_grid_denominator_below_one(tmp_path, capsys, denominator):
-    code, out, err = run(capsys, "solve", _grid_game(tmp_path), "--property", "br_l",
-                         "--belief-class", "mixed", "--grid-denominator", denominator)
+    # no grid is searched, so the option is gone, whatever its value
+    code, err = _unrecognized(capsys, "solve", _grid_game(tmp_path), "--property", "br_l",
+                              "--belief-class", "mixed", "--grid-denominator", denominator)
     assert code == 2
-    assert out == ""
-    assert err == f"error: grid denominator must be at least 1, got {denominator}\n"
+    assert err.endswith(f"error: unrecognized arguments: --grid-denominator {denominator}\n")
 
 
 @pytest.mark.parametrize("prop", ["sd_l", "wd_g"])
 def test_solve_rejects_a_grid_denominator_below_one_for_every_property(capsys, prop):
-    code, out, err = run(capsys, "solve", PD, "--property", prop, "--grid-denominator", "0")
+    code, err = _unrecognized(capsys, "solve", PD, "--property", prop, "--grid-denominator", "0")
     assert code == 2
-    assert out == ""
-    assert err == "error: grid denominator must be at least 1, got 0\n"
+    assert err.endswith("error: unrecognized arguments: --grid-denominator 0\n")
 
 
 @pytest.mark.parametrize("argv", [
     ["--property", "sd_l", "--grid-denominator", "3"],
     ["--property", "br_l", "--belief-class", "correlated", "--grid-denominator", "3"],
-    # two players: a mixed belief is decided exactly, with no grid
     ["--property", "br_l", "--belief-class", "mixed", "--grid-denominator", "2"],
 ])
 def test_solve_refuses_a_grid_denominator_nothing_reads(capsys, argv):
-    code, out, err = run(capsys, "solve", PD, *argv)
-    assert (code, out) == (2, "")
-    assert err == ("error: --grid-denominator applies to --belief-class mixed "
-                   "with 3 or more players\n")
+    code, err = _unrecognized(capsys, "solve", PD, *argv)
+    assert code == 2
+    assert err.endswith(f"error: unrecognized arguments: --grid-denominator {argv[-1]}\n")
 
 
 # ---------- announce ----------
@@ -379,6 +424,24 @@ def test_eval_refuses_a_belief_class_without_a_property(capsys):
     code, out, _ = run(capsys, "eval", FIG2, "--formula", "nu x. O x", "--property", "br_l",
                        "--belief-class", "correlated")
     assert (code, out) == (0, "holds at: w_ul w_dr\nvalid: yes\n")
+
+
+def test_eval_decides_three_player_mixed_beliefs(capsys, tmp_path):
+    # player 1 believes every state possible, so at the m states it believes
+    # x, y, u and v possible, and m is a best response to the even mixture
+    # of x and y alone: rational under mixed beliefs, not under pure ones
+    model = tmp_path / "grid.emodel"
+    states = {"p": "a x u", "q": "b y v", "r": "m x v", "t": "m y u"}
+    lines = [f"game {_grid_game(tmp_path)}", "states p q r t"]
+    for state, profile in states.items():
+        lines += [f"assign {state} {k + 1} {s}" for k, s in enumerate(profile.split())]
+    lines += [f"P {k} {state} : p q r t" for k in (1, 2, 3) for state in states]
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for belief, holds in (("pure", "p q"), ("mixed", "p q r t")):
+        code, out, err = run(capsys, "eval", str(model), "--formula", "rat_1",
+                             "--property", "br_l", "--belief-class", belief)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"holds at: {holds}"
 
 
 def test_eval_free_variable_rejected(capsys):

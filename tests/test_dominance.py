@@ -20,6 +20,7 @@ from epigame.dominance import (
     weakly_dominates,
 )
 from epigame.games import (
+    BudgetExceededError,
     Game,
     GameFormatError,
     MixedStrategy,
@@ -128,31 +129,92 @@ def test_pure_point_mass_agreement():
                 assert mixed == correlated  # two players: exact reduction
 
 
-def test_grid_beliefs_are_sound_for_three_players():
-    rng = random.Random(11)
-    cfg = CheckConfig(count=0, max_strategies=2)
-    for _ in range(10):
+def _grid_mixtures(count, denominator):
+    """Every mixture over count strategies whose weights have a denominator
+    at most the given one, as coprime int vectors."""
+    found = set()
+    for d in range(1, denominator + 1):
+        for combo in itertools.combinations_with_replacement(range(count), d):
+            weights = [combo.count(k) for k in range(count)]
+            g = math.gcd(*weights)
+            found.add(tuple(w // g for w in weights))
+    return sorted(found)
+
+
+def _grid_keeps(game, i, s, denominator):
+    """The reference grid: is s at least as good as every strategy of player
+    i against some product of grid mixtures on the full game?"""
+    rows = game.full_restriction().rows(i)
+    grids = [_grid_mixtures(game.strategy_count(j), denominator)
+             for j in range(game.n) if j != i]
+    for belief in itertools.product(*grids):
+        weights = [math.prod(p) for p in itertools.product(*belief)]
+        values = [sum(map(operator.mul, weights, rows[t])) for t in game.strategies(i)]
+        if values[s] == max(values):
+            return True
+    return False
+
+
+def test_cells_agree_with_a_reference_grid_and_the_correlated_lp():
+    """On 500 seeded three-player games, the cells eliminate no strategy
+    that a product belief of the denominator-3 grid supports, and keep none
+    that the correlated LP eliminates. No decision reaches the cell limit."""
+    rng = random.Random(2026)
+    reached, eliminated = 0, 0
+    for _ in range(500):
+        cfg = CheckConfig(count=0, max_strategies=rng.choice((3, 4, 5)),
+                          payoff_bound=rng.choice((2, 4, 9)))
         game = random_game(rng, cfg, n=3)
         full = game.full_restriction()
         for i in range(3):
             for s in game.strategies(i):
-                gridded = is_best_response(
-                    game, full, full, i, s, "mixed", grid_denominator=3
-                )
-                if gridded:
-                    # grid mixtures are product distributions, hence correlated
-                    assert is_best_response(game, full, full, i, s, "correlated")
+                mixed = is_best_response(game, full, full, i, s, "mixed")
+                correlated = is_best_response(game, full, full, i, s, "correlated")
+                assert correlated or not mixed
+                if correlated and not is_best_response(game, full, full, i, s, "pure"):
+                    reached += 1
+                    eliminated += not mixed
+                    assert mixed or not _grid_keeps(game, i, s, 3), (game_to_text(game), i, s)
+    assert (reached, eliminated) == (56, 9)
 
 
-def test_mixed_three_players_needs_grid():
-    game = random_game(random.Random(0), CheckConfig(count=0), n=3)
+def _independent_belief_game(rows):
+    """Player 1 has the given payoff rows over the contexts (a,c), (a,d),
+    (b,c), (b,d) of players 2 and 3, who get 0 everywhere."""
+    lines = ["players 3", "strategies 1 " + " ".join(rows), "strategies 2 a b",
+             "strategies 3 c d"]
+    for s, row in rows.items():
+        for (x, y), value in zip(itertools.product("ab", "cd"), row):
+            lines.append(f"payoff {s} {x} {y} {value} 0 0")
+    return load_game("\n".join(lines) + "\n")
+
+
+def test_mixed_three_players_is_decided_without_a_grid():
+    # m is a best response only to a belief between 1/3 and 2/3 on a, and
+    # for any mixture of player 3
+    game = _independent_belief_game({"x": (3, 3, 0, 0), "y": (0, 0, 3, 3), "m": (2, 2, 2, 2)})
     full = game.full_restriction()
-    with pytest.raises(BeliefClassError):
+    assert is_best_response(game, full, full, 0, game.index(0, "m"), "mixed")
+    # n is the best response to the even belief on (a,c) and (b,d), and to
+    # no product belief: it would need 3 P >= 4 xy, 3 P >= 4 (1-x)(1-y) and
+    # 3 P >= 2 at once, for P = xy + (1-x)(1-y)
+    game = _independent_belief_game({"n": (3, 0, 0, 3), "r1": (4, 0, 0, 0),
+                                     "r2": (0, 0, 0, 4), "r3": (2, 2, 2, 2)})
+    full = game.full_restriction()
+    rows = full.rows(0)
+    assert dominance.best_responses(game, full, rows, 0, full.sets[0], (0,), "mixed") == []
+    assert dominance.best_responses(game, full, rows, 0, full.sets[0], (0,),
+                                    "correlated") == [0]
+    # s is a best response only at x = y = 1/sqrt(2), which no cell vertex,
+    # barycentre or LP point reaches, so it is refused, never eliminated
+    game = _independent_belief_game({"s": (0, 0, 0, 0), "r1": (-1, 1, 1, 1),
+                                     "r2": (1, -1, -1, -1), "r3": (0, 2, -2, 0),
+                                     "r4": (0, -2, 2, 0)})
+    full = game.full_restriction()
+    with pytest.raises(BudgetExceededError,
+                       match=f"player 1's strategy 's' .* after {dominance.CELL_LIMIT} cells"):
         is_best_response(game, full, full, 0, 0, "mixed")
-    # a grid with no denominator holds no belief at all, so it is refused
-    for bad in (0, -3):
-        with pytest.raises(BeliefClassError, match="at least 1"):
-            is_best_response(game, full, full, 0, 0, "mixed", grid_denominator=bad)
+    assert is_best_response(game, full, full, 0, 0, "correlated")
 
 
 def test_unknown_belief_class():
@@ -203,7 +265,10 @@ def test_belief_class_is_checked_before_the_beliefs():
     game = random_game(random.Random(0), CheckConfig(count=0), n=3)
     no_beliefs = game.restriction([game.strategies(0), game.strategies(1), []])
     with pytest.raises(BeliefClassError):
-        is_best_response(game, no_beliefs, no_beliefs, 0, 0, "mixed")
+        is_best_response(game, no_beliefs, no_beliefs, 0, 0, "psychic")
+    # with no beliefs held, no class supports a strategy
+    for cls in ("pure", "correlated", "mixed"):
+        assert not is_best_response(game, no_beliefs, no_beliefs, 0, 0, cls)
 
 
 # ---------- pure prefilters against the LPs they skip ----------
@@ -429,10 +494,11 @@ def test_the_one_phase_pearce_lp_decides_as_the_mixture_lp(monkeypatch):
         dominated = rng.randrange(len(rows))
         support = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
         for weak in (False, True):
-            found = dominance._pearce(rows, support, dominated, weak)
+            found, belief = dominance._pearce(rows, support, dominated, weak)
             reference = _mixture_dominates([rows[d] for d in support], rows[dominated],
                                            strict=not weak)
             assert (found is not None) == reference
+            assert (belief is None) == reference  # exactly one side of the lemma
             eliminated += found is not None
     assert len(submitted) == 600 and 100 < eliminated < 500
     assert all(isinstance(res, Optimal) for _, res in submitted)
@@ -575,7 +641,7 @@ def test_mixed_solves_of_the_bundled_games_build_no_fraction(monkeypatch):
     submitted = _recorded_lps(monkeypatch)
     monkeypatch.setattr(MixedStrategy, "__post_init__", counted_mixture)
     monkeypatch.setattr(Fraction, "__new__", counted)
-    outcomes = {(path, name): iterate_to_outcome(profile_named(game, name, None, None)).outcome
+    outcomes = {(path, name): iterate_to_outcome(profile_named(game, name)).outcome
                 for path, game in games.items() for name in ("msd_l", "mwd_l", "brc_l")}
     monkeypatch.undo()
     assert built == []

@@ -1,4 +1,4 @@
-"""Game files, the restriction lattice, and expected payoffs."""
+"""Game files, the restriction lattice, and mixed strategies."""
 
 import itertools
 import math
@@ -13,13 +13,11 @@ from epigame import games
 from epigame.cli import main
 from epigame.games import (
     BudgetExceededError,
-    CorrelatedBelief,
     Game,
     GameFormatError,
     MixedStrategy,
     Restriction,
     all_restrictions,
-    expected_payoff,
     full_profile,
     game_to_text,
     load_game,
@@ -328,9 +326,8 @@ def test_loaded_game_is_independent_of_the_layout(monkeypatch):
 
 
 def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, capsys):
-    """A loaded game is its kernel: pure and LP solves never build the
-    Fraction table, a grid search does, and the table it builds is the line
-    loop's."""
+    """A loaded game is its kernel: no solve builds the Fraction table, and
+    the table it builds when asked is the line loop's."""
     # B is a best response to no pure belief, but to the half-half one,
     # which the LP finds and re-checks on the kernel rows; W is dominated by
     # the half-half mixture of T and M alone, which the LP's ray gives
@@ -340,7 +337,7 @@ def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, c
                      "payoff B L 2 0\npayoff B R 2 0\npayoff W L 1 0\npayoff W R 1 0\n",
                      encoding="utf-8")
     # m is a best response to no pure belief and to the correlated half-half
-    # one; with three players only the grid decides the mixed class
+    # one; with three players the cells decide the mixed class on int rows
     grid = tmp_path / "grid.game"
     lines = ["players 3", "strategies 1 a b m", "strategies 2 x y", "strategies 3 u v"]
     for s, row in {"a": (3, 3, 0, 0), "b": (0, 0, 3, 3), "m": (2, 2, 2, 2)}.items():
@@ -358,7 +355,7 @@ def test_a_loaded_game_builds_its_table_only_when_asked(tmp_path, monkeypatch, c
         (hedge, ["sd_l"], False), (hedge, ["wd_l"], False), (hedge, ["br_l"], False),
         (hedge, ["msd_l"], False), (hedge, ["mwd_l"], False), (hedge, ["brc_l"], False),
         (hedge, ["br_l", "--belief-class", "correlated"], False),
-        (grid, ["br_l", "--belief-class", "mixed", "--grid-denominator", "2"], True),
+        (grid, ["br_l", "--belief-class", "mixed"], False),
     ):
         assert main(["solve", str(path), "--property", *args]) == 0
         assert ("table" in vars(loaded[-1])) == builds, args
@@ -570,66 +567,3 @@ def test_point_mass_support():
     m = point_mass(PD, 1, 0)
     assert m.support() == frozenset([0])
     assert m.weights[0] == 1
-
-
-def test_correlated_belief_validation():
-    CorrelatedBelief(PD, 0, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        CorrelatedBelief(PD, 0, {(0, 1): Fraction(1)})
-    with pytest.raises(ValueError):
-        CorrelatedBelief(PD, 0, {(0,): Fraction(1, 2)})
-
-
-def test_expected_payoff_pure_tuple():
-    assert expected_payoff(PD, 0, 0, (1,)) == PD.payoff(0, (0, 1))
-    with pytest.raises(ValueError):
-        expected_payoff(PD, 0, 0, (1, 1))
-
-
-def test_expected_payoff_point_mass_matches_pure():
-    for s in PD.strategies(0):
-        for t in PD.strategies(1):
-            assert expected_payoff(PD, 0, s, [point_mass(PD, 1, t)]) == PD.payoff(
-                0, (s, t)
-            )
-
-
-def test_expected_payoff_correlated_holder():
-    belief = CorrelatedBelief(PD, 0, {(0,): Fraction(1, 4), (1,): Fraction(3, 4)})
-    got = expected_payoff(PD, 0, 0, belief)
-    assert got == Fraction(1, 4) * 3 + Fraction(3, 4) * 0
-    with pytest.raises(ValueError):
-        expected_payoff(PD, 1, 0, belief)
-
-
-@given(st.integers(0, 1), st.fractions(0, 1).filter(lambda q: 0 <= q <= 1))
-def test_expected_payoff_affine_in_belief(s, p):
-    """Mixing two beliefs mixes the payoffs with the same weights."""
-    q = 1 - p
-    mixed = CorrelatedBelief(PD, 0, {(0,): p, (1,): q})
-    pure0 = expected_payoff(PD, 0, s, (0,))
-    pure1 = expected_payoff(PD, 0, s, (1,))
-    assert expected_payoff(PD, 0, s, mixed) == p * pure0 + q * pure1
-
-
-def test_expected_payoff_independent_mixtures():
-    game = load_game(
-        """
-        players 3
-        strategies 1 a
-        strategies 2 c d
-        strategies 3 e f
-        payoff a c e 8 0 0
-        payoff a c f 4 0 0
-        payoff a d e 2 0 0
-        payoff a d f 1 0 0
-        """
-    )
-    half = Fraction(1, 2)
-    belief = [
-        MixedStrategy(game, 1, {0: half, 1: half}),
-        MixedStrategy(game, 2, {0: half, 1: half}),
-    ]
-    assert expected_payoff(game, 0, 0, belief) == Fraction(15, 4)
-    with pytest.raises(ValueError):
-        expected_payoff(game, 0, 0, belief[:1])

@@ -127,8 +127,8 @@ def test_common_belief_refuses_a_free_x(text):
 
 
 @pytest.mark.parametrize("parse, text, pos, char", [
-    (parse_lnu, "rat @", 3, "@"), (parse_lnu, "Box_1(rat)$x", 10, "$"),
-    (parse_lo, "x ? y", 1, "?"), (parse_lo, "x in X ~", 6, "~"),
+    (parse_lnu, "rat @", 4, "@"), (parse_lnu, "Box_1(rat)$x", 10, "$"),
+    (parse_lo, "x ? y", 2, "?"), (parse_lo, "x in X ~", 7, "~"),
 ])
 def test_a_bad_character_is_named_at_its_position(parse, text, pos, char):
     with pytest.raises(LogicParseError) as info:

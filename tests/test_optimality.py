@@ -272,17 +272,14 @@ def _gate_games():
 
 
 def _gate_builtins(game):
-    """(name, belief class, grid denominator) of each builtin the gate runs."""
-    classes = ["correlated", "mixed"] if game.n == 2 else ["correlated"]
-    args = [(name, None, None) for name in BUILTIN_NAMES]
-    args += [(name, cls, None) for name in ("br_l", "br_g") for cls in classes]
-    if game.n > 2:
-        args += [(name, "mixed", 2) for name in ("br_l", "br_g")]
+    """(name, belief class) of each builtin the gate runs."""
+    args = [(name, None) for name in BUILTIN_NAMES]
+    args += [(name, cls) for name in ("br_l", "br_g") for cls in ("correlated", "mixed")]
     return args
 
 
 def _gate_properties(game, i):
-    props = [builtin(game, name, i, cls, grid) for name, cls, grid in _gate_builtins(game)]
+    props = [builtin(game, name, i, cls) for name, cls in _gate_builtins(game)]
     props += [compile_lo_to_property(lo_text("wd_l", i), game, i, "wd_l"),
               compile_lo_to_property(lo_text("br_g", i), game, i, "br_g"),
               constant_property(game, i), constant_property(game, i, value=False)]
@@ -318,10 +315,10 @@ def test_public_predicates_match_the_builtins():
     for game in _gate_games():
         full = game.full_restriction()
         for i in range(game.n):
-            for name, cls, grid in _gate_builtins(game):
+            for name, cls in _gate_builtins(game):
                 if name[:2] in ("sd", "wd"):
                     continue
-                prop = builtin(game, name, i, cls, grid)
+                prop = builtin(game, name, i, cls)
                 local = name.endswith("_l")
                 for G in all_restrictions(game):
                     support = G.sets[i] if local else full.sets[i]
@@ -329,7 +326,7 @@ def test_public_predicates_match_the_builtins():
                         if name.startswith("br"):
                             belief = "correlated" if name == "brc_l" else cls or "pure"
                             expected = is_best_response(
-                                game, G if local else full, G, i, s, belief, grid)
+                                game, G if local else full, G, i, s, belief)
                         else:
                             search = (mixed_weakly_dominates_exists if name.startswith("mwd")
                                       else mixed_strictly_dominates_exists)
@@ -371,7 +368,7 @@ def test_the_oracles_do_not_read_the_shared_verdicts():
     condition A and monotonicity checks) still report the evaluator's
     values: holds decides on its own, not through the verdict memo."""
     for name, key in (("sd_g", "sd_g"), ("msd_g", "msd_g"), ("mwd_g", "mwd_g"),
-                      ("br_g", ("br_g", "pure", None))):
+                      ("br_g", ("br_g", "pure"))):
         game, clean = load_game(game_to_text(PD)), load_game(game_to_text(PD))
         prop = builtin(game, name, 0)
         reference = builtin(clean, name, 0)

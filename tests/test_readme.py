@@ -1,4 +1,5 @@
-"""README's command line examples print what README says they print.
+"""README's command line examples print what README says they print, and
+README names only options that the command line accepts.
 
 Every `$ epigame ...` line in a `text` block of README.md runs through
 `epigame.cli.main`, in a temporary directory that holds a copy of `data/`.
@@ -7,6 +8,7 @@ its expected stdout. The commands of one block run in order in one
 directory, so a later command can read a file an earlier one wrote.
 """
 
+import argparse
 import re
 import shlex
 import shutil
@@ -14,10 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from epigame.cli import main
+from epigame.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 TEXT_BLOCK = re.compile(r"^```text\n(.*?)^```", re.MULTILINE | re.DOTALL)
+OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+# options of other programs that README quotes: the benchmark runner's and pip's
+OTHER_PROGRAMS = {"--workload", "--seconds", "--no-build-isolation"}
 
 
 def _examples():
@@ -53,3 +58,14 @@ def test_readme_example_prints_what_readme_shows(block, tmp_path, monkeypatch, c
         code = main(argv)
         out = capsys.readouterr().out
         assert (code, out.splitlines()) == (0, expected), " ".join(argv)
+
+
+def test_readme_names_only_options_the_parser_has():
+    parser = _build_parser()
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    accepted = {option for p in parsers for action in p._actions
+                for option in action.option_strings}
+    named = set(OPTION.findall((ROOT / "README.md").read_text(encoding="utf-8")))
+    assert sorted(named - accepted - OTHER_PROGRAMS) == []

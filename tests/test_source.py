@@ -141,9 +141,10 @@ def test_holds_is_called_only_by_the_oracles():
 
 def test_pearce_is_called_only_by_the_set_wise_rule_and_the_witness_search():
     """One set-wise dominance rule: undominated runs Pearce's LP for sd, wd,
-    msd, mwd and the best responses, and _mixed_dominator for the witnesses
-    of mixed_*_dominates_exists. A second caller would be a second path to
-    keep in step with them."""
+    msd, mwd and the best responses, _mixed_dominator for the witnesses of
+    mixed_*_dominates_exists, and _by_cells for the cells of independent
+    beliefs and the points it tries in them. A further caller would be a
+    second path to keep in step with them."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -155,6 +156,8 @@ def test_pearce_is_called_only_by_the_set_wise_rule_and_the_witness_search():
                 getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
     assert sorted(found) == [
+        ("dominance.py", "_by_cells"),
+        ("dominance.py", "_by_cells"),
         ("dominance.py", "_mixed_dominator"),
         ("dominance.py", "undominated"),
     ]
