@@ -146,7 +146,7 @@ class Game:
         return self.table[tuple(profile)][i]
 
     def full_restriction(self):
-        return Restriction(self, tuple(frozenset(self.strategies(i)) for i in range(self.n)))
+        return Restriction(self, self._index_sets)
 
     def empty_restriction(self):
         return Restriction(self, tuple(frozenset() for _ in range(self.n)))
@@ -173,7 +173,7 @@ class Restriction:
     def __post_init__(self):
         if len(self.sets) != self.game.n:
             raise ValueError("restriction arity does not match game")
-        # the parts key the game's cuts and verdicts, so they must be hashable:
+        # the parts key the game's cuts, so they must be hashable:
         # frozenset.issubset refuses a part of any other type
         try:
             inside = all(map(frozenset.issubset, self.sets, self.game._index_sets))
@@ -215,8 +215,8 @@ class Restriction:
 
         The rows depend on the opponents' sets alone, so the game keeps one
         _CutRows per (i, opponents' sets): every restriction with that
-        opponents' part hands out the same object, with the rows, column
-        maxima and verdicts it has gathered.
+        opponents' part hands out the same object, with the rows and column
+        maxima it has gathered.
         """
         others = self.sets[:i] + self.sets[i + 1 :]
         cuts = self.game._cuts[i]
@@ -247,17 +247,14 @@ class Restriction:
 class _CutRows(dict):
     """Kernel rows cut by gather, each on first use (gather None: the kernel
     rows uncut). It also keeps, per rival frozenset, the rivals'
-    context-wise maximum (column_max), and, per global builtin that reads
-    nothing of its owner's own part, the strategies asked about and those
-    it keeps (verdicts, filled by optimality.builtin)."""
+    context-wise maximum (column_max)."""
 
     # the game keeps every cut it hands out: no attribute dict per cut
-    __slots__ = ("kernel_rows", "gather", "maxima", "verdicts")
+    __slots__ = ("kernel_rows", "gather", "maxima")
 
     def __init__(self, kernel_rows, gather):
         self.kernel_rows, self.gather = kernel_rows, gather
         self.maxima = {}
-        self.verdicts = {}
 
     def __missing__(self, s):
         row = self.kernel_rows[s]

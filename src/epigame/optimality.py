@@ -78,18 +78,20 @@ def builtin(game, name, i, belief_class=None):
     if belief_class is not None and name not in ("br_l", "br_g"):
         raise ValueError(f"{name} does not take a belief class")
     local = name.endswith("_l")
-    everyone = game.full_restriction().sets[i]
-    key = name  # the verdicts a global builtin keeps on the cut rows
+    everyone = frozenset(game.strategies(i))
 
     # decide(G, rows, rivals, candidates): the candidates kept against the
-    # rivals, given player i's cut rows on G. holds asks it about one
-    # strategy, with no shared verdicts, so the oracles test the decision.
+    # rivals, given player i's cut rows on G. A global builtin takes its
+    # owner's whole set as rivals, so it reads nothing of the owner's own
+    # part (condition A by construction).
+    def rule(G, candidates):
+        return decide(G, G.rows(i), G.sets[i] if local else everyone, candidates)
+
     def evaluator(s, G):
-        return s in decide(G, G.rows(i), G.sets[i] if local else everyone, (s,))
+        return s in rule(G, (s,))
 
     if name.startswith("br"):
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
-        key = (name, cls)
 
         def decide(G, rows, rivals, candidates):
             return dominance.best_responses(game, G, rows, i, rivals, candidates, cls)
@@ -109,32 +111,8 @@ def builtin(game, name, i, belief_class=None):
                 rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
                 return not any(map(relation, rivals, itertools.repeat(rows[s])))
 
-    def rule(G, candidates):
-        rows = G.rows(i)
-        if local:
-            return decide(G, rows, G.sets[i], candidates)
-        return _decided_once(rows, key, candidates,
-                             lambda fresh: decide(G, rows, everyone, fresh))
-
     return OptimalityProperty(name, i, game, evaluator, monotone=name in MONOTONE_BUILTINS,
                               own_independent=name.endswith("_g"), rule=rule)
-
-
-def _decided_once(rows, key, candidates, decide):
-    """The candidates at which a global builtin holds, given the cut rows of
-    the restriction. Such a builtin reads the rows, the opponents' part and
-    its owner's whole set and nothing of the owner's own part (condition A
-    by construction), so the strategies asked about and those kept are
-    stored on the rows under key, and decide(strategies) runs only for the
-    candidates that no restriction with the same opponents' part has asked
-    about yet."""
-    candidates = frozenset(candidates)
-    asked, kept = rows.verdicts.get(key, (frozenset(), frozenset()))
-    fresh = candidates - asked
-    if fresh:
-        asked, kept = asked | fresh, kept.union(decide(fresh))
-        rows.verdicts[key] = asked, kept
-    return kept & candidates
 
 
 def profile_named(game, names, belief_class=None):

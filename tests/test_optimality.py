@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from epigame import dominance
 from epigame.checks import CheckConfig, random_game
 from epigame.dominance import (
     is_best_response,
@@ -14,7 +13,7 @@ from epigame.dominance import (
     strictly_dominates,
     weakly_dominates,
 )
-from epigame.games import Restriction, all_restrictions, game_to_text, load_game, load_game_file
+from epigame.games import all_restrictions, game_to_text, load_game, load_game_file
 from epigame.logic import (
     LO_TEXTS,
     check_positive_lo,
@@ -123,6 +122,7 @@ def test_wd_global_witness_game():
     s, small, big = report.counterexample
     assert WDW.name(0, s) == "a"
     assert not is_monotonic_on(builtin(WDW, "wd_l", 0)).monotonic
+    assert not is_monotonic_on(builtin(WDW, "mwd_g", 0)).monotonic
     assert is_monotonic_on(builtin(WDW, "sd_g", 0)).monotonic
 
 
@@ -336,19 +336,22 @@ def test_public_predicates_match_the_builtins():
     assert checked > 20000
 
 
-def test_shared_verdicts_are_the_holds_filter_in_any_order():
-    """sd_g, wd_g and pure br_g keep their verdicts on the game's cut rows,
-    which the restrictions with the same opponents' part share. Visited in
-    a shuffled order, interleaved with each other and with sd_l, and asked
-    about the own part or about any set of the owner's strategies,
-    survivors stays the holds filter. A verdict shared across opponents'
-    parts, or between sd_g and wd_g, shows here."""
+def test_global_survivors_are_the_holds_filter_in_any_order():
+    """The restrictions with the same opponents' part share the game's cut
+    rows and their column maxima. Visited in a shuffled order, interleaved
+    with each other and with sd_l, and asked about the own part or about
+    any set of the owner's strategies, survivors of every global builtin
+    (msd_g, mwd_g and br_g in the pure and correlated classes included)
+    stays the holds filter. Anything kept on the shared cuts across
+    opponents' parts, or between two properties, shows here."""
     rng = random.Random(1818)
     checked = 0
     for game in _gate_games():
-        game = load_game(game_to_text(game))  # no verdicts kept from other tests
-        props = [builtin(game, name, i)
-                 for i in range(game.n) for name in ("sd_g", "wd_g", "br_g", "sd_l")]
+        game = load_game(game_to_text(game))  # no cuts kept from other tests
+        props = [builtin(game, name, i, cls) for i in range(game.n)
+                 for name, cls in (("sd_g", None), ("wd_g", None), ("msd_g", None),
+                                   ("mwd_g", None), ("br_g", None), ("br_g", "correlated"),
+                                   ("sd_l", None))]
         visits = [(G, prop) for G in all_restrictions(game) for prop in props]
         rng.shuffle(visits)
         for G, prop in visits:
@@ -358,68 +361,12 @@ def test_shared_verdicts_are_the_holds_filter_in_any_order():
             assert prop.survivors(G, candidates) == {
                 s for s in candidates if prop.holds(s, G)}, (prop, G.describe())
             checked += 1
-    assert checked > 4000
+    assert checked > 7000
 
 
-def test_the_oracles_do_not_read_the_shared_verdicts():
-    """A poisoned sd_g, msd_g, mwd_g or br_g verdict on one cut shows in
-    survivors on every restriction with that opponents' part and on no
-    other, while holds and the oracles built on it (value_table, the
-    condition A and monotonicity checks) still report the evaluator's
-    values: holds decides on its own, not through the verdict memo."""
-    for name, key in (("sd_g", "sd_g"), ("msd_g", "msd_g"), ("mwd_g", "mwd_g"),
-                      ("br_g", ("br_g", "pure"))):
-        game, clean = load_game(game_to_text(PD)), load_game(game_to_text(PD))
-        prop = builtin(game, name, 0)
-        reference = builtin(clean, name, 0)
-        cut = game.restriction([["C"], ["C"]]).rows(0)
-        assert prop.survivors(game.restriction([["C", "D"], ["C"]]), frozenset({C, D})) == {D}
-        cut.verdicts[key] = (frozenset({C, D}), frozenset({C, D}))  # C is dominated there
-        for own in ([], ["C"], ["D"], ["C", "D"]):
-            G = game.restriction([own, ["C"]])
-            assert prop.survivors(G, frozenset({C, D})) == {C, D}
-            assert prop.holds(C, G) is False
-        assert prop.survivors(game.full_restriction(), frozenset({C, D})) == {D}
-        table = value_table(prop)
-        assert table == value_table(reference)
-        assert all(value == prop.evaluator(s, Restriction(game, sets))
-                   for (s, sets), value in table.items())
-        assert satisfies_condition_A(prop) == satisfies_condition_A(reference)
-        assert satisfies_condition_A(prop).independent
-        # read through survivors, the poison would hold C on {C} and lose it on
-        # {C,D}; mwd_g is not monotone in any case
-        assert is_monotonic_on(prop).monotonic == (name in MONOTONE_BUILTINS)
-
-
-def test_lp_backed_global_builtins_decide_each_strategy_once(monkeypatch):
-    """msd_g, mwd_g and correlated br_g keep their verdicts on the cut rows
-    as well: once one restriction has asked about every strategy, a second
-    with the same opponents' part submits no LP, and survivors there is
-    still the holds filter. Pure and correlated br_g never share verdicts:
-    the middle strategy M below is a correlated best response and no pure
-    one, whichever of the two asks first."""
-    submitted = []
-    solve = dominance.solve
-    monkeypatch.setattr(dominance, "solve", lambda lp: submitted.append(lp) or solve(lp))
-    first_lps = 0
-    for game in _gate_games():
-        game = load_game(game_to_text(game))  # no verdicts kept from other tests
-        for i in range(game.n):
-            everyone = frozenset(game.strategies(i))
-            props = [builtin(game, "msd_g", i), builtin(game, "mwd_g", i),
-                     builtin(game, "br_g", i, belief_class="correlated")]
-            seen = set()  # opponents' parts already asked about
-            for G in all_restrictions(game):
-                others = G.sets[:i] + G.sets[i + 1 :]
-                for prop in props:
-                    del submitted[:]
-                    got = prop.survivors(G, everyone)
-                    if others in seen:
-                        assert submitted == [], (prop, G.describe())
-                    first_lps += len(submitted)
-                    assert got == {s for s in everyone if prop.holds(s, G)}, (prop, G.describe())
-                seen.add(others)
-    assert first_lps > 0
+def test_pure_and_correlated_br_g_differ_in_either_order():
+    """The middle strategy M below is a correlated best response and no pure
+    one, whichever of the two classes asks first on the same game."""
     text = ("players 2\nstrategies 1 T M B\nstrategies 2 L R\n"
             "payoff T L 3 0\npayoff T R 0 0\npayoff M L 2 0\npayoff M R 2 0\n"
             "payoff B L 0 0\npayoff B R 3 0\n")

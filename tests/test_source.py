@@ -165,10 +165,9 @@ def test_pearce_is_called_only_by_the_set_wise_rule_and_the_witness_search():
 
 def test_own_independent_is_read_only_where_it_is_trusted():
     """Condition A's declaration is trusted by the rationality announcements'
-    screening alone; the verdicts the global builtins share are kept on the
-    cut rows of the opponents' part, and the rationality event keys its
-    cells by the whole strategy image, so no memo, event, holds, survivors
-    or oracle reads the declaration."""
+    screening alone; the rationality event keys its cells by the whole
+    strategy image, so no event, holds, survivors or oracle reads the
+    declaration."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -181,3 +180,14 @@ def test_own_independent_is_read_only_where_it_is_trusted():
     assert sorted(found) == [
         ("announcements.py", "iterate_rationality_announcements"),
     ]
+
+
+def test_the_shared_cuts_keep_rows_and_column_maxima_only():
+    """The game keeps every cut it hands out for its own lifetime, so what a
+    cut holds is paid for on every workload. The cut rows and the rivals'
+    column maxima were measured to pay for themselves on the theorem
+    checks; a further cache on them needs its own measurement and an edit
+    here."""
+    from epigame.games import _CutRows
+
+    assert _CutRows.__slots__ == ("kernel_rows", "gather", "maxima")
