@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .epistemic import (
     EpistemicModel,
-    _rational_states,
     optimality_event,
     rationality_event,
     restriction_of,
@@ -93,19 +92,10 @@ def is_standard(model):
 
 
 def is_standard_knowledge(model):
-    """Standard, and every possibility set is the own-strategy block."""
-    if model.correspondences is None or not is_standard(model):
-        return False
-    for i in range(model.game.n):
-        for w in model.states():
-            block = frozenset(
-                v
-                for v in model.states()
-                if model.strategy_of(i, v) == model.strategy_of(i, w)
-            )
-            if model.P(i, w) != block:
-                return False
-    return True
+    """Standard, and every possibility set is the own-strategy block: the
+    model is the standard knowledge model of its induced restriction."""
+    return is_standard(model) and models_equal_via_profiles(
+        model, standard_model(restriction_of(model, model.all_event()), correspondences=True))
 
 
 def is_proper(model, events):
@@ -203,19 +193,21 @@ def iterate_rationality_announcements(profile, start=None, check_condition=True)
                 )
 
     def next_events(models, rounds):
-        model = models[-1]
-        if not rounds:
-            return tuple(rationality_event(model, prop) for prop in profile)
         # A state whose P_i block lost no state to the last cut keeps its
         # G_{P_i(w)}, and it survived, so it was rational for i: only the
-        # states whose block was cut are decided again.
-        before = models[-2]
-        kept = sorted(_common(before, rounds[-1]))  # each state's index in before
+        # states whose block was cut are decided again. In the first round
+        # every state counts as cut.
+        model = models[-1]
+        if rounds:
+            before = models[-2]
+            kept = sorted(_common(before, rounds[-1]))  # each state's index in before
         events = []
         for prop in profile:
-            old, new = before.blocks(prop.player), model.blocks(prop.player)
-            cut = [w for w, v in enumerate(kept) if len(new[w]) < len(old[v])]
-            events.append(model.all_event().difference(cut) | _rational_states(model, prop, cut))
+            cut = model.states()
+            if rounds:
+                old, new = before.blocks(prop.player), model.blocks(prop.player)
+                cut = [w for w, v in enumerate(kept) if len(new[w]) < len(old[v])]
+            events.append(model.all_event().difference(cut) | rationality_event(model, prop, cut))
         return tuple(events)
 
     return _run(start, next_events)

@@ -11,10 +11,10 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import and_, eq, ge, gt, mul, sub
 
-from .games import BudgetExceededError, MixedStrategy, point_mass
+from .games import BudgetExceededError, MixedStrategy
 from .lp import LinearProgram, Optimal, solve
 
 
@@ -98,7 +98,16 @@ def _best_responders(rows, rivals, candidates, strict=False):
 def undominated(rows, rivals, candidates, weak=False, mixed=False):
     """The candidates that no rival (mixed: no mixture over the rivals)
     strictly (weak: weakly) dominates, on the cut rows of a restriction and
-    for a frozenset of rivals: the one set-wise dominance rule.
+    for a frozenset of rivals: the one set-wise dominance rule, which keeps
+    those that _dominators finds no dominator for."""
+    return _dominators(rows, rivals, candidates, weak, mixed)[0]
+
+
+def _dominators(rows, rivals, candidates, weak, mixed):
+    """(kept, dominators): the list of candidates that undominated keeps, and
+    {candidate: the int weights of its dominator} for the others, where the
+    dominator is the first rival in index order that dominates the candidate,
+    with weight 1, or else (mixed) _pearce's mixture over the sorted rivals.
 
     _best_responders keeps its hits; only the rest are scanned against every
     rival with row_strictly_dominates (weak: row_weakly_dominates). The scan
@@ -107,56 +116,45 @@ def undominated(rows, rivals, candidates, weak=False, mixed=False):
     context; one without survives the scan only under weak, and stays.
     """
     if not rivals:
-        return candidates
+        return candidates, {}
     kept, rest = _best_responders(rows, rivals, candidates, strict=weak)
+    found = {}
     if rest:
-        rival_rows = list(map(rows.__getitem__, rivals))
+        support = sorted(rivals)
+        rival_rows = list(map(rows.__getitem__, support))
         dominates = row_weakly_dominates if weak else row_strictly_dominates
-        rest = [s for s in rest if not any(map(dominates, rival_rows, repeat(rows[s])))]
-        if mixed:
-            support = sorted(rivals)
-            rest = [s for s in rest if not rows[s] or _pearce(rows, support, s, weak)[0] is None]
-        kept += rest
-    return kept
+        for s in rest:
+            mine = rows[s]
+            d = next(compress(support, map(dominates, rival_rows, repeat(mine))), None)
+            if d is not None:
+                found[s] = {d: 1}
+            elif mixed and mine and (weights := _pearce(rows, support, s, weak)[0]):
+                found[s] = weights
+            else:
+                kept.append(s)
+    return kept, found
 
 
 def mixed_strictly_dominates_exists(game, context, i, support, dominated):
-    """Search for a mixed strategy over support strictly dominating dominated.
-
-    Returns the witness MixedStrategy or None. A pure best response within
-    support is undominated; otherwise _pearce decides.
-    """
+    """Search for a mixed strategy over support strictly dominating dominated:
+    the witness MixedStrategy, the set-wise rule's dominator, or None."""
     return _mixed_dominator(game, context, i, support, dominated, weak=False)
 
 
 def mixed_weakly_dominates_exists(game, context, i, support, dominated):
-    """Search for a weakly dominating mixture over support; None if there is none.
-
-    A strict, unique best response within support is undominated; otherwise
-    _pearce decides.
-    """
+    """Search for a weakly dominating mixture over support: the witness
+    MixedStrategy, the set-wise rule's dominator, or None."""
     return _mixed_dominator(game, context, i, support, dominated, weak=True)
 
 
 def _mixed_dominator(game, context, i, support, dominated, weak):
     """The search both mixed_*_dominates_exists run; weak picks the relation.
-    A pure dominator, the first in index order, is returned as its point mass."""
+    The dominator that _dominators finds, normalised: a pure one, the first
+    in index order, comes back as its point mass."""
     rivals = frozenset(support)
     if not rivals:
         raise ValueError("empty support")
-    rows = context.rows(i)
-    mine = rows[dominated]
-    if weak and not mine:  # with no context, weak domination is impossible
-        return None
-    # No mixture over support beats dominated where it is a pure (weak: unique) best response.
-    if _best_responders(rows, rivals, (dominated,), strict=weak)[0]:
-        return None
-    support = sorted(rivals)
-    row_dominates = row_weakly_dominates if weak else row_strictly_dominates
-    for d in support:
-        if row_dominates(rows[d], mine):
-            return point_mass(game, i, d)
-    weights = _pearce(rows, support, dominated, weak)[0]
+    weights = _dominators(context.rows(i), rivals, (dominated,), weak, True)[1].get(dominated)
     if weights is None:
         return None
     total = sum(weights.values())
@@ -171,8 +169,7 @@ def _pearce(rows, support, dominated, weak=False):
     every strategy in support. Each is its weights over their sum, and only
     strategies of positive weight are keys of the mixture. The caller has
     checked that dominated has a non-empty row; the LP also decides a pure
-    best response or a pure dominator, which the set-wise rule and the
-    witness search rule out first.
+    best response or a pure dominator, which _dominators rules out first.
 
     One LP on the int rows, whose primal and dual give both sides of
     Pearce's lemma. It weighs the contexts with p >= 0 under one gap row per

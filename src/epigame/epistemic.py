@@ -19,11 +19,11 @@ from .games import (
     BudgetExceededError,
     LineFormatError,
     Restriction,
-    _text_lines,
     load_game_file,
     require_writable,
     restriction_leq,
     subsets_of,
+    text_lines,
 )
 from .operators import descend, iterate_to_outcome
 from .optimality import require_monotone, satisfies_singleton_truth
@@ -275,19 +275,16 @@ def pinned_restriction(model, i, w):
     return restriction_of(model, model.P(i, w))
 
 
-def rationality_event(model, prop):
-    """States where the property holds for the owner's strategy given their beliefs."""
-    return _rational_states(model, prop, model.states())
-
-
-def _rational_states(model, prop, among):
-    """The states among the given ones where the property holds for the
-    owner's strategy given their beliefs.
+def rationality_event(model, prop, among=None):
+    """The states (among the given ones; default every state) where the
+    property holds for the owner's strategy given their beliefs.
 
     G_{P_i(w)} depends only on the block, so the states are grouped by block
     into cells, one per distinct strategy image, and each cell asks the
     property once, for the own strategies played at its states.
     """
+    if among is None:
+        among = model.states()
     i = prop.player
     own = model.assignment[i]
     states_of = {}  # block -> the states holding it
@@ -485,7 +482,7 @@ def parse_model(text, base_dir="."):
     goes to a helper that names its fault, or reads the player as int()
     does ('01' is player 1).
     """
-    lines = _text_lines(text)
+    lines = text_lines(text)
     game = game_path = state_names = assignment = corr = None
     state_index, players, strategies = {}, {}, ()  # filled by the 'game' and 'states' lines
     blocks = {}  # the text after ':' -> its block; not empty once a P line is read

@@ -413,7 +413,7 @@ def _game_header(text):
     """The strategy names, their indices per player, the text lines after
     the strategies lines, and the numbered token lists after them, which
     the line loop reads."""
-    raw = _text_lines(text)
+    raw = text_lines(text)
     lines = ((lineno, toks) for lineno, toks in enumerate(map(str.split, raw), start=1) if toks)
     lineno, toks = next(lines, (None, None))
     if toks is None:
@@ -448,7 +448,7 @@ def _game_header(text):
     return tuple(names), index, raw[lineno:], lines
 
 
-def _text_lines(text):
+def text_lines(text):
     """The lines of a text with '#' comments cut off."""
     lines = text.splitlines()
     if "#" in text:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .epistemic import box, every_event, optimality_event, rationality_event, restriction_of
-from .games import BudgetExceededError, LineFormatError, _text_lines
+from .games import BudgetExceededError, LineFormatError, text_lines
 from .operators import NotShrinkingError, descend
 
 
@@ -831,7 +831,7 @@ _NUIND_RE = re.compile(r"^nuInd\s+from=([0-9]+)\s+chi=(.*?)\s+psi=(.*)$")
 
 def parse_derivation(text):
     steps = []
-    for lineno, raw in enumerate(_text_lines(text), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         stripped = raw.strip()
         if not stripped:
             continue

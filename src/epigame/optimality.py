@@ -78,14 +78,9 @@ def builtin(game, name, i, belief_class=None):
     if belief_class is not None and name not in ("br_l", "br_g"):
         raise ValueError(f"{name} does not take a belief class")
     local = name.endswith("_l")
+    # A global builtin takes its owner's whole set as rivals, so it reads
+    # nothing of the owner's own part (condition A by construction).
     everyone = frozenset(game.strategies(i))
-
-    # decide(G, rows, rivals, candidates): the candidates kept against the
-    # rivals, given player i's cut rows on G. A global builtin takes its
-    # owner's whole set as rivals, so it reads nothing of the owner's own
-    # part (condition A by construction).
-    def rule(G, candidates):
-        return decide(G, G.rows(i), G.sets[i] if local else everyone, candidates)
 
     def evaluator(s, G):
         return s in rule(G, (s,))
@@ -93,15 +88,17 @@ def builtin(game, name, i, belief_class=None):
     if name.startswith("br"):
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
 
-        def decide(G, rows, rivals, candidates):
-            return dominance.best_responses(game, G, rows, i, rivals, candidates, cls)
+        def rule(G, candidates):
+            return dominance.best_responses(game, G, G.rows(i), i, G.sets[i] if local else everyone,
+                                            candidates, cls)
 
     else:  # sd, wd, msd, mwd
         weak = "wd" in name
         mixed = name[0] == "m"
 
-        def decide(G, rows, rivals, candidates):
-            return dominance.undominated(rows, rivals, candidates, weak, mixed)
+        def rule(G, candidates):
+            return dominance.undominated(G.rows(i), G.sets[i] if local else everyone, candidates,
+                                         weak, mixed)
 
         if not mixed:
             relation = dominance.row_weakly_dominates if weak else dominance.row_strictly_dominates

@@ -20,6 +20,7 @@ from epigame.announcements import (
 )
 from epigame.checks import CheckConfig, random_game
 from epigame.epistemic import (
+    EpistemicModel,
     event_of_restriction,
     load_model_file,
     random_belief_model,
@@ -112,6 +113,11 @@ def test_standard_shapes():
     assert not is_standard_knowledge(bare)
     knowing = standard_model(PD.full_restriction(), correspondences=True)
     assert is_standard_knowledge(knowing)
+    # standard, but each player knows the whole profile, not only their own strategy
+    singletons = tuple(frozenset([w]) for w in knowing.states())
+    omniscient = EpistemicModel(PD, knowing.state_names, knowing.assignment, (singletons,) * 2)
+    assert is_standard(omniscient)
+    assert not is_standard_knowledge(omniscient)
     duplicated = effect(bare, (bare.all_event(), bare.all_event()))
     assert is_standard(duplicated)
 

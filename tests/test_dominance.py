@@ -672,6 +672,20 @@ def test_mixed_dominance_searches_return_a_fraction_mixture():
     assert witness.weights == point_mass(PD, 0, 1).weights == {1: 1}
 
 
+def test_the_witness_search_returns_the_first_pure_dominator_as_its_point_mass():
+    """Both rivals dominate s, r2 by more; the witness is r1, the lower
+    index. In the second game r1 ties s on L and C, so it dominates weakly
+    only, and the strict witness is r2."""
+    game = _row_game({"r1": (1, 1, 2), "s": (0, 0, 0), "r2": (3, 3, 3)})
+    full = game.full_restriction()
+    for search in (mixed_strictly_dominates_exists, mixed_weakly_dominates_exists):
+        assert search(game, full, 0, full.sets[0], 1).weights == point_mass(game, 0, 0).weights
+    game = _row_game({"r1": (0, 0, 1), "s": (0, 0, 0), "r2": (3, 3, 3)})
+    full = game.full_restriction()
+    assert mixed_weakly_dominates_exists(game, full, 0, full.sets[0], 1).weights == {0: 1}
+    assert mixed_strictly_dominates_exists(game, full, 0, full.sets[0], 1).weights == {2: 1}
+
+
 def _small_tie_games(rng, count):
     """count games of 2-3 players with 1-4 strategies each, at most 8 in
     all so every restriction can be enumerated, and payoffs 0-3, whose ties

@@ -80,6 +80,22 @@ def test_no_dead_private_helpers_in_the_package():
     assert not dead, f"private helpers nothing names: {', '.join(dead)}"
 
 
+def test_no_module_imports_another_modules_private_name():
+    """A helper that another module needs is made public, so that its own
+    module's private names stay its own business."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert not found, f"private names imported from another module: {', '.join(found)}"
+
+
 def test_benchmark_layer_targets_resolve():
     """Every layer the benchmark's tracer wraps still exists, so renaming one
     fails here instead of silently dropping its per-layer metrics."""
@@ -139,12 +155,12 @@ def test_holds_is_called_only_by_the_oracles():
     ]
 
 
-def test_pearce_is_called_only_by_the_set_wise_rule_and_the_witness_search():
-    """One set-wise dominance rule: undominated runs Pearce's LP for sd, wd,
-    msd, mwd and the best responses, _mixed_dominator for the witnesses of
-    mixed_*_dominates_exists, and _by_cells for the cells of independent
-    beliefs and the points it tries in them. A further caller would be a
-    second path to keep in step with them."""
+def test_pearce_is_called_only_by_the_set_wise_pipeline_and_the_cells():
+    """One set-wise dominance pipeline: _dominators runs Pearce's LP for
+    msd, mwd and the best responses, and hands its dominator both to
+    undominated and to the witnesses of mixed_*_dominates_exists; _by_cells
+    runs it for the cells of independent beliefs and the points it tries in
+    them. A further caller would be a second path to keep in step with them."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -158,8 +174,7 @@ def test_pearce_is_called_only_by_the_set_wise_rule_and_the_witness_search():
     assert sorted(found) == [
         ("dominance.py", "_by_cells"),
         ("dominance.py", "_by_cells"),
-        ("dominance.py", "_mixed_dominator"),
-        ("dominance.py", "undominated"),
+        ("dominance.py", "_dominators"),
     ]
 
 
