@@ -121,39 +121,33 @@ def random_bare_model(rng, game, max_states=8):
 
 def random_l_formula(rng, game, depth=3):
     """A random formula of the basic modal language (no fixpoint variable)."""
-    players = [None] + list(range(game.n))
-    if depth == 0 or rng.random() < 0.35:
-        return logic.Rat(rng.choice(players))
-    kind = rng.choice(("and", "not", "box", "opt"))
-    if kind == "and":
-        return logic.AndF(
-            random_l_formula(rng, game, depth - 1),
-            random_l_formula(rng, game, depth - 1),
-        )
-    if kind == "not":
-        return logic.NotF(random_l_formula(rng, game, depth - 1))
-    sub = random_l_formula(rng, game, depth - 1)
-    if kind == "box":
-        return logic.Box(rng.choice(players), sub)
-    return logic.Opt(rng.choice(players), sub)
+    return _random_formula(rng, game, depth, 0.35, None)
 
 
 def random_positive_body(rng, game, depth=3, even=True):
     """A fixpoint body, positive in the variable by construction."""
+    return _random_formula(rng, game, depth, 0.3, even)
+
+
+def _random_formula(rng, game, depth, leaf, even):
+    """A random formula that stops at a leaf with probability leaf. even is
+    None for no variable, else whether the variable may sit below the
+    negations met so far (an even number of them)."""
     players = [None] + list(range(game.n))
-    if depth == 0 or rng.random() < 0.3:
+    if depth == 0 or rng.random() < leaf:
         if even and rng.random() < 0.5:
             return logic.Var()
         return logic.Rat(rng.choice(players))
     kind = rng.choice(("and", "not", "box", "opt"))
     if kind == "and":
         return logic.AndF(
-            random_positive_body(rng, game, depth - 1, even),
-            random_positive_body(rng, game, depth - 1, even),
+            _random_formula(rng, game, depth - 1, leaf, even),
+            _random_formula(rng, game, depth - 1, leaf, even),
         )
     if kind == "not":
-        return logic.NotF(random_positive_body(rng, game, depth - 1, not even))
-    sub = random_positive_body(rng, game, depth - 1, even)
+        return logic.NotF(
+            _random_formula(rng, game, depth - 1, leaf, None if even is None else not even))
+    sub = _random_formula(rng, game, depth - 1, leaf, even)
     if kind == "box":
         return logic.Box(rng.choice(players), sub)
     return logic.Opt(rng.choice(players), sub)
@@ -658,7 +652,7 @@ def formula4_rat(rng, cfg, pool):
 
 @_check("logic", ("sd_g", "br_g"))
 def nu_postfixpoints(rng, cfg, pool):
-    """The fixpoint evaluator returns the largest postfixpoint of the body."""
+    """eval_lnu returns the largest postfixpoint of a fixpoint's body."""
     game, names, profile = _random_profile(rng, cfg, pool)
     model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
     body = random_positive_body(rng, game)

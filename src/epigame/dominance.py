@@ -246,24 +246,24 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure"):
     which Pearce's LP in _pearce decides with a checked certificate either
     way; only independent beliefs of three or more players search further.
     """
-    return s_i in best_responses(game, beliefs_in, beliefs_in.rows(i), i, comparison.sets[i],
-                                 (s_i,), belief_class)
+    return s_i in best_responses(beliefs_in, i, comparison.sets[i], (s_i,), belief_class)
 
 
-def best_responses(game, beliefs_in, rows, i, rivals, candidates, belief_class="pure"):
+def best_responses(beliefs_in, i, rivals, candidates, belief_class="pure"):
     """The candidates that is_best_response accepts against the frozenset of
-    rivals, given beliefs_in and player i's cut rows on it, decided together.
+    rivals, given the restriction beliefs_in, decided together.
     By Pearce's lemma the correlated ones, and the mixed ones of two players,
     are those undominated by mixtures; with more players _by_cells decides
     the mixed ones that are no pure best response."""
     if belief_class not in ("pure", "correlated", "mixed"):
         raise BeliefClassError(f"unknown belief class {belief_class!r}")
+    rows = beliefs_in.rows(i)
     if belief_class == "pure" or not rivals:
         return _best_responders(rows, rivals, candidates)[0]
-    if belief_class == "correlated" or game.n == 2:
+    if belief_class == "correlated" or beliefs_in.game.n == 2:
         return undominated(rows, rivals, candidates, mixed=True)
     kept, rest = _best_responders(rows, rivals, candidates)
-    return kept + [s for s in rest if _by_cells(game, beliefs_in, rows, i, rivals, s)]
+    return kept + [s for s in rest if _by_cells(beliefs_in, rows, i, rivals, s)]
 
 
 # The most cells that _by_cells decides for one strategy. On 1,500 seeded
@@ -273,7 +273,7 @@ def best_responses(game, beliefs_in, rows, i, rivals, candidates, belief_class="
 CELL_LIMIT = 200
 
 
-def _by_cells(game, beliefs_in, rows, i, rivals, s):
+def _by_cells(beliefs_in, rows, i, rivals, s):
     """Is s at least as good as every rival against some product of
     independent mixtures over the opponents' parts of beliefs_in, given
     player i's cut rows on it? Decided exactly, or refused with
@@ -302,6 +302,7 @@ def _by_cells(game, beliefs_in, rows, i, rivals, s):
     mine = rows[s]
     if not mine:
         return False
+    game = beliefs_in.game
     sizes = [len(beliefs_in.sets[j]) for j in range(game.n) if j != i][1:]
     width = math.prod(sizes)
     support = sorted(rivals)

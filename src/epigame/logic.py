@@ -757,16 +757,11 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
     for w in model.states():
         state_of.setdefault(model.strategy_of(i, w), w)
 
-    def evaluator(s, G):
-        return run({pivot: state_of[s]}, event_of_restriction(model, G))
-
     def rule(G, candidates):
         X = event_of_restriction(model, G)
         return [s for s in candidates if run({pivot: state_of[s]}, X)]
 
-    return OptimalityProperty(
-        name, i, game, evaluator, "compiled", monotone=check_positive_lo(formula), rule=rule
-    )
+    return OptimalityProperty(name, i, game, rule, monotone=check_positive_lo(formula))
 
 
 def _free_member_or_ctx(f, pivot, bound):

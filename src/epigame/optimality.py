@@ -1,8 +1,9 @@
 """Optimality properties: the predicates players use to keep strategies.
 
-A property belongs to one player of one game and is evaluated at a strategy
-and a restriction. The eleven builtin names follow the local/global split:
-local variants range over the restriction, global ones over the full game.
+A property belongs to one player of one game and is its set-wise rule: given
+a restriction and some of its owner's strategies, the ones it keeps there.
+The eleven builtin names follow the local/global split: local variants range
+over the restriction, global ones over the full game.
 """
 
 from __future__ import annotations
@@ -24,26 +25,21 @@ class OptimalityProperty:
     name: str
     player: int
     game: object
-    evaluator: Callable
-    provenance: str = "builtin"
+    # rule(G, candidates) -> the candidates at which the property holds on G,
+    # deciding them together: the one way the property decides.
+    rule: Callable
     # Theorems the constructor vouches for; False means "not proven", and the
     # guards then enumerate. own_independent is condition A.
     monotone: bool = False
     own_independent: bool = False
-    # rule(G, candidates) -> the candidates at which the property holds on G,
-    # deciding them together; None filters the candidates through evaluator.
-    rule: Optional[Callable] = None
 
     def holds(self, s_i, restriction):
-        if restriction.game is not self.game:
-            raise ValueError("restriction belongs to a different game")
-        if not 0 <= s_i < self.game.strategy_count(self.player):
-            raise ValueError(f"strategy index {s_i} out of range")
-        return bool(self.evaluator(s_i, restriction))
+        """The rule asked about one strategy."""
+        return s_i in self.survivors(restriction, (s_i,))
 
     def survivors(self, restriction, candidates):
         """The frozenset of candidates (strategy indices of the owner) at which
-        the property holds on the restriction; refused as holds refuses them."""
+        the property holds on the restriction, decided by its rule."""
         if restriction.game is not self.game:
             raise ValueError("restriction belongs to a different game")
         if not candidates:
@@ -55,8 +51,6 @@ class OptimalityProperty:
                 for s in candidates:
                     if not 0 <= s < count:
                         raise ValueError(f"strategy index {s} out of range")
-        if self.rule is None:
-            return frozenset(s for s in candidates if self.evaluator(s, restriction))
         return frozenset(self.rule(restriction, candidates))
 
     def __repr__(self):
@@ -82,15 +76,11 @@ def builtin(game, name, i, belief_class=None):
     # nothing of the owner's own part (condition A by construction).
     everyone = frozenset(game.strategies(i))
 
-    def evaluator(s, G):
-        return s in rule(G, (s,))
-
     if name.startswith("br"):
         cls = "correlated" if name == "brc_l" else belief_class or "pure"
 
         def rule(G, candidates):
-            return dominance.best_responses(game, G, G.rows(i), i, G.sets[i] if local else everyone,
-                                            candidates, cls)
+            return dominance.best_responses(G, i, G.sets[i] if local else everyone, candidates, cls)
 
     else:  # sd, wd, msd, mwd
         weak = "wd" in name
@@ -100,16 +90,8 @@ def builtin(game, name, i, belief_class=None):
             return dominance.undominated(G.rows(i), G.sets[i] if local else everyone, candidates,
                                          weak, mixed)
 
-        if not mixed:
-            relation = dominance.row_weakly_dominates if weak else dominance.row_strictly_dominates
-
-            def evaluator(s, G):  # the plain rival scan: the reference for undominated
-                rows = G.rows(i)
-                rivals = map(rows.__getitem__, G.sets[i] if local else everyone)
-                return not any(map(relation, rivals, itertools.repeat(rows[s])))
-
-    return OptimalityProperty(name, i, game, evaluator, monotone=name in MONOTONE_BUILTINS,
-                              own_independent=name.endswith("_g"), rule=rule)
+    return OptimalityProperty(name, i, game, rule, monotone=name in MONOTONE_BUILTINS,
+                              own_independent=name.endswith("_g"))
 
 
 def profile_named(game, names, belief_class=None):
@@ -125,18 +107,19 @@ def profile_named(game, names, belief_class=None):
 
 def constant_property(game, i, value=True, name=None):
     return OptimalityProperty(
-        name or f"const_{str(value).lower()}", i, game, lambda s, G: value, "test",
-        monotone=True, own_independent=True,
+        name or f"const_{str(value).lower()}", i, game,
+        lambda G, candidates: candidates if value else (), monotone=True, own_independent=True,
     )
 
 
 def value_table(prop, budget=10):
     """Property values over every restriction, keyed by (strategy, sets)."""
-    game = prop.game
+    everyone = prop.game.strategies(prop.player)
     table = {}
-    for G in all_restrictions(game, budget=budget):
-        for s in game.strategies(prop.player):
-            table[(s, G.sets)] = prop.holds(s, G)
+    for G in all_restrictions(prop.game, budget=budget):
+        kept = prop.survivors(G, everyone)
+        for s in everyone:
+            table[(s, G.sets)] = s in kept
     return table
 
 

@@ -201,10 +201,8 @@ def test_mixed_three_players_is_decided_without_a_grid():
     game = _independent_belief_game({"n": (3, 0, 0, 3), "r1": (4, 0, 0, 0),
                                      "r2": (0, 0, 0, 4), "r3": (2, 2, 2, 2)})
     full = game.full_restriction()
-    rows = full.rows(0)
-    assert dominance.best_responses(game, full, rows, 0, full.sets[0], (0,), "mixed") == []
-    assert dominance.best_responses(game, full, rows, 0, full.sets[0], (0,),
-                                    "correlated") == [0]
+    assert dominance.best_responses(full, 0, full.sets[0], (0,), "mixed") == []
+    assert dominance.best_responses(full, 0, full.sets[0], (0,), "correlated") == [0]
     # s is a best response only at x = y = 1/sqrt(2), which no cell vertex,
     # barycentre or LP point reaches, so it is refused, never eliminated
     game = _independent_belief_game({"s": (0, 0, 0, 0), "r1": (-1, 1, 1, 1),
@@ -611,8 +609,7 @@ def test_set_wise_decisions_build_no_mixed_strategy(monkeypatch):
         for name in names:
             assert not builtin(game, name, 0).holds(s, full)
             if name == "brc_l":
-                assert dominance.best_responses(
-                    game, full, rows, 0, support, (s,), "correlated") == []
+                assert dominance.best_responses(full, 0, support, (s,), "correlated") == []
             else:
                 assert dominance.undominated(rows, support, (s,), name == "mwd_l",
                                              mixed=True) == []
@@ -720,7 +717,7 @@ def test_the_set_wise_rule_equals_the_witness_searches():
                     assert sorted(dominance.undominated(rows, rivals, candidates, weak,
                                                         mixed=True)) == kept[weak]
                 assert sorted(dominance.best_responses(
-                    game, G, rows, i, rivals, candidates, "correlated")) == kept[False]
+                    G, i, rivals, candidates, "correlated")) == kept[False]
                 pairs += 1
     assert pairs > 1000
 

@@ -622,17 +622,22 @@ def test_rationality_event_shares_one_restriction_per_strategy_image():
         for source in (model, _unshared(model)):
             calls = []
             inner = builtin(game, "br_g", 0)
-            prop = OptimalityProperty(
-                "logged", 0, game, lambda s, G: calls.append((s, G)) or inner.holds(s, G)
-            )
+
+            def logged(G, candidates):
+                calls.append((G, candidates))
+                return inner.rule(G, candidates)
+
+            prop = OptimalityProperty("logged", 0, game, logged)
             assert rationality_event(source, prop) == _reference_rationality_event(model, inner)
-            keys = [(G.sets, s) for s, G in calls]
-            assert len(keys) == len(set(keys))  # one holds call per (images, strategy)
-            objects = {}
-            for s, G in calls:
-                assert objects.setdefault(G.sets, G) is G  # one restriction per images
+            played = {}  # images -> the owner's strategies at states with those images
+            for w in model.states():
+                sets = restriction_of(model, model.blocks(0)[w]).sets
+                played.setdefault(sets, set()).add(model.strategy_of(0, w))
+            # one rule call per strategy image, for the own strategies played there
+            assert sorted((G.sets, sorted(asked)) for G, asked in calls) == sorted(
+                (sets, sorted(own)) for sets, own in played.items())
             if model is twins:
-                assert len(calls) == 2 and len(objects) == 1
+                assert len(calls) == 1
 
 
 def test_effect_shares_equal_cuts():
@@ -914,7 +919,7 @@ def test_events_equal_the_per_strategy_definition():
 def test_a_wrong_own_independence_declaration_shows():
     """rationality_event reads no declaration, so a wrong own_independent
     leaves it equal to the per-state reference; the condition-A oracle
-    reads only the evaluator, so it still refutes the declaration."""
+    reads only the rule, so it still refutes the declaration."""
     refuted = 0
     for game, model in _random_models(79, 16, max_strategies=3, max_states=8):
         for name in ("sd_l", "br_l"):

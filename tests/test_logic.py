@@ -606,7 +606,6 @@ def test_compiled_conditions_match_builtins_on_pd():
         for i in range(2):
             compiled = compile_lo_to_property(lo_text(name, i), PD, i, name)
             reference = builtin(PD, name, i)
-            assert compiled.provenance == "compiled"
             for G in all_restrictions(PD):
                 if G.is_empty():
                     continue

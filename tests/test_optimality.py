@@ -178,7 +178,6 @@ def test_profile_named_forms():
 def test_constant_property():
     prop = constant_property(PD, 0, value=False)
     assert not prop.holds(C, PD.full_restriction())
-    assert prop.provenance == "test"
 
 
 # ---------- declared facts against the exhaustive oracle ----------
@@ -229,16 +228,17 @@ def test_compiled_monotone_is_syntactic_positivity():
 def test_require_monotone_trusts_the_declaration():
     """A declared fact is not re-proven; undeclared ones still are."""
     sd_l = builtin(PD, "sd_l", 0)
-    declared = OptimalityProperty("sd_l", 0, PD, sd_l.evaluator, monotone=True)
+    declared = OptimalityProperty("sd_l", 0, PD, sd_l.rule, monotone=True)
     require_monotone((declared,))
     with pytest.raises(NonMonotonicPropertyError):
         require_monotone((sd_l,))
 
 
 def test_pure_dominance_builtins_equal_the_pairwise_relations():
-    """sd and wd read each strategy's row once and scan the rivals' rows; the
-    answer is the pairwise relation over the same rivals, on every
-    restriction, empty ones included."""
+    """sd and wd, asked about one strategy with holds and about all of them at
+    once with survivors (where the best-response prefilter runs), keep the
+    strategies that the pairwise relation over the same rivals keeps, on
+    every restriction, empty ones included."""
     rng = random.Random(4242)
     checked = 0
     for n, cap, bound in ((2, 4, 1), (2, 4, 3), (2, 3, 9), (3, 3, 1), (3, 2, 2)):
@@ -247,12 +247,14 @@ def test_pure_dominance_builtins_equal_the_pairwise_relations():
         for i in range(n):
             props = {name: builtin(game, name, i) for name in ("sd_l", "sd_g", "wd_l", "wd_g")}
             for G in all_restrictions(game):
-                for s in game.strategies(i):
-                    for name, prop in props.items():
-                        relation = strictly_dominates if name[0] == "s" else weakly_dominates
-                        rivals = G.strategies(i) if name.endswith("_l") else game.strategies(i)
-                        assert prop.holds(s, G) == (
-                            not any(relation(game, G, i, d, s) for d in rivals))
+                for name, prop in props.items():
+                    relation = strictly_dominates if name[0] == "s" else weakly_dominates
+                    rivals = G.strategies(i) if name.endswith("_l") else game.strategies(i)
+                    want = {s for s in game.strategies(i)
+                            if not any(relation(game, G, i, d, s) for d in rivals)}
+                    assert prop.survivors(G, game.strategies(i)) == want, (name, G.describe())
+                    for s in game.strategies(i):
+                        assert prop.holds(s, G) == (s in want)
                         checked += 1
     assert checked > 5000
 

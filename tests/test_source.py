@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -115,17 +116,12 @@ def test_benchmark_layer_targets_resolve():
 
 
 def test_every_builtin_has_a_set_wise_rule():
-    """apply_T asks each property for a player's whole set; a builtin without
-    its own rule would silently fall back to one holds call per strategy."""
-    from epigame.games import load_game_file
-    from epigame.optimality import BUILTIN_NAMES, builtin, constant_property
+    """Every property, builtin or not, decides through its rule alone: the
+    rule is a required field, and no second way to decide rides along."""
+    from epigame.optimality import OptimalityProperty
 
-    game = load_game_file(ROOT / "data" / "pd.game")
-    props = [builtin(game, name, 0) for name in BUILTIN_NAMES]
-    props += [builtin(game, name, 0, belief_class=cls)
-              for name in ("br_l", "br_g") for cls in ("pure", "correlated", "mixed")]
-    assert [prop.name for prop in props if prop.rule is None] == []
-    assert constant_property(game, 0).rule is None  # the holds filter is the default
+    assert tuple(field.name for field in dataclasses.fields(OptimalityProperty)) == (
+        "name", "player", "game", "rule", "monotone", "own_independent")
 
 
 def _innermost_functions(tree):
@@ -138,8 +134,9 @@ def _innermost_functions(tree):
 
 
 def test_holds_is_called_only_by_the_oracles():
-    """Callers decide a whole set with survivors; only the oracles that test
-    what properties declare ask holds, one strategy at a time."""
+    """Callers decide a whole set with survivors; value_table asks it once
+    per restriction, and only the singleton-truth oracle asks holds, one
+    point restriction at a time."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -151,7 +148,6 @@ def test_holds_is_called_only_by_the_oracles():
         ]
     assert sorted(found) == [
         ("optimality.py", "satisfies_singleton_truth"),
-        ("optimality.py", "value_table"),
     ]
 
 
