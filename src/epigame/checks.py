@@ -110,15 +110,6 @@ def random_event(rng, model):
     return frozenset(w for w in model.states() if rng.random() < 0.5)
 
 
-def random_bare_model(rng, game, max_states=8):
-    k = rng.randint(1, max_states)
-    return epistemic.EpistemicModel(
-        game,
-        tuple(f"w{w + 1}" for w in range(k)),
-        epistemic.random_assignment(rng, game, k),
-    )
-
-
 def random_l_formula(rng, game, depth=3):
     """A random formula of the basic modal language (no fixpoint variable)."""
     return _random_formula(rng, game, depth, 0.35, None)
@@ -491,7 +482,7 @@ def survival_formula(rng, cfg, pool):
     formula = logic.Nu(logic.Opt(None, logic.Var()))
     outcome = operators.iterate_to_outcome(profile).outcome
 
-    model = random_bare_model(rng, game, cfg.max_states)
+    model = epistemic.random_model(rng, game, cfg.max_states, "bare")
     event = logic.eval_lnu(model, formula, profile)
     induced = epistemic.restriction_of(model, event)
     if not games.restriction_leq(induced, outcome):

@@ -246,6 +246,8 @@ def is_best_response(game, comparison, beliefs_in, i, s_i, belief_class="pure"):
     which Pearce's LP in _pearce decides with a checked certificate either
     way; only independent beliefs of three or more players search further.
     """
+    if not (comparison.game is beliefs_in.game is game):
+        raise ValueError("restriction belongs to a different game")
     return s_i in best_responses(beliefs_in, i, comparison.sets[i], (s_i,), belief_class)
 
 

@@ -429,13 +429,14 @@ def _random_partition(rng, states):
 
 
 def random_model(rng, game, max_states, level):
-    """Random model that validates at level "knowledge" or "belief". Each
-    player's blocks partition a core of the states, all of them under
+    """Random model that validates at level "knowledge", "belief" or "bare".
+    Each player's blocks partition a core of the states, all of them under
     knowledge and a random nonempty part under belief, where every other
-    state points at a random block, so frames need not be reflexive."""
+    state points at a random block, so frames need not be reflexive. A bare
+    model has no blocks."""
     k = rng.randint(1, max_states)
     corr = []
-    for _ in range(game.n):
+    for _ in range(0 if level == "bare" else game.n):
         core = range(k) if level == "knowledge" else rng.sample(range(k), rng.randint(1, k))
         blocks = _random_partition(rng, core)
         lookup = {w: block for block in blocks for w in block}
@@ -444,7 +445,7 @@ def random_model(rng, game, max_states, level):
         game,
         tuple(f"w{w + 1}" for w in range(k)),
         random_assignment(rng, game, k),
-        tuple(corr),
+        tuple(corr) or None,
     )
     if validate(model, level):
         raise AssertionError(f"random {level} model does not validate")

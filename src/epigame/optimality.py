@@ -8,12 +8,11 @@ over the restriction, global ones over the full game.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import dominance
-from .games import Restriction, all_restrictions, subsets_of
+from .games import Restriction, all_restrictions
 
 
 class NonMonotonicPropertyError(ValueError):
@@ -113,14 +112,10 @@ def constant_property(game, i, value=True, name=None):
 
 
 def value_table(prop, budget=10):
-    """Property values over every restriction, keyed by (strategy, sets)."""
+    """What the rule keeps of all its owner's strategies, keyed by the sets of
+    every restriction: the one enumeration the lattice oracles read."""
     everyone = prop.game.strategies(prop.player)
-    table = {}
-    for G in all_restrictions(prop.game, budget=budget):
-        kept = prop.survivors(G, everyone)
-        for s in everyone:
-            table[(s, G.sets)] = s in kept
-    return table
+    return {G.sets: prop.survivors(G, everyone) for G in all_restrictions(prop.game, budget)}
 
 
 @dataclass(frozen=True)
@@ -137,19 +132,17 @@ def is_monotonic_on(prop, budget=10):
     """
     game = prop.game
     table = value_table(prop, budget=budget)
-    for G in all_restrictions(game, budget=budget):
-        for j in range(game.n):
+    for sets, kept in table.items():
+        for j, part in enumerate(sets):
             for extra in game.strategies(j):
-                if extra in G.sets[j]:
+                if extra in part:
                     continue
-                bigger = tuple(
-                    part | {extra} if j2 == j else part for j2, part in enumerate(G.sets)
-                )
-                for s in game.strategies(prop.player):
-                    if table[(s, G.sets)] and not table[(s, bigger)]:
-                        return MonotonicityReport(
-                            False, (s, G, Restriction(game, bigger))
-                        )
+                bigger = sets[:j] + (part | {extra},) + sets[j + 1:]
+                lost = kept - table[bigger]
+                if lost:
+                    return MonotonicityReport(
+                        False, (min(lost), Restriction(game, sets), Restriction(game, bigger))
+                    )
     return MonotonicityReport(True)
 
 
@@ -178,23 +171,15 @@ def satisfies_condition_A(prop, budget=10):
     """Does the property ignore the owner's own component of the restriction?"""
     game = prop.game
     i = prop.player
-    table = value_table(prop, budget=budget)
-    others = [list(subsets_of(game.strategies(j))) for j in range(game.n) if j != i]
-    own_sets = list(subsets_of(game.strategies(i)))
-    for ctx in itertools.product(*others):
-        def with_own(part):
-            sets = list(ctx)
-            sets.insert(i, part)
-            return tuple(sets)
-
+    contexts = {}  # the opponents' parts -> (sets, kept), own part smallest first
+    for sets, kept in value_table(prop, budget=budget).items():
+        contexts.setdefault(sets[:i] + sets[i + 1:], []).append((sets, kept))
+    for (base, base_kept), *rest in contexts.values():
         for s in game.strategies(i):
-            base = table[(s, with_own(own_sets[0]))]
-            for part in own_sets[1:]:
-                if table[(s, with_own(part))] != base:
+            for sets, kept in rest:
+                if (s in kept) != (s in base_kept):
                     return ConditionAReport(
-                        False,
-                        (s, Restriction(game, with_own(own_sets[0])),
-                         Restriction(game, with_own(part))),
+                        False, (s, Restriction(game, base), Restriction(game, sets))
                     )
     return ConditionAReport(True)
 

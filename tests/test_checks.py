@@ -12,14 +12,13 @@ from epigame.checks import (
     _inclusion_payload,
     _model_payload,
     _restore_model,
-    random_bare_model,
     random_game,
     random_positive_body,
     run_check,
     run_suite,
     verify_counterexample,
 )
-from epigame.epistemic import EpistemicModel
+from epigame.epistemic import EpistemicModel, random_model
 from epigame.games import game_to_text, load_game
 from epigame.logic import var_positive
 from epigame.optimality import BUILTIN_NAMES
@@ -142,7 +141,7 @@ def test_library_runs_refuse_properties_outside_the_pool():
 def test_model_payload_round_trip():
     rng = random.Random(6)
     game = random_game(rng, CheckConfig(count=0), n=2)
-    model = random_bare_model(rng, game)
+    model = random_model(rng, game, 8, "bare")
     restored = _restore_model(game, _model_payload(model))
     assert restored.state_names == model.state_names
     assert restored.assignment == model.assignment

@@ -112,6 +112,15 @@ def test_pd_best_responses():
     assert not is_best_response(PD, full, full, 0, 0)
 
 
+def test_best_response_refuses_restrictions_of_another_game():
+    """A restriction of another game is refused, whether its rows would run
+    out of range or answer about the wrong game."""
+    pd_full, tbt_full = PD.full_restriction(), TBT.full_restriction()
+    for game, comparison, beliefs_in in ((PD, tbt_full, pd_full), (TBT, pd_full, pd_full)):
+        with pytest.raises(ValueError, match="^restriction belongs to a different game$"):
+            is_best_response(game, comparison, beliefs_in, 0, 0)
+
+
 def test_pure_point_mass_agreement():
     """A strategy justified by a pure belief is justified by its point mass."""
     rng = random.Random(7)

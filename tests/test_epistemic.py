@@ -495,6 +495,22 @@ def test_random_models_draw_what_they_drew_before():
     )
 
 
+def test_random_bare_models_draw_what_they_drew_before():
+    """The bare level draws the state count, then the assignment, and no
+    blocks: 300 seeded draws, and the stream left after each, hash as they
+    always have."""
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        game = random_game(rng, CheckConfig(count=0), n=2 + seed % 2)
+        model = epistemic.random_model(rng, game, 8, "bare")
+        digest.update(repr((model.state_names, model.assignment, model.correspondences,
+                            rng.random())).encode())
+    assert digest.hexdigest() == (
+        "f79947745184a1de5a0e1d25f09469ac4f3de6d4394a92769ded4500b7e8ae7f"
+    )
+
+
 def test_epist1_on_games_past_the_enumeration_budget():
     """Declared-monotone profiles need no enumeration, so a 6x6 game runs."""
     rng = random.Random(66)

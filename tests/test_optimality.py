@@ -1,5 +1,6 @@
 """Builtin optimality properties and their structural checks."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -13,7 +14,14 @@ from epigame.dominance import (
     strictly_dominates,
     weakly_dominates,
 )
-from epigame.games import all_restrictions, game_to_text, load_game, load_game_file
+from epigame.games import (
+    Restriction,
+    all_restrictions,
+    game_to_text,
+    load_game,
+    load_game_file,
+    subsets_of,
+)
 from epigame.logic import (
     LO_TEXTS,
     check_positive_lo,
@@ -95,8 +103,13 @@ def test_empty_own_component_conventions():
 
 
 def test_value_table_covers_everything():
-    table = value_table(builtin(PD, "sd_l", 0))
-    assert len(table) == 2 * 16
+    """One entry per restriction of PD, keyed by its sets: what the rule keeps
+    of all of the owner's strategies there."""
+    prop = builtin(PD, "sd_l", 0)
+    table = value_table(prop)
+    assert len(table) == 16
+    for G in all_restrictions(PD):
+        assert table[G.sets] == prop.survivors(G, PD.strategies(0))
 
 
 # ---------- monotonicity ----------
@@ -203,6 +216,104 @@ def test_declared_facts_hold_on_the_oracle():
                         assert is_monotonic_on(prop).monotonic, (name, i)
                     if prop.own_independent:
                         assert satisfies_condition_A(prop).independent, (name, i)
+
+
+def _reference_value_table(prop):
+    """Property values keyed by (strategy, sets)."""
+    everyone = prop.game.strategies(prop.player)
+    table = {}
+    for G in all_restrictions(prop.game):
+        kept = prop.survivors(G, everyone)
+        for s in everyone:
+            table[(s, G.sets)] = s in kept
+    return table
+
+
+def _reference_monotonicity(prop, table):
+    """The first cover pair that loses a strategy, by a second enumeration."""
+    game = prop.game
+    for G in all_restrictions(game):
+        for j in range(game.n):
+            for extra in game.strategies(j):
+                if extra in G.sets[j]:
+                    continue
+                bigger = tuple(
+                    part | {extra} if j2 == j else part for j2, part in enumerate(G.sets)
+                )
+                for s in game.strategies(prop.player):
+                    if table[(s, G.sets)] and not table[(s, bigger)]:
+                        return (s, G.sets, bigger)
+    return None
+
+
+def _reference_condition_A(prop, table):
+    """The first own part that changes a strategy's value against the empty
+    one, context by context of the opponents' subsets."""
+    game = prop.game
+    i = prop.player
+    others = [list(subsets_of(game.strategies(j))) for j in range(game.n) if j != i]
+    own_sets = list(subsets_of(game.strategies(i)))
+    for ctx in itertools.product(*others):
+        def with_own(part):
+            sets = list(ctx)
+            sets.insert(i, part)
+            return tuple(sets)
+
+        for s in game.strategies(i):
+            base = table[(s, with_own(own_sets[0]))]
+            for part in own_sets[1:]:
+                if table[(s, with_own(part))] != base:
+                    return (s, with_own(own_sets[0]), with_own(part))
+    return None
+
+
+def _sets_of(counterexample):
+    if counterexample is None:
+        return None
+    s, small, big = counterexample
+    return (s, small.sets, big.sets)
+
+
+def test_lattice_oracles_report_what_the_reference_loops_find():
+    """is_monotonic_on, satisfies_condition_A and require_monotone read one
+    value table; on seeded games, under every builtin and for every player,
+    they report the same counterexample as the per-(strategy, sets) loops,
+    and require_monotone's message names it."""
+    rng = random.Random(36)
+    cfg = CheckConfig(count=0, max_strategies=3)
+    found = 0
+    for k in range(60):
+        lp_heavy = k % 2 == 1
+        game = random_game(rng, cfg, lp_heavy=lp_heavy)
+        for name in BUILTIN_NAMES:
+            if not lp_heavy and (name[0] == "m" or name == "brc_l"):
+                continue
+            profile = profile_named(game, name)
+            losses = []
+            for prop in profile:
+                table = _reference_value_table(prop)
+                want = _reference_monotonicity(prop, table)
+                mono = is_monotonic_on(prop)
+                assert _sets_of(mono.counterexample) == want, (k, name, prop.player)
+                assert mono.monotonic == (want is None)
+                want_a = _reference_condition_A(prop, table)
+                independent = satisfies_condition_A(prop)
+                assert _sets_of(independent.counterexample) == want_a, (k, name, prop.player)
+                assert independent.independent == (want_a is None)
+                found += (want is not None) + (want_a is not None)
+                if want and not prop.monotone:
+                    losses.append((prop.player, *want))
+            if not losses:
+                require_monotone(profile)
+                continue
+            i, s, small, big = losses[0]
+            with pytest.raises(NonMonotonicPropertyError) as info:
+                require_monotone(profile)
+            assert str(info.value) == (
+                f"non-monotonic property {name} for player {i + 1}: "
+                f"holds at {game.name(i, s)} on {Restriction(game, small).describe()} "
+                f"but not on {Restriction(game, big).describe()}")
+    assert found > 1000
 
 
 def test_declared_sets_of_builtins():

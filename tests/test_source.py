@@ -151,6 +151,29 @@ def test_holds_is_called_only_by_the_oracles():
     ]
 
 
+def test_the_lattice_oracles_enumerate_only_in_value_table():
+    """value_table decides each restriction once; is_monotonic_on and
+    satisfies_condition_A read its entries, so optimality.py enumerates the
+    lattice nowhere else and does not import subsets_of to build one."""
+    path = SRC / "optimality.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = _innermost_functions(tree)
+    callers = [
+        owner.get(node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "all_restrictions" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["value_table"]
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "subsets_of" not in imported
+
+
 def test_pearce_is_called_only_by_the_set_wise_pipeline_and_the_cells():
     """One set-wise dominance pipeline: _dominators runs Pearce's LP for
     msd, mwd and the best responses, and hands its dominator both to
