@@ -233,11 +233,15 @@ def _check(suite, pool=None, name=None, fixed=False):
     """Register the decorated function as the check `name` (by default the
     function's own name) of `suite`, drawing properties from `pool` if given.
 
-    The function tests one random instance: it gets the check's generator,
-    the configuration and, when the check has a pool, that pool or
-    CheckConfig.properties in its place; it returns None or a counterexample
-    payload. A fixed check's function gets nothing, tests its own fixed
-    instances and returns (instances, failure detail or "", payload).
+    The function tests one random instance: it gets the check's generator
+    and the configuration, and returns None or a counterexample payload.
+    For a check with a pool, the registry first draws the instance's game
+    and one property per player from the pool (or CheckConfig.properties in
+    its place), passes the function that game, the names and their profile,
+    and writes the game and the names into the counterexample as "game" and
+    "rat" unless the function wrote its own. A fixed check's function gets
+    nothing, tests its own fixed instances and returns (instances, failure
+    detail or "", payload).
     """
 
     def register(body):
@@ -248,15 +252,17 @@ def _check(suite, pool=None, name=None, fixed=False):
                 instances, detail, payload = body()
                 return CheckResult(key, not detail, instances, detail, payload)
             rng = random.Random(f"{cfg.seed}:{key}")
-            args = (rng, cfg) if pool is None else (rng, cfg, cfg.properties or pool)
             for k in range(cfg.count):
-                payload = body(*args)
-                if payload is not None:
-                    payload.setdefault("claim", key)
-                    payload["check"] = key
-                    return CheckResult(
-                        key, False, k + 1, f"failed on instance {k + 1}", payload
-                    )
+                drawn = () if pool is None else _random_profile(rng, cfg, cfg.properties or pool)
+                payload = body(rng, cfg, *drawn)
+                if payload is None:
+                    continue
+                if drawn:
+                    payload.setdefault("game", games.game_to_text(drawn[0]))
+                    payload.setdefault("rat", drawn[1])
+                payload.setdefault("claim", key)
+                payload["check"] = key
+                return CheckResult(key, False, k + 1, f"failed on instance {k + 1}", payload)
             return CheckResult(key, True, cfg.count)
 
         CHECKS[key] = run
@@ -271,10 +277,9 @@ def _check(suite, pool=None, name=None, fixed=False):
 # ---------- the checks, in registry order ----------
 
 
-def _epist1(rng, cfg, pool, mode):
+def _epist1(rng, cfg, game, names, profile, mode):
     """Common true belief (belief mode) or common knowledge (knowledge mode)
     of rationality only keeps surviving strategies."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     model = epistemic.random_model(rng, game, cfg.max_states, mode)
     if _belief_inclusion_holds(model, profile, profile, mode):
         return None
@@ -286,28 +291,20 @@ _check("epist1", MONOTONE_BUILTINS, "epist1_knowledge")(partial(_epist1, mode="k
 
 
 @_check("epist1", MONOTONE_BUILTINS)
-def epist1_witness(rng, cfg, pool):
+def epist1_witness(rng, cfg, game, names, profile):
     """Some knowledge model attains the outcome exactly."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     if _witness_equality_holds(profile):
         return None
-    return {
-        "claim": "witness_equality",
-        "game": games.game_to_text(game),
-        "rat": list(names),
-    }
+    return {"claim": "witness_equality"}
 
 
 @_check("epist2", LOCAL_BUILTINS)
-def epist2_identity(rng, cfg, pool):
+def epist2_identity(rng, cfg, game, names, profile):
     """With singleton truth, common knowledge of rationality excludes nothing."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     report = epistemic.check_theorem_epist2(profile)
     if report.ok and report.hypothesis_ok:
         return None
     return {
-        "game": games.game_to_text(game),
-        "rat": list(names),
         "hypothesis_ok": report.hypothesis_ok,
         "lhs": [sorted(part) for part in report.lhs.sets],
     }
@@ -390,29 +387,24 @@ _check("just1", name="just1_model")(
 
 
 @_check("just", PURE_BUILTINS + ("msd_l", "msd_g"))
-def operator_laws(rng, cfg, pool):
+def operator_laws(rng, cfg, game, names, profile):
     """The operator deflates, stages shrink to a fixpoint, and for monotone
     profiles the iteration outcome is the largest postfixpoint."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     G = rng.choice(list(games.all_restrictions(game, budget=cfg.budget)))
     image = operators.apply_T(profile, G)
     if not games.restriction_leq(image, G):
-        return {"game": games.game_to_text(game), "reason": "not deflationary"}
+        return {"reason": "not deflationary"}
     trace = operators.iterate_to_outcome(profile)
     for earlier, later in zip(trace.stages, trace.stages[1:]):
         if not games.restriction_leq(later, earlier):
-            return {"game": games.game_to_text(game), "reason": "stage grew"}
+            return {"reason": "stage grew"}
     outcome = trace.outcome
     if operators.apply_T(profile, outcome) != outcome:
-        return {"game": games.game_to_text(game), "reason": "outcome not fixed"}
+        return {"reason": "outcome not fixed"}
     if all(p.monotone for p in profile):
-        largest = operators.largest_fixpoint_via_postfixpoints(profile)
+        largest = operators.largest_fixpoint_via_postfixpoints(profile, budget=cfg.budget)
         if largest != outcome:
-            return {
-                "game": games.game_to_text(game),
-                "rat": list(names),
-                "reason": "largest postfixpoint differs from the iteration",
-            }
+            return {"reason": "largest postfixpoint differs from the iteration"}
     return None
 
 
@@ -421,8 +413,7 @@ def local_global_outcome(rng, cfg):
     """Each dominance or best-response notion eliminates to the same outcome
     whether dominators are drawn locally or globally."""
     base = rng.choice(PAIR_BASES)
-    heavy = base in ("msd", "mwd")
-    game = random_game(rng, cfg, lp_heavy=heavy)
+    game = random_game(rng, cfg, lp_heavy=_lp_heavy([base]))
     left = operators.iterate_to_outcome(profile_named(game, f"{base}_l")).outcome
     right = operators.iterate_to_outcome(profile_named(game, f"{base}_g")).outcome
     if left == right:
@@ -455,9 +446,8 @@ def gfp_characterizations(rng, cfg):
 
 
 @_check("notes", PURE_BUILTINS)
-def common_belief_formula(rng, cfg, pool):
+def common_belief_formula(rng, cfg, game, names, profile):
     """The fixpoint rendering of common belief matches the event operator."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     model = epistemic.random_belief_model(rng, game, cfg.max_states)
     psi = random_l_formula(rng, game)
     lhs = logic.eval_lnu(model, logic.common_belief(psi), profile)
@@ -465,9 +455,7 @@ def common_belief_formula(rng, cfg, pool):
     if lhs == rhs:
         return None
     return {
-        "game": games.game_to_text(game),
         "model": _model_payload(model),
-        "rat": list(names),
         "formula": logic.pretty(psi),
         "fixpoint": sorted(lhs),
         "operator": sorted(rhs),
@@ -475,10 +463,9 @@ def common_belief_formula(rng, cfg, pool):
 
 
 @_check("notes", MONOTONE_BUILTINS)
-def survival_formula(rng, cfg, pool):
+def survival_formula(rng, cfg, game, names, profile):
     """The strategies picked inside the optimality fixpoint survive
     elimination; on the canonical model the two coincide."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     formula = logic.Nu(logic.Opt(None, logic.Var()))
     outcome = operators.iterate_to_outcome(profile).outcome
 
@@ -487,9 +474,7 @@ def survival_formula(rng, cfg, pool):
     induced = epistemic.restriction_of(model, event)
     if not games.restriction_leq(induced, outcome):
         return {
-            "game": games.game_to_text(game),
             "model": _model_payload(model),
-            "rat": list(names),
             "induced": induced.describe(),
             "outcome": outcome.describe(),
         }
@@ -498,8 +483,6 @@ def survival_formula(rng, cfg, pool):
     if ev2 == epistemic.event_of_restriction(standard, outcome):
         return None
     return {
-        "game": games.game_to_text(game),
-        "rat": list(names),
         "fixpoint_event": sorted(ev2),
         "outcome": outcome.describe(),
     }
@@ -547,10 +530,9 @@ def note_7_1_proper(rng, cfg):
 
 
 @_check("notes", BUILTIN_NAMES)
-def note_7_2_operator(rng, cfg, pool):
+def note_7_2_operator(rng, cfg, game, names, profile):
     """Announcing optimality on the canonical model acts exactly like one
     application of the elimination operator."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     for G in games.all_restrictions(game, budget=cfg.budget):
         if any(not part for part in G.sets):
             continue
@@ -561,12 +543,7 @@ def note_7_2_operator(rng, cfg, pool):
         )
         announced = announcements.announced_restriction(model, events)
         if announced != operators.apply_T(profile, G):
-            return {
-                "game": games.game_to_text(game),
-                "rat": list(names),
-                "restriction": G.describe(),
-                "announced": announced.describe(),
-            }
+            return {"restriction": G.describe(), "announced": announced.describe()}
     return None
 
 
@@ -614,58 +591,40 @@ _FORMULA3 = logic.parse_lnu("rat & CB(rat) -> nu x. O x")
 
 
 @_check("logic", MONOTONE_BUILTINS)
-def formula3_valid(rng, cfg, pool):
+def formula3_valid(rng, cfg, game, names, profile):
     """rat & CB(rat) -> nu x. O x holds everywhere on belief models."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     model = epistemic.random_belief_model(rng, game, cfg.max_states)
     if logic.eval_lnu(model, _FORMULA3, profile) == model.all_event():
         return None
-    return {
-        "game": games.game_to_text(game),
-        "model": _model_payload(model),
-        "rat": list(names),
-    }
+    return {"model": _model_payload(model)}
 
 
 @_check("logic", ("sd_g", "br_g"))
-def formula4_rat(rng, cfg, pool):
+def formula4_rat(rng, cfg, game, names, profile):
     """Rationality is the conjunction 'every believed event is optimal'."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
     if logic.check_rat_definability(model, profile):
         return None
-    return {
-        "game": games.game_to_text(game),
-        "model": _model_payload(model),
-        "rat": list(names),
-    }
+    return {"model": _model_payload(model)}
 
 
 @_check("logic", ("sd_g", "br_g"))
-def nu_postfixpoints(rng, cfg, pool):
+def nu_postfixpoints(rng, cfg, game, names, profile):
     """eval_lnu returns the largest postfixpoint of a fixpoint's body."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
     body = random_positive_body(rng, game)
     E = logic.eval_lnu(model, logic.Nu(body), profile)
     body_of = logic.lnu_denotation(model, body, profile)
     if body_of(E) != E:
-        return {
-            "game": games.game_to_text(game),
-            "model": _model_payload(model),
-            "body": logic.pretty(body),
-            "reason": "fixpoint equation fails",
-        }
-    for F in games.subsets_of(model.states()):
-        F = frozenset(F)
-        if F <= body_of(F) and not F <= E:
-            return {
-                "game": games.game_to_text(game),
-                "model": _model_payload(model),
-                "body": logic.pretty(body),
-                "reason": f"postfixpoint {sorted(F)} escapes the fixpoint",
-            }
-    return None
+        reason = "fixpoint equation fails"
+    else:
+        escaped = next(
+            (F for F in epistemic.every_event(model) if F <= body_of(F) and not F <= E), None
+        )
+        if escaped is None:
+            return None
+        reason = f"postfixpoint {sorted(escaped)} escapes the fixpoint"
+    return {"model": _model_payload(model), "body": logic.pretty(body), "reason": reason}
 
 
 @_check("logic")
@@ -811,27 +770,20 @@ def condition_a_globals(rng, cfg):
 
 
 @_check("announce", BUILTIN_NAMES)
-def announce_optimality(rng, cfg, pool):
+def announce_optimality(rng, cfg, game, names, profile):
     """Iterated optimality announcements terminate in the canonical model of
     the elimination outcome, for any of the builtin properties."""
-    game, names, profile = _random_profile(rng, cfg, pool)
     trace = announcements.iterate_optimality_announcements(profile)
     outcome = operators.iterate_to_outcome(profile).outcome
     target = epistemic.standard_model(outcome)
     for m in trace.models:
         if not announcements.is_standard(m):
-            return {
-                "game": games.game_to_text(game),
-                "rat": list(names),
-                "reason": "intermediate model lost standardness",
-            }
+            return {"reason": "intermediate model lost standardness"}
     if announcements.models_equal_via_profiles(
         trace.terminal, target, check_correspondences=False
     ):
         return None
     return {
-        "game": games.game_to_text(game),
-        "rat": list(names),
         "terminal": list(trace.terminal.state_names),
         "outcome": outcome.describe(),
     }
@@ -843,8 +795,7 @@ def announce_rationality(rng, cfg):
     canonical knowledge model of the outcome (shared by the local variant),
     local properties announce nothing at all."""
     base = rng.choice(PAIR_BASES)
-    heavy = base in ("msd", "mwd")
-    game = random_game(rng, cfg, lp_heavy=heavy)
+    game = random_game(rng, cfg, lp_heavy=_lp_heavy([base]))
     global_profile = profile_named(game, f"{base}_g")
     trace = announcements.iterate_rationality_announcements(
         global_profile, check_condition=False

@@ -89,6 +89,7 @@ def _build_parser():
     check.add_argument("--max-states", type=int, default=8)
     check.add_argument(
         "--budget-restrictions",
+        dest="budget",
         type=int,
         default=10,
         help="total strategy cap for restriction enumeration",
@@ -328,7 +329,7 @@ def _cmd_check(args):
         min_strategies=min(checks.CheckConfig.min_strategies, max(args.max_strategies, 1)),
         max_strategies=args.max_strategies,
         max_states=args.max_states,
-        budget=args.budget_restrictions,
+        budget=args.budget,
         properties=properties,
     )
     start = time.time()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .games import (
-    BudgetExceededError,
     Restriction,
     all_restrictions,
     restriction_join,
@@ -89,21 +88,17 @@ def serialize_trace(trace):
     return "\n".join(lines)
 
 
-def largest_fixpoint_via_postfixpoints(profile, budget_restrictions=4096):
+def largest_fixpoint_via_postfixpoints(profile, budget=10):
     """Join of all restrictions G with G <= T(G); oracle route to the outcome.
 
-    Only meaningful for monotone profiles, so the guard runs first.
+    Only meaningful for monotone profiles, so the guard runs first. Past
+    budget strategies in total the enumeration is refused.
     """
     game = profile[0].game
     _check_profile(profile, game)
-    total = sum(game.strategy_count(i) for i in range(game.n))
-    if 2 ** total > budget_restrictions:
-        raise BudgetExceededError(
-            f"2^{total} restrictions exceed the budget of {budget_restrictions}"
-        )
-    require_monotone(profile, budget=total)
+    require_monotone(profile, budget=budget)
     post = [
-        G for G in all_restrictions(game) if restriction_leq(G, apply_T(profile, G))
+        G for G in all_restrictions(game, budget) if restriction_leq(G, apply_T(profile, G))
     ]
     return restriction_join(post) if post else game.empty_restriction()
 

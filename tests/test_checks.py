@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from epigame import checks, logic
 from epigame.checks import (
     CHECK_POOLS,
     CHECKS,
@@ -21,7 +22,8 @@ from epigame.checks import (
 from epigame.epistemic import EpistemicModel, random_model
 from epigame.games import game_to_text, load_game
 from epigame.logic import var_positive
-from epigame.optimality import BUILTIN_NAMES
+from epigame.operators import iterate_to_outcome
+from epigame.optimality import BUILTIN_NAMES, profile_named
 
 WDW_TEXT = """players 2
 strategies 1 a b
@@ -191,6 +193,46 @@ def test_verify_counterexample_refuses_a_malformed_payload():
 def test_verify_counterexample_unknown_claim():
     with pytest.raises(ValueError):
         verify_counterexample({"claim": "sorcery", "game": WDW_TEXT})
+
+
+def _force_failure(monkeypatch, name):
+    """Make the pooled check `name` fail on its first instance."""
+    if name == "epist1_belief":
+        monkeypatch.setattr(checks, "_belief_inclusion_holds", lambda *args: False)
+    elif name == "epist1_witness":
+        monkeypatch.setattr(checks, "_witness_equality_holds", lambda profile: False)
+    else:  # every non-empty event is a postfixpoint outside an empty fixpoint
+        monkeypatch.setattr(logic, "eval_lnu", lambda model, formula, profile: frozenset())
+        monkeypatch.setattr(logic, "lnu_denotation", lambda model, body, profile: lambda F: F)
+
+
+@pytest.mark.parametrize("name", ["epist1_belief", "epist1_witness", "nu_postfixpoints"])
+def test_failing_pooled_checks_name_the_drawn_game_and_properties(monkeypatch, name):
+    """The registry draws a pooled check's instance and writes it into the
+    counterexample, whatever the check itself reports."""
+    drawn = []
+    draw = checks._random_profile
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(checks, "_random_profile", recording)
+    _force_failure(monkeypatch, name)
+    result = run_check(name, CheckConfig(seed=3, count=5))
+    assert (result.passed, result.instances, len(drawn)) == (False, 1, 1)
+    payload = result.counterexample
+    game, names, profile = drawn[0]
+    assert (payload["game"], payload["rat"]) == (game_to_text(game), names)
+    rebuilt = profile_named(load_game(payload["game"]), payload["rat"])
+    assert game_to_text(rebuilt[0].game) == payload["game"]
+    assert [(p.name, p.player) for p in rebuilt] == [(p.name, p.player) for p in profile]
+    outcome = iterate_to_outcome(rebuilt).outcome.sets
+    assert outcome == iterate_to_outcome(profile).outcome.sets
+    if payload["claim"] == "inclusion":
+        assert verify_counterexample(payload)
+        monkeypatch.undo()  # the real inclusion holds, so the replay finds no violation
+        assert not verify_counterexample(payload)
 
 
 # ---------- random instance helpers ----------

@@ -554,6 +554,28 @@ def test_check_games_wider_than_ten_strategies(capsys):
     assert "epist1_witness (" in out
 
 
+def test_check_operator_laws_joins_postfixpoints_within_the_restriction_budget(capsys):
+    """--budget-restrictions caps the postfixpoint join too: 14 strategies
+    in total are allowed, so the join runs instead of refusing 2^14."""
+    code, out, err = run(
+        capsys,
+        "check",
+        "operator_laws",
+        "--property",
+        "sd_g",
+        "--budget-restrictions",
+        "14",
+        "--max-strategies",
+        "7",
+        "--max-players",
+        "2",
+        "--random",
+        "30",
+    )
+    assert (code, err.startswith("elapsed:")) == (0, True)
+    assert "PASS operator_laws (30 instances)" in out
+
+
 def test_check_unknown_suite(capsys):
     code, _, err = run(capsys, "check", "mystery")
     assert code == 2

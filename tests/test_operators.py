@@ -148,7 +148,7 @@ def test_postfixpoint_join_guards():
     with pytest.raises(NonMonotonicPropertyError):
         largest_fixpoint_via_postfixpoints(profile_named(PD, "sd_l"))
     with pytest.raises(BudgetExceededError):
-        largest_fixpoint_via_postfixpoints(profile_named(PD, "sd_g"), budget_restrictions=8)
+        largest_fixpoint_via_postfixpoints(profile_named(PD, "sd_g"), budget=3)
 
 
 # ---------- outcome inclusion lemma ----------

@@ -133,6 +133,22 @@ def _innermost_functions(tree):
     return owner
 
 
+def _callers(name, paths=None):
+    """(module file, innermost function) of each call of `name`, sorted, in
+    the given files or else in every module of the package."""
+    found = []
+    for path in paths or sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _innermost_functions(tree)
+        found += [
+            (path.name, owner.get(node.lineno))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    return sorted(found)
+
+
 def test_holds_is_called_only_by_the_oracles():
     """Callers decide a whole set with survivors; value_table asks it once
     per restriction, and only the singleton-truth oracle asks holds, one
@@ -156,15 +172,8 @@ def test_the_lattice_oracles_enumerate_only_in_value_table():
     satisfies_condition_A read its entries, so optimality.py enumerates the
     lattice nowhere else and does not import subsets_of to build one."""
     path = SRC / "optimality.py"
+    assert _callers("all_restrictions", [path]) == [("optimality.py", "value_table")]
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    owner = _innermost_functions(tree)
-    callers = [
-        owner.get(node.lineno)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and "all_restrictions" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
-    assert callers == ["value_table"]
     imported = [
         alias.name
         for node in ast.walk(tree)
@@ -174,23 +183,21 @@ def test_the_lattice_oracles_enumerate_only_in_value_table():
     assert "subsets_of" not in imported
 
 
+def test_the_check_registry_alone_draws_pooled_instances():
+    """The registry's run draws each pooled instance and names it in the
+    counterexample, so no check makes that draw itself; the checks take
+    their events from epistemic.every_event, not from subsets_of."""
+    assert _callers("_random_profile") == [("checks.py", "run")]
+    assert _callers("subsets_of", [SRC / "checks.py"]) == []
+
+
 def test_pearce_is_called_only_by_the_set_wise_pipeline_and_the_cells():
     """One set-wise dominance pipeline: _dominators runs Pearce's LP for
     msd, mwd and the best responses, and hands its dominator both to
     undominated and to the witnesses of mixed_*_dominates_exists; _by_cells
     runs it for the cells of independent beliefs and the points it tries in
     them. A further caller would be a second path to keep in step with them."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        owner = _innermost_functions(tree)
-        found += [
-            (path.name, owner.get(node.lineno))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "_pearce" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        ]
-    assert sorted(found) == [
+    assert _callers("_pearce") == [
         ("dominance.py", "_by_cells"),
         ("dominance.py", "_by_cells"),
         ("dominance.py", "_dominators"),
