@@ -79,7 +79,7 @@ def misses_announced_restriction(model, events):
     """True when the announcement empties the model even though the announced
     restriction offers every player a strategy: no state is left to model it."""
     events = _check_events(model, events)
-    return not _common(model, events) and not announced_restriction(model, events).is_empty()
+    return not _common(model, events) and not restriction_of(model, events).is_empty()
 
 
 def is_standard(model):

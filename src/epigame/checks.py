@@ -448,7 +448,7 @@ def gfp_characterizations(rng, cfg):
 @_check("notes", PURE_BUILTINS)
 def common_belief_formula(rng, cfg, game, names, profile):
     """The fixpoint rendering of common belief matches the event operator."""
-    model = epistemic.random_belief_model(rng, game, cfg.max_states)
+    model = epistemic.random_model(rng, game, cfg.max_states, "belief")
     psi = random_l_formula(rng, game)
     lhs = logic.eval_lnu(model, logic.common_belief(psi), profile)
     rhs = epistemic.common_box(model, logic.eval_lnu(model, psi, profile))
@@ -593,7 +593,7 @@ _FORMULA3 = logic.parse_lnu("rat & CB(rat) -> nu x. O x")
 @_check("logic", MONOTONE_BUILTINS)
 def formula3_valid(rng, cfg, game, names, profile):
     """rat & CB(rat) -> nu x. O x holds everywhere on belief models."""
-    model = epistemic.random_belief_model(rng, game, cfg.max_states)
+    model = epistemic.random_model(rng, game, cfg.max_states, "belief")
     if logic.eval_lnu(model, _FORMULA3, profile) == model.all_event():
         return None
     return {"model": _model_payload(model)}
@@ -602,7 +602,7 @@ def formula3_valid(rng, cfg, game, names, profile):
 @_check("logic", ("sd_g", "br_g"))
 def formula4_rat(rng, cfg, game, names, profile):
     """Rationality is the conjunction 'every believed event is optimal'."""
-    model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
+    model = epistemic.random_model(rng, game, min(cfg.max_states, 6), "belief")
     if logic.check_rat_definability(model, profile):
         return None
     return {"model": _model_payload(model)}
@@ -611,7 +611,7 @@ def formula4_rat(rng, cfg, game, names, profile):
 @_check("logic", ("sd_g", "br_g"))
 def nu_postfixpoints(rng, cfg, game, names, profile):
     """eval_lnu returns the largest postfixpoint of a fixpoint's body."""
-    model = epistemic.random_belief_model(rng, game, min(cfg.max_states, 6))
+    model = epistemic.random_model(rng, game, min(cfg.max_states, 6), "belief")
     body = random_positive_body(rng, game)
     E = logic.eval_lnu(model, logic.Nu(body), profile)
     body_of = logic.lnu_denotation(model, body, profile)
@@ -634,7 +634,7 @@ def positivity_monotone(rng, cfg):
     positives = sorted(
         name
         for name in logic.LO_TEXTS
-        if logic.check_positive_lo(logic.parse_lo(logic.lo_text(name, 0)))
+        if logic.var_positive(logic.parse_lo(logic.lo_text(name, 0)))
     )
     if positives != ["br_g", "sd_g"]:
         return {"reason": f"positive set came out as {positives}"}

@@ -110,6 +110,11 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _strategy_names(R):
+    """Each player's strategy names in the restriction R, sorted."""
+    return [sorted(R.game.name(i, s) for s in part) for i, part in enumerate(R.sets)]
+
+
 def _write_model(out_path, model, game_path, base_dir, level):
     """Write the model to out_path, with a game reference that resolves from
     out_path's directory. Commands call it before they print, so a failed
@@ -137,14 +142,8 @@ def _cmd_solve(args):
     if args.format == "json-lines":
         payload = {
             "property": [p.name for p in profile],
-            "stages": [
-                [sorted(game.name(i, s) for s in part) for i, part in enumerate(G.sets)]
-                for G in trace.stages
-            ],
-            "outcome": [
-                sorted(game.name(i, s) for s in part)
-                for i, part in enumerate(trace.outcome.sets)
-            ],
+            "stages": [_strategy_names(G) for G in trace.stages],
+            "outcome": _strategy_names(trace.outcome),
             "closure_ordinal": trace.closure_ordinal,
         }
     lines = [f"property: {','.join(p.name for p in profile)}"]
@@ -201,9 +200,7 @@ def _announce_game(args):
     payload = {
         "rounds": trace.rounds,
         "states": list(terminal.state_names),
-        "restriction": [
-            sorted(game.name(i, s) for s in part) for i, part in enumerate(induced.sets)
-        ],
+        "restriction": _strategy_names(induced),
     }
     lines = [f"rounds: {trace.rounds}"]
     for k, model in enumerate(trace.models):
@@ -242,10 +239,7 @@ def _announce_model(args):
         payload = {
             "proper": announcements.is_proper(model, events),
             "states": list(result.state_names),
-            "announced_restriction": [
-                sorted(model.game.name(i, s) for s in part)
-                for i, part in enumerate(announced.sets)
-            ],
+            "announced_restriction": _strategy_names(announced),
             "not_a_model_of_announced": missed,
         }
         lines = [

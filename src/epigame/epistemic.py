@@ -452,14 +452,6 @@ def random_model(rng, game, max_states, level):
     return model
 
 
-def random_knowledge_model(rng, game, max_states=8):
-    return random_model(rng, game, max_states, "knowledge")
-
-
-def random_belief_model(rng, game, max_states=8):
-    return random_model(rng, game, max_states, "belief")
-
-
 # ---------- model file format ----------
 
 

@@ -1,7 +1,9 @@
 """The modal fixpoint language, the first-order optimality language, and a
 checker for the three-rule derivation system built on them.
 
-Both parsers are recursive descent over a small token stream. Implication,
+Both languages are propositional logic over their own atoms and share its
+core: the nodes NotF and AndF, impl, var_positive and the '&' rule of the
+parsers, which are recursive descent over a small token stream. Implication,
 disjunction, bounded quantifiers and strict comparisons are surface sugar,
 desugared at parse time to the primitive connectives, so structural equality
 of syntax trees is equality of primitive forms.
@@ -42,6 +44,7 @@ class Var:
     pass
 
 
+# the connectives of both languages
 @dataclass(frozen=True)
 class NotF:
     sub: object
@@ -87,17 +90,6 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class NotO:
-    sub: object
-
-
-@dataclass(frozen=True)
-class AndO:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class ExistsO:
     var: str
     body: object
@@ -113,8 +105,6 @@ _CHILD_FIELDS = {
     Box: ("sub",),
     Opt: ("sub",),
     Nu: ("body",),
-    NotO: ("sub",),
-    AndO: ("left", "right"),
     ExistsO: ("body",),
 }
 
@@ -133,11 +123,23 @@ def walk(f):
         stack.extend(reversed(children(node)))
 
 
-# ---------- modal fixpoint language ----------
-
-
 def impl(a, b):
     return NotF(AndF(a, NotF(b)))
+
+
+def var_positive(f, parity=0):
+    """Every free occurrence of the variable under an even number of '!': the
+    fixpoint variable x of the modal language, or the set variable X of a
+    membership atom 'v in X' of the first-order language."""
+    if isinstance(f, (Var, Member)):
+        return parity % 2 == 0
+    if isinstance(f, Nu):
+        return True  # its variable is its own
+    parity += isinstance(f, NotF)
+    return all(var_positive(c, parity) for c in children(f))
+
+
+# ---------- modal fixpoint language ----------
 
 
 def common_belief(f):
@@ -154,16 +156,6 @@ def has_free_var(f):
         return True
     # a fixpoint binds its variable
     return not isinstance(f, Nu) and any(has_free_var(c) for c in children(f))
-
-
-def var_positive(f, parity=0):
-    """Every free fixpoint-variable occurrence under an even number of '!'."""
-    if isinstance(f, Var):
-        return parity % 2 == 0
-    if isinstance(f, Nu):
-        return True  # its variable is its own
-    parity += isinstance(f, NotF)
-    return all(var_positive(c, parity) for c in children(f))
 
 
 def subst(f, replacement):
@@ -273,6 +265,13 @@ class _TokenCursor:
         self.pos += 1
         return tok
 
+    def conjunction(self):
+        node = self.unary()
+        while self.peek()[0] == "&":
+            self.eat()
+            node = AndF(node, self.unary())
+        return node
+
 
 class _LnuParser(_TokenCursor):
     def formula(self):
@@ -297,13 +296,6 @@ class _LnuParser(_TokenCursor):
             self.eat()
             return impl(left, self.formula())
         return left
-
-    def conjunction(self):
-        node = self.unary()
-        while self.peek()[0] == "&":
-            self.eat()
-            node = AndF(node, self.unary())
-        return node
 
     def unary(self):
         kind, player, pos = self.peek()
@@ -483,16 +475,12 @@ def check_rat_definability(model, profile, budget_states=12):
 # ---------- first-order optimality language ----------
 
 
-def o_impl(a, b):
-    return NotO(AndO(a, NotO(b)))
-
-
 def o_or(a, b):
-    return NotO(AndO(NotO(a), NotO(b)))
+    return NotF(AndF(NotF(a), NotF(b)))
 
 
 def o_forall(var, body):
-    return NotO(ExistsO(var, NotO(body)))
+    return NotF(ExistsO(var, NotF(body)))
 
 
 _LO_TOKEN = re.compile(
@@ -523,7 +511,7 @@ class _LoParser(_TokenCursor):
         left = self.disjunction()
         if self.peek()[0] == "->":
             self.eat()
-            return o_impl(left, self.formula())
+            return impl(left, self.formula())
         return left
 
     def disjunction(self):
@@ -533,18 +521,11 @@ class _LoParser(_TokenCursor):
             node = o_or(node, self.conjunction())
         return node
 
-    def conjunction(self):
-        node = self.unary()
-        while self.peek()[0] == "&":
-            self.eat()
-            node = AndO(node, self.unary())
-        return node
-
     def unary(self):
         kind, value, pos = self.peek()
         if kind == "!":
             self.eat()
-            return NotO(self.unary())
+            return NotF(self.unary())
         if kind in ("exists", "forall"):
             return self.quantifier()
         return self.atom()
@@ -560,8 +541,8 @@ class _LoParser(_TokenCursor):
             bounded = True
         body = self.formula()
         if kind == "exists":
-            return ExistsO(var, AndO(Member(var), body) if bounded else body)
-        inner = o_impl(Member(var), body) if bounded else body
+            return ExistsO(var, AndF(Member(var), body) if bounded else body)
+        inner = impl(Member(var), body) if bounded else body
         return o_forall(var, inner)
 
     def atom(self):
@@ -587,7 +568,7 @@ class _LoParser(_TokenCursor):
                 self.eat()
                 player, ctx = payload
                 right = self.eat("name")[1]
-                return NotO(Cmp(player, right, ctx, value))
+                return NotF(Cmp(player, right, ctx, value))
             raise LogicParseError("expected 'in X' or a comparison", npos)
         raise LogicParseError(f"unexpected {kind!r}", pos)
 
@@ -606,14 +587,6 @@ def lo_free_vars(f):
         return {f.left, f.ctx, f.right}
     free = set().union(*(lo_free_vars(c) for c in children(f)))
     return free - {f.var} if isinstance(f, ExistsO) else free
-
-
-def check_positive_lo(f, parity=0):
-    """Positive: every set-variable occurrence under an even number of '!'."""
-    if isinstance(f, Member):
-        return parity % 2 == 0
-    parity += isinstance(f, NotO)
-    return all(check_positive_lo(c, parity) for c in children(f))
 
 
 _UNBOUND = object()
@@ -672,17 +645,17 @@ def _compile_lo(model, formula):
                     raise LogicEvalError(f"unbound variable {missing!r}") from None
 
             return cmp
-        if isinstance(f, NotO):
+        if isinstance(f, NotF):
             sub = compile_node(f.sub)
             return lambda env, X, inside: not sub(env, X, inside)
-        if isinstance(f, AndO):
+        if isinstance(f, AndF):
             left, right = compile_node(f.left), compile_node(f.right)
             return lambda env, X, inside: left(env, X, inside) and right(env, X, inside)
         if isinstance(f, ExistsO):
             var, body = f.var, f.body
-            while isinstance(body, NotO) and isinstance(body.sub, NotO):
+            while isinstance(body, NotF) and isinstance(body.sub, NotF):
                 body = body.sub.sub
-            bounded = isinstance(body, AndO) and body.left == Member(var)
+            bounded = isinstance(body, AndF) and body.left == Member(var)
             body = compile_node(body.right if bounded else body)
 
             def exists(env, X, inside):
@@ -761,7 +734,7 @@ def compile_lo_to_property(formula, game, i, name="compiled"):
         X = event_of_restriction(model, G)
         return [s for s in candidates if run({pivot: state_of[s]}, X)]
 
-    return OptimalityProperty(name, i, game, rule, monotone=check_positive_lo(formula))
+    return OptimalityProperty(name, i, game, rule, monotone=var_positive(formula))
 
 
 def _free_member_or_ctx(f, pivot, bound):

@@ -32,8 +32,7 @@ from epigame.epistemic import (
     common_box,
     construct_witness,
     load_model_file,
-    random_belief_model,
-    random_knowledge_model,
+    random_model,
     rat_event,
     restriction_of,
     standard_model,
@@ -119,11 +118,7 @@ def test_criterion_03_belief_and_knowledge_inclusion(capsys):
     for kind in ("belief", "knowledge"):
         for _ in range(200):
             game = random_game(rng, cfg)
-            model = (
-                random_belief_model(rng, game, cfg.max_states)
-                if kind == "belief"
-                else random_knowledge_model(rng, game, cfg.max_states)
-            )
+            model = random_model(rng, game, cfg.max_states, kind)
             total += 1
             reports = [
                 check_theorem_epist1(model, profile_named(game, nm), mode=kind)
@@ -255,7 +250,7 @@ def test_criterion_09_common_belief_fixpoint_formula(capsys):
     passed = total = 0
     for _ in range(100):
         game = random_game(rng, cfg)
-        model = random_belief_model(rng, game, 6)
+        model = random_model(rng, game, 6, "belief")
         profile = tuple(
             builtin(game, nm, i)
             for i, nm in enumerate(_mixed_names(rng, PURE, game.n))
@@ -281,7 +276,7 @@ def test_criterion_10_rationality_formula_validity(capsys):
     for _ in range(500):
         names = _mixed_names(rng, MONOTONE_BUILTINS, rng.randint(2, 3))
         game = random_game(rng, cfg, n=len(names), lp_heavy=_lp_heavy(names))
-        model = random_belief_model(rng, game, 6)
+        model = random_model(rng, game, 6, "belief")
         profile = tuple(builtin(game, nm, i) for i, nm in enumerate(names))
         if eval_lnu(model, formula, profile) == model.all_event():
             passed += 1

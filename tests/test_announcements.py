@@ -23,8 +23,7 @@ from epigame.epistemic import (
     EpistemicModel,
     event_of_restriction,
     load_model_file,
-    random_belief_model,
-    random_knowledge_model,
+    random_model,
     rationality_event,
     restriction_of,
     standard_model,
@@ -259,8 +258,7 @@ def _seeded_models(seed, count):
     cfg = CheckConfig(count=0, max_players=3, max_strategies=3)
     for k in range(count):
         game = random_game(rng, cfg)
-        make = random_belief_model if k % 2 else random_knowledge_model
-        yield game, make(rng, game, 8)
+        yield game, random_model(rng, game, 8, "belief" if k % 2 else "knowledge")
 
 
 def test_rationality_rounds_equal_the_from_scratch_loop():

@@ -28,8 +28,7 @@ from epigame.epistemic import (
     optimality_event,
     parse_model,
     pinned_restriction,
-    random_belief_model,
-    random_knowledge_model,
+    random_model,
     rat_event,
     rationality_event,
     restriction_of,
@@ -168,11 +167,7 @@ def test_common_box_matches_reachability():
     cfg = CheckConfig(count=0, max_players=2, max_strategies=3)
     for k in range(30):
         game = random_game(rng, cfg)
-        model = (
-            random_knowledge_model(rng, game, max_states=6)
-            if k % 2
-            else random_belief_model(rng, game, max_states=6)
-        )
+        model = random_model(rng, game, 6, "knowledge" if k % 2 else "belief")
         event = frozenset(w for w in model.states() if rng.random() < 0.6)
         assert common_box(model, event) == _cb_oracle(model, event)
 
@@ -193,11 +188,7 @@ def test_fixed_point_characterizations():
     cfg = CheckConfig(count=0, max_players=2, max_strategies=3)
     for k in range(12):
         game = random_game(rng, cfg)
-        model = (
-            random_knowledge_model(rng, game, max_states=5)
-            if k % 2
-            else random_belief_model(rng, game, max_states=5)
-        )
+        model = random_model(rng, game, 5, "knowledge" if k % 2 else "belief")
         event = frozenset(w for w in model.states() if rng.random() < 0.5)
         report = check_fixed_point_characterizations(model, event)
         assert all(report.values()), report
@@ -227,7 +218,7 @@ def test_event_of_restriction_matches_a_per_state_reference():
     cfg = CheckConfig(max_strategies=3)
     for _ in range(20):
         game = random_game(rng, cfg, rng.randint(2, 3))
-        model = random_belief_model(rng, game, 6)
+        model = random_model(rng, game, 6, "belief")
         for G in all_restrictions(game):
             expected = frozenset(
                 w
@@ -272,10 +263,8 @@ def test_epist1_random_models():
     for k in range(20):
         game = random_game(rng, cfg)
         profile = profile_named(game, "br_g" if k % 2 else "sd_g")
-        if k % 3 == 0:
-            model, mode = random_belief_model(rng, game, 6), "belief"
-        else:
-            model, mode = random_knowledge_model(rng, game, 6), "knowledge"
+        mode = "belief" if k % 3 == 0 else "knowledge"
+        model = random_model(rng, game, 6, mode)
         report = check_theorem_epist1(model, profile, mode=mode)
         assert report.ok
 
@@ -475,8 +464,8 @@ def test_model_level_inferred_when_absent(tmp_path):
 def test_random_generators_validate():
     rng = random.Random(8)
     game = random_game(rng, CheckConfig(count=0), n=2)
-    assert validate(random_knowledge_model(rng, game), "knowledge") == []
-    assert validate(random_belief_model(rng, game), "belief") == []
+    assert validate(random_model(rng, game, 8, "knowledge"), "knowledge") == []
+    assert validate(random_model(rng, game, 8, "belief"), "belief") == []
 
 
 def test_random_models_draw_what_they_drew_before():
@@ -486,8 +475,8 @@ def test_random_models_draw_what_they_drew_before():
     for seed in range(150):
         rng = random.Random(seed)
         game = random_game(rng, CheckConfig(count=0), n=2 + seed % 2)
-        for make in (random_knowledge_model, random_belief_model):
-            model = make(rng, game, 8)
+        for level in ("knowledge", "belief"):
+            model = random_model(rng, game, 8, level)
             blocks = [[sorted(b) for b in model.blocks(i)] for i in range(game.n)]
             digest.update(repr((model.state_names, model.assignment, blocks)).encode())
     assert digest.hexdigest() == (
@@ -517,7 +506,7 @@ def test_epist1_on_games_past_the_enumeration_budget():
     cfg = CheckConfig(count=0, min_strategies=6, max_strategies=6, budget=12)
     game = random_game(rng, cfg, n=2)
     assert [game.strategy_count(i) for i in range(2)] == [6, 6]
-    model = random_knowledge_model(rng, game, 8)
+    model = random_model(rng, game, 8, "knowledge")
     for name in ("sd_g", "br_g"):
         report = check_theorem_epist1(model, profile_named(game, name), mode="knowledge")
         assert report.ok, name
@@ -586,8 +575,7 @@ def _random_models(seed, count, max_strategies=3, max_states=8):
     cfg = CheckConfig(count=0, max_players=3, max_strategies=max_strategies)
     for k in range(count):
         game = random_game(rng, cfg)
-        make = random_belief_model if k % 2 else random_knowledge_model
-        yield game, make(rng, game, max_states)
+        yield game, random_model(rng, game, max_states, "belief" if k % 2 else "knowledge")
 
 
 def test_rationality_event_equals_the_per_state_reference(tmp_path):

@@ -22,7 +22,7 @@ from epigame.epistemic import (
     common_box,
     event_of_restriction,
     random_assignment,
-    random_belief_model,
+    random_model,
     rat_event,
     rationality_event,
     restriction_of,
@@ -31,7 +31,6 @@ from epigame.epistemic import (
 from epigame.games import BudgetExceededError, Game, full_profile, load_game_file, subsets_of
 from epigame.logic import (
     AndF,
-    AndO,
     Box,
     Cmp,
     DerivationFormatError,
@@ -40,13 +39,11 @@ from epigame.logic import (
     LogicParseError,
     Member,
     NotF,
-    NotO,
     Nu,
     Opt,
     Rat,
     Var,
     check_derivation,
-    check_positive_lo,
     check_rat_definability,
     children,
     common_belief,
@@ -62,7 +59,6 @@ from epigame.logic import (
     lo_text,
     LO_TEXTS,
     o_forall,
-    o_impl,
     parse_derivation,
     parse_lnu,
     parse_lo,
@@ -159,6 +155,7 @@ def test_structural_helpers():
     assert has_free_var(parse_lnu("O x"))
     assert var_positive(parse_lnu("Box x"))
     assert not var_positive(NotF(Var()))
+    assert var_positive(parse_lo("y in X")) and not var_positive(parse_lo("!(y in X)"))
     # substitution only touches free occurrences
     g = AndF(Var(), Nu(AndF(Var(), Rat(None))))
     assert subst(g, Rat(0)) == AndF(Rat(0), Nu(AndF(Var(), Rat(None))))
@@ -169,7 +166,7 @@ def test_walk_covers_both_languages_parents_first():
     kinds = [type(node) for node in walk(f)]
     assert kinds == [Nu, Box, AndF, Var, NotF, Rat]
     g = parse_lo("exists z in X x >=^1_z y")
-    assert [type(node) for node in walk(g)] == [ExistsO, AndO, Member, Cmp]
+    assert [type(node) for node in walk(g)] == [ExistsO, AndF, Member, Cmp]
     assert children(Rat(None)) == () and children(Member("x")) == ()
 
 
@@ -269,7 +266,7 @@ def test_lnu_denotation_is_eval_lnu_with_one_rationality_event_per_player(monkey
     cfg = CheckConfig()
     for _ in range(30):
         game = random_game(rng, cfg, rng.randint(2, 3))
-        model = random_belief_model(rng, game, 4)
+        model = random_model(rng, game, 4, "belief")
         profile = profile_named(game, rng.choice(MONOTONE_BUILTINS))
         body = random_positive_body(rng, game)
         events = list(subsets_of(model.states()))
@@ -319,7 +316,7 @@ def test_rat_definability_computes_one_optimality_event_per_restriction(monkeypa
     answers = set()
     for _ in range(30):
         game = random_game(rng, cfg, rng.randint(2, 3))
-        model = random_belief_model(rng, game, 5)
+        model = random_model(rng, game, 5, "belief")
         profile = profile_named(game, rng.choice(("sd_g", "br_g", "br_l", "wd_l")))
         distinct = {restriction_of(model, X) for X in subsets_of(model.states())}
         calls.clear()
@@ -348,22 +345,22 @@ def test_rat_definability():
 
 def test_parse_lo_ast_shape():
     f = parse_lo("forall y in X exists z in X x >=^1_z y")
-    body = ExistsO("z", AndO(Member("z"), Cmp(0, "x", "z", "y")))
-    assert f == o_forall("y", o_impl(Member("y"), body))
+    body = ExistsO("z", AndF(Member("z"), Cmp(0, "x", "z", "y")))
+    assert f == o_forall("y", impl(Member("y"), body))
 
 
 def test_parse_lo_strict_comparison_desugars():
-    assert parse_lo("x >^1_z y") == NotO(Cmp(0, "y", "z", "x"))
+    assert parse_lo("x >^1_z y") == NotF(Cmp(0, "y", "z", "x"))
 
 
 def test_quantifiers_scope_maximally():
     wide = parse_lo("exists z in X x >=^1_z x & y in X")
     assert wide == ExistsO(
-        "z", AndO(Member("z"), AndO(Cmp(0, "x", "z", "x"), Member("y")))
+        "z", AndF(Member("z"), AndF(Cmp(0, "x", "z", "x"), Member("y")))
     )
     narrow = parse_lo("(exists z in X x >=^1_z x) & y in X")
-    assert narrow == AndO(
-        ExistsO("z", AndO(Member("z"), Cmp(0, "x", "z", "x"))), Member("y")
+    assert narrow == AndF(
+        ExistsO("z", AndF(Member("z"), Cmp(0, "x", "z", "x"))), Member("y")
     )
 
 
@@ -384,7 +381,7 @@ def test_lo_free_vars_and_positivity():
     positive = {
         name
         for name in ("sd_l", "sd_g", "wd_l", "wd_g", "br_l", "br_g")
-        if check_positive_lo(parse_lo(lo_text(name, 0)))
+        if var_positive(parse_lo(lo_text(name, 0)))
     }
     assert positive == {"sd_g", "br_g"}
 
@@ -422,9 +419,9 @@ def _walker_eval_lo(model, f, assignment, X):
             a = game.payoff(i, full_profile(i, model.strategy_of(i, asg[f.left]), ctx))
             b = game.payoff(i, full_profile(i, model.strategy_of(i, asg[f.right]), ctx))
             return a >= b
-        if isinstance(f, NotO):
+        if isinstance(f, NotF):
             return not ev(f.sub, asg)
-        if isinstance(f, AndO):
+        if isinstance(f, AndF):
             return ev(f.left, asg) and ev(f.right, asg)
         if isinstance(f, ExistsO):
             for w in model.states():
@@ -466,7 +463,7 @@ def _model_with_repeated_profiles(rng, game):
         names, corr = tuple(f"w{w + 1}" for w in range(k)), None
         assignment = random_assignment(rng, game, k)
     else:
-        belief = random_belief_model(rng, game, 4)
+        belief = random_model(rng, game, 4, "belief")
         names, corr, assignment = belief.state_names, belief.correspondences, belief.assignment
     assignment = tuple(own[:-1] + own[:1] if len(own) > 1 else own for own in assignment)
     return EpistemicModel(game, names, assignment, corr)
@@ -486,16 +483,16 @@ def _random_lo(rng, game, depth=4):
     var = rng.choice(_LO_VARS)
     body = _random_lo(rng, game, depth - 1)
     if kind == "not":
-        return NotO(body)
+        return NotF(body)
     if kind == "and":
-        return AndO(body, _random_lo(rng, game, depth - 1))
+        return AndF(body, _random_lo(rng, game, depth - 1))
     if kind == "exists":
         return ExistsO(var, body)
     if kind == "exists in":
-        return ExistsO(var, AndO(Member(var), body))
+        return ExistsO(var, AndF(Member(var), body))
     if kind == "forall":
         return o_forall(var, body)
-    return o_forall(var, o_impl(Member(var), body))
+    return o_forall(var, impl(Member(var), body))
 
 
 def _some_events(rng, model):
@@ -583,7 +580,7 @@ def test_compiled_optimality_conditions_equal_the_walker():
 def test_unbound_variables_raise_only_where_evaluation_reaches_them():
     model = standard_model(PD.full_restriction())
     X = frozenset({0})
-    f = AndO(Member("x"), Member("u"))
+    f = AndF(Member("x"), Member("u"))
     assert eval_lo(model, f, {"x": 1}, X) is False
     with pytest.raises(LogicEvalError) as info:
         eval_lo(model, f, {"x": 0}, X)
@@ -594,7 +591,7 @@ def test_unbound_variables_raise_only_where_evaluation_reaches_them():
         assert str(info.value) == f"unbound variable {missing!r}"
     # a quantifier's binding ends with it
     with pytest.raises(LogicEvalError) as info:
-        eval_lo(model, AndO(ExistsO("u", Member("u")), Member("u")), {}, model.all_event())
+        eval_lo(model, AndF(ExistsO("u", Member("u")), Member("u")), {}, model.all_event())
     assert str(info.value) == "unbound variable 'u'"
 
 

@@ -24,10 +24,10 @@ from epigame.games import (
 )
 from epigame.logic import (
     LO_TEXTS,
-    check_positive_lo,
     compile_lo_to_property,
     lo_text,
     parse_lo,
+    var_positive,
 )
 from epigame.optimality import (
     BUILTIN_NAMES,
@@ -330,7 +330,7 @@ def test_compiled_monotone_is_syntactic_positivity():
     for name in LO_TEXTS:
         formula = parse_lo(lo_text(name, 0))
         prop = compile_lo_to_property(formula, PD, 0, name)
-        assert prop.monotone == check_positive_lo(formula), name
+        assert prop.monotone == var_positive(formula), name
         assert not prop.own_independent
         seen.add(prop.monotone)
     assert seen == {True, False}

@@ -191,6 +191,19 @@ def test_the_check_registry_alone_draws_pooled_instances():
     assert _callers("subsets_of", [SRC / "checks.py"]) == []
 
 
+def test_both_formula_languages_share_one_propositional_core():
+    """The modal and the first-order language build their negations and
+    conjunctions from the same two nodes, and both parsers read '&' through
+    the one conjunction rule of their shared cursor."""
+    from epigame import logic
+
+    assert {cls.__name__ for cls in logic._CHILD_FIELDS} == {
+        "NotF", "AndF", "Box", "Opt", "Nu", "ExistsO"}
+    assert "conjunction" in vars(logic._TokenCursor)
+    assert "conjunction" not in vars(logic._LnuParser)
+    assert "conjunction" not in vars(logic._LoParser)
+
+
 def test_pearce_is_called_only_by_the_set_wise_pipeline_and_the_cells():
     """One set-wise dominance pipeline: _dominators runs Pearce's LP for
     msd, mwd and the best responses, and hands its dominator both to
